@@ -221,12 +221,85 @@ fn main() {
             scaffold.0
         );
         // Multi-task cores chop sequential windows, which route the
-        // per-core solves to the agreeable DP — not yet pool-backed, so
-        // this row is informational (tracks the DP's heap traffic).
+        // per-core solves to the agreeable DP: its block terms and range
+        // table are pool-backed too.
         let chopped = measure(&federated_set(24), 4);
         report(
             "solve_in/DagFederated(4) n=24 (warmed, agreeable DP)",
             chopped,
+        );
+        assert_eq!(
+            chopped.0, 0.0,
+            "the federated path through the agreeable DP must be \
+             allocation-free on the warmed workspace path (got {} \
+             allocs/trial)",
+            chopped.0
+        );
+    }
+
+    // The agreeable DP on its own: twelve sequential 10 ms windows, the
+    // shape of one chopped DAG core, through the §7 scheme. Allocation
+    // free when warm, with the metrics registry off and armed.
+    {
+        let chopped = TaskSet::new(
+            (0..12)
+                .map(|i| {
+                    sdem_types::Task::new(
+                        i,
+                        Time::from_millis(10.0 * i as f64),
+                        Time::from_millis(10.0 * (i + 1) as f64),
+                        sdem_types::Cycles::new(2.0e6 + (i % 5) as f64 * 1.0e6),
+                    )
+                })
+                .collect(),
+        )
+        .expect("non-empty set");
+        let scheme = Scheme::AgreeableOverhead;
+        let mut ws = Workspace::new();
+        for armed in [false, true] {
+            sdem_obs::registry::set_enabled(armed);
+            for _ in 0..8 {
+                let warm = solve_in(&chopped, &platform, scheme, &mut ws).unwrap();
+                ws.recycle_schedule(warm.into_schedule());
+            }
+            let after = count_per_iter(ITERS, || {
+                let s = solve_in(&chopped, &platform, scheme, &mut ws).unwrap();
+                std::hint::black_box(&s);
+                ws.recycle_schedule(s.into_schedule());
+            });
+            let metrics = if armed {
+                "metrics armed"
+            } else {
+                "metrics off"
+            };
+            report(
+                &format!("solve_in/AgreeableOverhead n=12 chopped (warmed, {metrics})"),
+                after,
+            );
+            assert_eq!(
+                after.0, 0.0,
+                "the agreeable DP must be allocation-free on the warmed \
+                 workspace path with {metrics} (got {} allocs/trial)",
+                after.0
+            );
+        }
+        sdem_obs::registry::set_enabled(false);
+        // The same windows stored out of release order: the agreeability
+        // check sorts a copy of the set, so this row is reported only.
+        let reversed =
+            TaskSet::new(chopped.iter().rev().copied().collect()).expect("non-empty set");
+        for _ in 0..8 {
+            let warm = solve_in(&reversed, &platform, scheme, &mut ws).unwrap();
+            ws.recycle_schedule(warm.into_schedule());
+        }
+        let unsorted = count_per_iter(ITERS, || {
+            let s = solve_in(&reversed, &platform, scheme, &mut ws).unwrap();
+            std::hint::black_box(&s);
+            ws.recycle_schedule(s.into_schedule());
+        });
+        report(
+            "solve_in/AgreeableOverhead n=12 chopped, reverse-stored (warmed)",
+            unsorted,
         );
     }
     println!();

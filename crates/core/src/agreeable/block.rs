@@ -23,14 +23,36 @@
 //! optimum — the quantity the paper's `(i, j)` enumeration computes
 //! piecewise. Tests verify agreement with [`crate::agreeable::algorithm1`]
 //! and with a dense grid oracle.
+//!
+//! The solver evaluates `F` through [`Terms`], which hoists each task's
+//! constants once per DP and memoizes its term per window, bit-identical
+//! to the from-scratch [`objective`] kept as the reference.
 
 use sdem_types::numeric::minimize_unimodal;
+use sdem_types::Workspace;
 
 use super::{BlockTask, PowerParams};
 
 /// Tolerance (relative) for the coordinate-descent stopping rule.
 const DESCENT_TOL: f64 = 1e-12;
 const MAX_SWEEPS: usize = 80;
+
+/// Relative feasibility guard of the block objective: `w > 0` cycles fit
+/// a window of length `L` iff `L ≥ (w/s_up)·(1 − WINDOW_TOL)`. Admission
+/// ([`super::prepare_in`]) applies the same test to each task's full
+/// window, so every admitted block is finite on its full interval.
+pub(crate) const WINDOW_TOL: f64 = 1e-12;
+
+/// Relative slack of the range lower bound ([`Terms::lower_bounds_into`]):
+/// the bound is scaled by `1 − BOUND_SLACK` so that the rounding of the
+/// block energy it bounds (sums of `n` rounded terms, `powf` within an
+/// ulp) can never lift the bound above the energy a solver returns.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// Relative margin, against the largest `|time|` of a range, taken off
+/// the bound's memory-busy gap: the gap and the windows behind it are
+/// differences of absolute times, rounded at that magnitude.
+const GAP_MARGIN: f64 = 1e-12;
 
 /// The optimum of one block: busy interval and per-task runs.
 #[derive(Debug, Clone)]
@@ -46,6 +68,12 @@ pub(crate) struct BlockSolution {
     pub runs: Vec<(f64, f64)>,
 }
 
+/// `true` when `w` cycles cannot fit a window of length `window` even at
+/// `s_up` (never for zero work).
+pub(crate) fn window_too_short(w: f64, window: f64, s_up: f64) -> bool {
+    w != 0.0 && window < (w / s_up) * (1.0 - WINDOW_TOL)
+}
+
 /// Per-task best-response energy for a window of length `window`.
 ///
 /// Returns `f64::INFINITY` when the window cannot accommodate the task even
@@ -54,8 +82,7 @@ pub(crate) fn task_best_energy(w: f64, window: f64, pw: &PowerParams) -> f64 {
     if w == 0.0 {
         return 0.0;
     }
-    let l_min = w / pw.s_up;
-    if window < l_min * (1.0 - 1e-12) {
+    if window_too_short(w, window, pw.s_up) {
         return f64::INFINITY;
     }
     let l = best_run_length(w, window, pw);
@@ -81,7 +108,10 @@ pub(crate) fn window(t: &BlockTask, s: f64, e: f64) -> f64 {
     e.min(t.d) - s.max(t.r)
 }
 
-/// The best-response block objective `F(s, e)`.
+/// The best-response block objective `F(s, e)`, evaluated from scratch.
+///
+/// This is the reference [`Terms::objective`] must equal bit for bit; the
+/// solvers themselves evaluate through the memo.
 pub(crate) fn objective(tasks: &[BlockTask], s: f64, e: f64, pw: &PowerParams) -> f64 {
     let mut total = pw.alpha_m * (e - s);
     for t in tasks {
@@ -93,92 +123,278 @@ pub(crate) fn objective(tasks: &[BlockTask], s: f64, e: f64, pw: &PowerParams) -
     total
 }
 
+/// The block objective's per-task terms over a DP's deadline-sorted
+/// tasks, with the per-evaluation work hoisted out and memoized.
+///
+/// Built once per DP: each task's `l_min = w/s_up`, `β·w^λ`, flat
+/// critical-speed run `max(w/s_m, l_min)` with that run's energy, and its
+/// term on its full window. Each task then keeps a one-entry memo of its
+/// last term keyed by the exact bits of its window, so a line search pays
+/// `powf` only for tasks whose window moved off the flat region. Every
+/// term comes from the same floating-point expression as
+/// [`task_best_energy`], so [`Terms::objective`] equals [`objective`] bit
+/// for bit and the solver retraces the reference's path exactly.
+///
+/// The columns come from `Workspace` pools; [`Terms::recycle`] returns
+/// them.
+pub(crate) struct Terms {
+    pw: PowerParams,
+    /// `1 − λ`, the exponent of every run-length power.
+    exponent: f64,
+    r: Vec<f64>,
+    d: Vec<f64>,
+    w: Vec<f64>,
+    /// `w / s_up`.
+    l_min: Vec<f64>,
+    /// `β·w^λ`.
+    bw: Vec<f64>,
+    /// `max(w/s_m, l_min)`: the run on the flat region of `E*`.
+    flat_run: Vec<f64>,
+    /// The term at `flat_run`.
+    flat_term: Vec<f64>,
+    /// The term on the full window `d − r`.
+    full_term: Vec<f64>,
+    /// Last window evaluated per task (NaN: none yet) and its term.
+    memo_window: Vec<f64>,
+    memo_term: Vec<f64>,
+}
+
+impl Terms {
+    /// Empty terms for `pw`, with columns from `ws`.
+    pub(crate) fn take(pw: PowerParams, ws: &mut Workspace) -> Self {
+        Self {
+            pw,
+            exponent: 1.0 - pw.lambda,
+            r: ws.take_f64s(),
+            d: ws.take_f64s(),
+            w: ws.take_f64s(),
+            l_min: ws.take_f64s(),
+            bw: ws.take_f64s(),
+            flat_run: ws.take_f64s(),
+            flat_term: ws.take_f64s(),
+            full_term: ws.take_f64s(),
+            memo_window: ws.take_f64s(),
+            memo_term: ws.take_f64s(),
+        }
+    }
+
+    /// Terms of a block's task slice, on fresh buffers.
+    pub(crate) fn of(tasks: &[BlockTask], pw: &PowerParams) -> Self {
+        let mut terms = Self::take(*pw, &mut Workspace::new());
+        for t in tasks {
+            terms.push(t.r, t.d, t.w);
+        }
+        terms
+    }
+
+    /// Returns the columns to `ws`'s pools.
+    pub(crate) fn recycle(self, ws: &mut Workspace) {
+        for column in [
+            self.r,
+            self.d,
+            self.w,
+            self.l_min,
+            self.bw,
+            self.flat_run,
+            self.flat_term,
+            self.full_term,
+            self.memo_window,
+            self.memo_term,
+        ] {
+            ws.recycle_f64s(column);
+        }
+    }
+
+    /// Appends the next task in deadline order.
+    pub(crate) fn push(&mut self, r: f64, d: f64, w: f64) {
+        let pw = &self.pw;
+        let l_min = w / pw.s_up;
+        let l_crit = if pw.s_m > 0.0 {
+            w / pw.s_m
+        } else {
+            f64::INFINITY
+        };
+        let flat_run = l_crit.max(l_min);
+        let bw = pw.beta * w.powf(pw.lambda);
+        self.r.push(r);
+        self.d.push(d);
+        self.w.push(w);
+        self.l_min.push(l_min);
+        self.bw.push(bw);
+        self.flat_run.push(flat_run);
+        self.flat_term
+            .push(bw * flat_run.powf(self.exponent) + pw.alpha * flat_run);
+        self.memo_window.push(f64::NAN);
+        self.memo_term.push(0.0);
+        let k = self.w.len() - 1;
+        let full = self.term(k, d - r);
+        self.full_term.push(full);
+    }
+
+    /// Task `k`'s term for a window of length `window`: the value of
+    /// [`task_best_energy`], from the hoisted constants.
+    fn term(&self, k: usize, window: f64) -> f64 {
+        let w = self.w[k];
+        if w == 0.0 {
+            return 0.0;
+        }
+        let l_min = self.l_min[k];
+        if window < l_min * (1.0 - WINDOW_TOL) {
+            return f64::INFINITY;
+        }
+        // `clamp(w/s_m, l_min, max(window, l_min))`, the run of
+        // [`best_run_length`], written through the flat run.
+        let l = self.flat_run[k].min(window.max(l_min));
+        if l == self.flat_run[k] {
+            self.flat_term[k]
+        } else {
+            self.bw[k] * l.powf(self.exponent) + self.pw.alpha * l
+        }
+    }
+
+    /// `F(s, e)` over the tasks `lo..hi`: the same sum, in the same order,
+    /// as [`objective`].
+    pub(crate) fn objective(&mut self, lo: usize, hi: usize, s: f64, e: f64) -> f64 {
+        let mut total = self.pw.alpha_m * (e - s);
+        for k in lo..hi {
+            let window = e.min(self.d[k]) - s.max(self.r[k]);
+            if window.to_bits() != self.memo_window[k].to_bits() {
+                self.memo_term[k] = self.term(k, window);
+                self.memo_window[k] = window;
+            }
+            total += self.memo_term[k];
+            if !total.is_finite() {
+                return f64::INFINITY;
+            }
+        }
+        total
+    }
+
+    /// Solves the block of tasks `lo..hi` to its optimal busy interval,
+    /// returning `(s, e, energy)`.
+    ///
+    /// The tasks must be non-empty, deadline-sorted and agreeable
+    /// (releases also sorted), each admitted by [`super::prepare_in`].
+    pub(crate) fn solve(&mut self, lo: usize, hi: usize) -> (f64, f64, f64) {
+        debug_assert!(lo < hi);
+        let r1 = self.r[lo];
+        let d1 = self.d[lo..hi].iter().copied().fold(f64::INFINITY, f64::min);
+        let rn = self.r[lo..hi]
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max);
+        let dn = self.d[hi - 1];
+
+        // Start from the full interval — always feasible.
+        let (mut s, mut e) = (r1, dn);
+        let mut best_f = self.objective(lo, hi, s, e);
+        debug_assert!(best_f.is_finite(), "full interval must be feasible");
+
+        for _ in 0..MAX_SWEEPS {
+            let (ps, pe, pf) = (s, e, best_f);
+
+            // s-step: s ∈ [r1, s_hi(e)] with s_hi from the window constraints.
+            let s_hi = (lo..hi)
+                .filter(|&k| self.w[k] > 0.0)
+                .map(|k| e.min(self.d[k]) - self.l_min[k])
+                .fold(d1.min(e), f64::min);
+            if s_hi > r1 {
+                let (xs, fx) = minimize_unimodal(|x| self.objective(lo, hi, x, e), r1, s_hi, 1e-13);
+                if fx <= best_f {
+                    s = xs;
+                    best_f = fx;
+                }
+            }
+
+            // e-step: e ∈ [e_lo(s), dn].
+            let e_lo = (lo..hi)
+                .filter(|&k| self.w[k] > 0.0)
+                .map(|k| s.max(self.r[k]) + self.l_min[k])
+                .fold(rn.max(s), f64::max);
+            if e_lo < dn {
+                let (xe, fx) = minimize_unimodal(|x| self.objective(lo, hi, s, x), e_lo, dn, 1e-13);
+                if fx <= best_f {
+                    e = xe;
+                    best_f = fx;
+                }
+            }
+
+            // Diagonal polish: slide the whole interval (guards against
+            // coordinate-descent stalls on the coupled constraint corner).
+            let width = e - s;
+            let t_lo = r1 - s;
+            let t_hi = dn - e;
+            if t_hi > t_lo {
+                let (t, ft) =
+                    minimize_unimodal(|t| self.objective(lo, hi, s + t, e + t), t_lo, t_hi, 1e-13);
+                if ft < best_f {
+                    s += t;
+                    e = s + width;
+                    best_f = ft;
+                }
+            }
+            let scale = best_f.abs().max(1.0);
+            if (pf - best_f).abs() <= DESCENT_TOL * scale
+                && (ps - s).abs() + (pe - e).abs() <= 1e-11 * (dn - r1).max(1.0)
+            {
+                break;
+            }
+        }
+        (s, e, best_f)
+    }
+
+    /// Task `k`'s run `(start, length)` in busy interval `[s, e]`: it
+    /// starts at `max(s, r)` and runs [`best_run_length`] (zero-work tasks
+    /// get length 0).
+    pub(crate) fn run(&self, k: usize, s: f64, e: f64) -> (f64, f64) {
+        let start = s.max(self.r[k]);
+        if self.w[k] == 0.0 {
+            return (start, 0.0);
+        }
+        let window = e.min(self.d[k]) - start;
+        (start, best_run_length(self.w[k], window, &self.pw))
+    }
+
+    /// Lower bounds on the energy of every block `[p, q)`, `p < q`, into
+    /// `out[p]` (`out` is cleared and resized to `q`).
+    ///
+    /// A task's window never exceeds its full window and `E*` is
+    /// non-increasing, so `Σ_k E*_k(d_k − r_k)` bounds the tasks' terms;
+    /// each working task `k` forces `e ≥ r_k + l_k` and `s ≤ d_k − l_k`
+    /// with `l_k = (w_k/s_up)·(1 − WINDOW_TOL)`, the objective's own
+    /// feasibility threshold, so the busy interval is at least
+    /// `max_k(r_k + l_k) − min_k(d_k − l_k)` long. That gap is shrunk by
+    /// `GAP_MARGIN` of the range's largest `|time|` and the sum by
+    /// `BOUND_SLACK`, which keeps the bound at or below the energy any
+    /// block solver returns despite rounding.
+    pub(crate) fn lower_bounds_into(&self, q: usize, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(q, 0.0);
+        let (mut sum, mut latest_end, mut earliest_start, mut t_abs) =
+            (0.0, f64::NEG_INFINITY, f64::INFINITY, 0.0f64);
+        for p in (0..q).rev() {
+            sum += self.full_term[p];
+            t_abs = t_abs.max(self.r[p].abs()).max(self.d[p].abs());
+            if self.w[p] > 0.0 {
+                let l = self.l_min[p] * (1.0 - WINDOW_TOL);
+                latest_end = latest_end.max(self.r[p] + l);
+                earliest_start = earliest_start.min(self.d[p] - l);
+            }
+            let gap = (latest_end - earliest_start - GAP_MARGIN * t_abs).max(0.0);
+            out[p] = (sum + self.pw.alpha_m * gap) * (1.0 - BOUND_SLACK);
+        }
+    }
+}
+
 /// Solves one block to its optimal busy interval.
 ///
 /// `tasks` must be non-empty, deadline-sorted and agreeable (releases also
 /// sorted); every task must satisfy `w/(d−r) ≤ s_up`.
 pub(crate) fn solve(tasks: &[BlockTask], pw: &PowerParams) -> BlockSolution {
-    debug_assert!(!tasks.is_empty());
-    let r1 = tasks[0].r;
-    let d1 = tasks.iter().map(|t| t.d).fold(f64::INFINITY, f64::min);
-    let rn = tasks.iter().map(|t| t.r).fold(f64::NEG_INFINITY, f64::max);
-    let dn = tasks.last().expect("non-empty").d;
-
-    // Start from the full interval — always feasible.
-    let (mut s, mut e) = (r1, dn);
-    let mut best_f = objective(tasks, s, e, pw);
-    debug_assert!(best_f.is_finite(), "full interval must be feasible");
-
-    for _ in 0..MAX_SWEEPS {
-        let (ps, pe, pf) = (s, e, best_f);
-
-        // s-step: s ∈ [r1, s_hi(e)] with s_hi from the window constraints.
-        let s_hi = tasks
-            .iter()
-            .filter(|t| t.w > 0.0)
-            .map(|t| e.min(t.d) - t.w / pw.s_up)
-            .fold(d1.min(e), f64::min);
-        if s_hi > r1 {
-            let (xs, fx) = minimize_unimodal(|x| objective(tasks, x, e, pw), r1, s_hi, 1e-13);
-            if fx <= best_f {
-                s = xs;
-                best_f = fx;
-            }
-        }
-
-        // e-step: e ∈ [e_lo(s), dn].
-        let e_lo = tasks
-            .iter()
-            .filter(|t| t.w > 0.0)
-            .map(|t| s.max(t.r) + t.w / pw.s_up)
-            .fold(rn.max(s), f64::max);
-        if e_lo < dn {
-            let (xe, fx) = minimize_unimodal(|x| objective(tasks, s, x, pw), e_lo, dn, 1e-13);
-            if fx <= best_f {
-                e = xe;
-                best_f = fx;
-            }
-        }
-
-        // Diagonal polish: slide the whole interval (guards against
-        // coordinate-descent stalls on the coupled constraint corner).
-        let width = e - s;
-        let t_lo = r1 - s;
-        let t_hi = dn - e;
-        if t_hi > t_lo {
-            let (t, ft) =
-                minimize_unimodal(|t| objective(tasks, s + t, e + t, pw), t_lo, t_hi, 1e-13);
-            if ft < best_f {
-                s += t;
-                e = s + width;
-                best_f = ft;
-            }
-        }
-        let scale = best_f.abs().max(1.0);
-        if (pf - best_f).abs() <= DESCENT_TOL * scale
-            && (ps - s).abs() + (pe - e).abs() <= 1e-11 * (dn - r1).max(1.0)
-        {
-            break;
-        }
-    }
-
-    let runs = tasks
-        .iter()
-        .map(|t| {
-            if t.w == 0.0 {
-                return (s.max(t.r), 0.0);
-            }
-            let win = window(t, s, e);
-            let l = best_run_length(t.w, win, pw);
-            (s.max(t.r), l)
-        })
-        .collect();
-    BlockSolution {
-        s,
-        e,
-        energy: best_f,
-        runs,
-    }
+    let mut terms = Terms::of(tasks, pw);
+    let (s, e, energy) = terms.solve(0, tasks.len());
+    let runs = (0..tasks.len()).map(|k| terms.run(k, s, e)).collect();
+    BlockSolution { s, e, energy, runs }
 }
 
 /// Dense grid oracle for one block: sweeps `(s, e)` over a `grid × grid`
@@ -205,6 +421,29 @@ pub(crate) fn grid_oracle(tasks: &[BlockTask], pw: &PowerParams, grid: usize) ->
     best
 }
 
+/// Seeded deadline-sorted agreeable block tasks at the paper's magnitudes
+/// (milliseconds windows, 0.1–6 Mcycles): overlapping, touching or
+/// sequential windows, a fifth of them without work.
+#[cfg(test)]
+pub(crate) fn seeded_tasks(rng: &mut sdem_prng::ChaCha8Rng, n: usize) -> Vec<BlockTask> {
+    use sdem_prng::Rng;
+    let (mut r, mut d) = (0.0f64, 0.0f64);
+    (0..n)
+        .map(|index| {
+            r += match rng.next_u64() % 3 {
+                0 => 0.0,
+                _ => rng.gen_range(0.0005f64..0.03),
+            };
+            d = (d + rng.gen_range(0.0f64..0.01)).max(r + rng.gen_range(0.004f64..0.05));
+            let w = match rng.next_u64() % 5 {
+                0 => 0.0,
+                _ => rng.gen_range(1.0e5f64..6.0e6),
+            };
+            BlockTask { index, r, d, w }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +459,88 @@ mod tests {
 
     fn bt(index: usize, r: f64, d: f64, w: f64) -> BlockTask {
         BlockTask { index, r, d, w }
+    }
+
+    #[test]
+    fn memoized_objective_equals_the_reference_bit_for_bit() {
+        use sdem_power::PlatformBuilder;
+        use sdem_prng::{ChaCha8Rng, Rng, SeedableRng};
+
+        let platforms = [
+            Platform::paper_defaults(),
+            PlatformBuilder::new().alpha_mw(0.0).build().unwrap(),
+            PlatformBuilder::new()
+                .alpha_mw(2000.0)
+                .memory_alpha_w(40.0)
+                .build()
+                .unwrap(),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(0xB10C_0B1E);
+        // Windows seen, by region: infeasible, clamped to l_min, sloped,
+        // flat (critical run).
+        let mut seen = [0usize; 4];
+        for case in 0..300 {
+            let p = PowerParams::of(&platforms[case % platforms.len()]);
+            let n = 1 + (rng.next_u64() % 8) as usize;
+            let tasks = seeded_tasks(&mut rng, n);
+            let mut terms = Terms::of(&tasks, &p);
+            let (r1, dn) = (tasks[0].r, tasks[n - 1].d);
+            // Random points, then points placing one task's window exactly
+            // on, just inside and just outside its l_min band.
+            let mut points: Vec<(f64, f64)> = (0..40)
+                .map(|_| {
+                    let s = rng.gen_range(r1 - 0.01..dn);
+                    (s, rng.gen_range(s..dn + 0.01))
+                })
+                .collect();
+            for t in tasks.iter().filter(|t| t.w > 0.0) {
+                let l_min = t.w / p.s_up;
+                for f in [0.5, 1.0 - 5e-13, 1.0 - 2e-12, 1.0, 1.0 + 1e-9, 40.0] {
+                    points.push((t.r, t.r + l_min * f));
+                    points.push((t.d - l_min * f, t.d));
+                }
+            }
+            // Every point twice, so the second pass reads the memo.
+            let again = points.clone();
+            points.extend(again);
+            for (s, e) in points {
+                for t in &tasks {
+                    if t.w == 0.0 {
+                        continue;
+                    }
+                    let win = window(t, s, e);
+                    let l_min = t.w / p.s_up;
+                    let l_crit = if p.s_m > 0.0 {
+                        t.w / p.s_m
+                    } else {
+                        f64::INFINITY
+                    };
+                    seen[if window_too_short(t.w, win, p.s_up) {
+                        0
+                    } else if win <= l_min {
+                        1
+                    } else if win < l_crit.max(l_min) {
+                        2
+                    } else {
+                        3
+                    }] += 1;
+                }
+                let lo = (rng.next_u64() % n as u64) as usize;
+                for (a, b) in [(0, n), (lo, n), (0, lo + 1)] {
+                    let memo = terms.objective(a, b, s, e);
+                    let reference = objective(&tasks[a..b], s, e, &p);
+                    assert_eq!(
+                        memo.to_bits(),
+                        reference.to_bits(),
+                        "case {case} [{a}, {b}) at ({s}, {e}): memo {memo} vs {reference}"
+                    );
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&c| c > 0),
+            "regions not all covered: {seen:?}"
+        );
     }
 
     #[test]

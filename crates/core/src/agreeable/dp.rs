@@ -13,12 +13,20 @@
 //! (one less than the paper's per-block count — a constant offset that
 //! cannot change the argmin; see the `sdem-sim` crate docs). With
 //! `ξ_m = 0` (the §5 assumption) the recurrence is exactly the paper's.
+//!
+//! The table of ranges is filled lazily: a range `[p, q)` is solved only
+//! when `OPT(T_p)` plus a lower bound on its block energy (see
+//! [`Terms::lower_bounds_into`]) can still beat the best candidate found
+//! for `q`. The bound never exceeds the block energy, so the recurrence's
+//! minimum and its first argmin — and every output bit — are those of the
+//! exhaustive table; on chopped DAG cores about four ranges in five are
+//! never solved.
 
 use sdem_power::Platform;
 use sdem_types::{CoreId, Joules, Placement, Schedule, Segment, Speed, TaskSet, Time, Workspace};
 
-use super::block::BlockSolution;
-use super::{algorithm1, block, lemma3, prepare_in, BlockTask, PowerParams};
+use super::block::{BlockSolution, Terms};
+use super::{algorithm1, lemma3, prepare_in, BlockTask, PowerParams};
 use crate::{SdemError, Solution};
 
 /// Which block solver backs the DP.
@@ -70,10 +78,11 @@ pub fn schedule(tasks: &TaskSet, platform: &Platform) -> Result<Solution, SdemEr
     schedule_with_solver(tasks, platform, BlockSolverKind::BestResponse)
 }
 
-/// In-place [`schedule`]: DP scratch and the returned schedule's arenas
-/// come from `ws`. The O(n²) table of per-range block solutions still
-/// allocates (each `BlockSolution` owns its run list); only the
-/// fixed-shape buffers are pooled.
+/// In-place [`schedule`]: the block terms, the flat `(s, e, energy)`
+/// range table, the DP scratch and the returned schedule's arenas all
+/// come from `ws`, so a warmed workspace solves a set stored in release
+/// order without allocating. Any other storage order costs one sorted
+/// copy in [`TaskSet::is_agreeable`].
 ///
 /// # Errors
 ///
@@ -148,6 +157,52 @@ pub fn schedule_strict_in(
     schedule_impl(tasks, platform, BlockSolverKind::BestResponse, true, ws)
 }
 
+/// The DP's state: the sorted tasks' memoized block terms and the table
+/// of block ranges `[p, q)` solved so far.
+struct Dp {
+    solver: BlockSolverKind,
+    pw: PowerParams,
+    terms: Terms,
+    /// The paper solvers' task slices (empty for the production solver,
+    /// which reads `terms`).
+    bts: Vec<BlockTask>,
+    /// Row stride of the flat range tables: index `p·(n+1) + q`.
+    stride: usize,
+    /// `(s, e)` and energy of each solved range.
+    interval: Vec<(f64, f64)>,
+    energy: Vec<f64>,
+    solved: Vec<bool>,
+}
+
+impl Dp {
+    /// Block `[p, q)` as `(s, e, energy)`, solved on first use.
+    fn block(&mut self, p: usize, q: usize) -> (f64, f64, f64) {
+        let at = p * self.stride + q;
+        if !self.solved[at] {
+            let (s, e, energy) = match self.solver {
+                BlockSolverKind::BestResponse => self.terms.solve(p, q),
+                _ => {
+                    let b = self.paper_block(p, q);
+                    (b.s, b.e, b.energy)
+                }
+            };
+            self.interval[at] = (s, e);
+            self.energy[at] = energy;
+            self.solved[at] = true;
+        }
+        let (s, e) = self.interval[at];
+        (s, e, self.energy[at])
+    }
+
+    /// The paper solvers' full solution of block `[p, q)`, runs included.
+    fn paper_block(&self, p: usize, q: usize) -> BlockSolution {
+        match self.solver {
+            BlockSolverKind::PaperIterative => algorithm1::solve(&self.bts[p..q], &self.pw),
+            _ => lemma3::solve_block(&self.bts[p..q], &self.pw),
+        }
+    }
+}
+
 fn schedule_impl(
     tasks: &TaskSet,
     platform: &Platform,
@@ -163,45 +218,80 @@ fn schedule_impl(
     let sorted = prepare_in(tasks, platform, ws)?;
     let pw = PowerParams::of(platform);
     let n = sorted.len();
-    let bts: Vec<BlockTask> = sorted
-        .iter()
-        .enumerate()
-        .map(|(index, t)| BlockTask {
-            index,
-            r: t.release().as_secs(),
-            d: t.deadline().as_secs(),
-            w: t.work().value(),
-        })
-        .collect();
-
-    let solve_block = |range: &[BlockTask]| -> BlockSolution {
-        match solver {
-            BlockSolverKind::BestResponse => block::solve(range, &pw),
-            BlockSolverKind::PaperIterative => algorithm1::solve(range, &pw),
-            BlockSolverKind::PaperClosedForm => lemma3::solve_block(range, &pw),
-        }
+    let mut terms = Terms::take(pw, ws);
+    for t in sorted.iter() {
+        terms.push(
+            t.release().as_secs(),
+            t.deadline().as_secs(),
+            t.work().value(),
+        );
+    }
+    let bts: Vec<BlockTask> = if solver == BlockSolverKind::BestResponse {
+        Vec::new()
+    } else {
+        sorted
+            .iter()
+            .enumerate()
+            .map(|(index, t)| BlockTask {
+                index,
+                r: t.release().as_secs(),
+                d: t.deadline().as_secs(),
+                w: t.work().value(),
+            })
+            .collect()
+    };
+    let cells = n * (n + 1);
+    let mut interval = ws.take_pairs();
+    interval.resize(cells, (0.0, 0.0));
+    let mut energy = ws.take_f64s();
+    energy.resize(cells, 0.0);
+    let mut solved = ws.take_bools();
+    solved.resize(cells, false);
+    let mut dp = Dp {
+        solver,
+        pw,
+        terms,
+        bts,
+        stride: n + 1,
+        interval,
+        energy,
+        solved,
     };
 
-    // Block energies for every contiguous range [p, q).
-    let mut block_sol: Vec<Vec<Option<BlockSolution>>> = vec![vec![None; n + 1]; n];
-    for p in 0..n {
-        for q in (p + 1)..=n {
-            block_sol[p][q] = Some(solve_block(&bts[p..q]));
-        }
-    }
-
     // DP over prefixes. A memory round trip is charged per inter-block gap.
+    //
+    // A range is solved only while it can still win. The block that was
+    // last at `q − 1`, extended by task `q − 1`, is solved first: its
+    // candidate `upper` bounds `opt[q]` from above. The ascending scan
+    // then skips `[p, q)` when `opt[p] + LB(p, q) + transition` reaches
+    // the running minimum (the strict `<` could not take it) or exceeds
+    // `upper` (it cannot be the minimum). `LB` never exceeds the block
+    // energy and rounding is monotone, so a skipped candidate is at least
+    // that floor: `opt` and the first argmin — every output bit — are
+    // those of the exhaustive table.
     let transition = platform.memory().transition_energy().value();
     let mut opt = ws.take_f64s();
     opt.resize(n + 1, f64::INFINITY);
     let mut cut_from = ws.take_usizes();
     cut_from.resize(n + 1, 0);
+    let mut bound = ws.take_f64s();
     opt[0] = 0.0;
     for q in 1..=n {
+        dp.terms.lower_bounds_into(q, &mut bound);
+        let hint = cut_from[q - 1];
+        let hint_trans = if hint == 0 { 0.0 } else { transition };
+        let upper = opt[hint] + dp.block(hint, q).2 + hint_trans;
         for p in 0..q {
-            let blk = block_sol[p][q].as_ref().expect("filled above");
             let trans = if p == 0 { 0.0 } else { transition };
-            let cand = opt[p] + blk.energy + trans;
+            let cand = if p == hint {
+                upper
+            } else {
+                let floor = opt[p] + bound[p] + trans;
+                if floor >= opt[q] || floor > upper {
+                    continue;
+                }
+                opt[p] + dp.block(p, q).2 + trans
+            };
             if cand < opt[q] {
                 opt[q] = cand;
                 cut_from[q] = p;
@@ -219,19 +309,17 @@ fn schedule_impl(
     cuts.reverse();
 
     // Strictness repair: merge any consecutive blocks whose busy intervals
-    // overlap, then recompute the total energy from the (precomputed)
-    // merged-block solutions.
+    // overlap, then recompute the total energy from the merged-block
+    // solutions (solved here if the DP skipped them).
     let mut total_energy = opt[n];
     if strict {
         loop {
             let mut merged_any = false;
             let mut i = 0;
             while i + 2 < cuts.len() {
-                let a = block_sol[cuts[i]][cuts[i + 1]].as_ref().expect("filled");
-                let b = block_sol[cuts[i + 1]][cuts[i + 2]]
-                    .as_ref()
-                    .expect("filled");
-                if b.s < a.e - 1e-12 * a.e.abs().max(1.0) {
+                let (_, a_e, _) = dp.block(cuts[i], cuts[i + 1]);
+                let (b_s, _, _) = dp.block(cuts[i + 1], cuts[i + 2]);
+                if b_s < a_e - 1e-12 * a_e.abs().max(1.0) {
                     cuts.remove(i + 1);
                     merged_any = true;
                 } else {
@@ -244,43 +332,66 @@ fn schedule_impl(
         }
         total_energy = cuts
             .windows(2)
-            .map(|pq| block_sol[pq[0]][pq[1]].as_ref().expect("filled").energy)
+            .map(|pq| dp.block(pq[0], pq[1]).2)
             .sum::<f64>()
             + transition * (cuts.len().saturating_sub(2)) as f64;
     }
 
-    // Assemble the schedule: one core per task (unbounded model).
+    // Assemble the schedule: one core per task (unbounded model). Runs
+    // are rebuilt for the kept blocks only.
     let mut placements: Vec<Placement> = ws.take_placements();
     let mut sleep_time = 0.0f64;
     let mut prev_end: Option<f64> = None;
     for pq in cuts.windows(2) {
         let (p, q) = (pq[0], pq[1]);
-        let blk = block_sol[p][q].as_ref().expect("filled above");
-        if let Some(pe) = prev_end {
-            // The DP assumes disjoint, ordered blocks; overlap would mean
-            // the partition was suboptimal (see DESIGN.md §4, deviation 3).
-            debug_assert!(
-                blk.s >= pe - 1e-9,
-                "blocks overlap: previous ends {pe}, next starts {}",
-                blk.s
-            );
-            sleep_time += (blk.s - pe).max(0.0);
+        let (s, e, _) = dp.block(p, q);
+        // A block of zero-work tasks keeps the memory busy for no time: its
+        // interval (collapsed onto a deadline) may sit anywhere, even
+        // inside a neighbour's, so it neither ends nor starts a sleep gap.
+        if (p..q).any(|k| sorted[k].work().value() > 0.0) {
+            if let Some(pe) = prev_end {
+                // The DP assumes disjoint, ordered blocks; overlap would
+                // mean the partition was suboptimal (see DESIGN.md §4,
+                // deviation 3).
+                debug_assert!(
+                    s >= pe - 1e-9,
+                    "blocks overlap: previous ends {pe}, next starts {s}"
+                );
+                sleep_time += (s - pe).max(0.0);
+            }
+            prev_end = Some(e.max(prev_end.unwrap_or(f64::NEG_INFINITY)));
         }
-        prev_end = Some(blk.e.max(prev_end.unwrap_or(f64::NEG_INFINITY)));
-        for (t, &(start, len)) in bts[p..q].iter().zip(&blk.runs) {
-            let task = &sorted[t.index];
+        let paper = (solver != BlockSolverKind::BestResponse).then(|| dp.paper_block(p, q));
+        for (k, task) in sorted.iter().enumerate().take(q).skip(p) {
+            let (start, len) = match &paper {
+                Some(b) => b.runs[k - p],
+                None => dp.terms.run(k, s, e),
+            };
+            let w = task.work().value();
             let mut segments = ws.take_segments();
-            if t.w > 0.0 && len > 0.0 {
+            if w > 0.0 && len > 0.0 {
                 segments.push(Segment::new(
                     Time::from_secs(start),
                     Time::from_secs(start + len),
-                    Speed::from_hz(t.w / len),
+                    Speed::from_hz(w / len),
                 ));
             }
-            placements.push(Placement::new(task.id(), CoreId(t.index), segments));
+            placements.push(Placement::new(task.id(), CoreId(k), segments));
         }
     }
 
+    let Dp {
+        terms,
+        interval,
+        energy,
+        solved,
+        ..
+    } = dp;
+    terms.recycle(ws);
+    ws.recycle_pairs(interval);
+    ws.recycle_f64s(energy);
+    ws.recycle_bools(solved);
+    ws.recycle_f64s(bound);
     ws.recycle_f64s(opt);
     ws.recycle_usizes(cut_from);
     ws.recycle_usizes(cuts);
@@ -299,6 +410,7 @@ mod tests {
     #![allow(deprecated)]
 
     use super::*;
+    use crate::agreeable::block;
     use sdem_power::{CorePower, MemoryPower};
     use sdem_sim::{simulate, SleepPolicy};
     use sdem_types::{Cycles, Task, Watts};
@@ -531,6 +643,244 @@ mod tests {
                 "strict under-reports: sim {sim} vs predicted {}",
                 strict.predicted_energy().value()
             );
+        }
+    }
+
+    /// Paper-magnitude platforms: the paper's, `α = 0`, and one whose
+    /// memory dominates (so the bound's busy-gap term matters).
+    fn seeded_platforms() -> [Platform; 3] {
+        use sdem_power::PlatformBuilder;
+        [
+            Platform::paper_defaults(),
+            PlatformBuilder::new()
+                .alpha_mw(0.0)
+                .memory_break_even(Time::ZERO)
+                .build()
+                .unwrap(),
+            PlatformBuilder::new()
+                .alpha_mw(2000.0)
+                .memory_alpha_w(40.0)
+                .build()
+                .unwrap(),
+        ]
+    }
+
+    #[test]
+    fn range_lower_bound_never_exceeds_any_block_solver() {
+        use sdem_prng::{ChaCha8Rng, SeedableRng};
+
+        let platforms = seeded_platforms();
+        let mut rng = ChaCha8Rng::seed_from_u64(0x10_B0_0D);
+        let (mut ranges, mut bound) = (0usize, Vec::new());
+        for case in 0..300 {
+            let platform = &platforms[case % platforms.len()];
+            let pw = PowerParams::of(platform);
+            let n = 1 + case % 5;
+            let bts = block::seeded_tasks(&mut rng, n);
+            let mut terms = Terms::of(&bts, &pw);
+            for q in 1..=n {
+                terms.lower_bounds_into(q, &mut bound);
+                for p in 0..q {
+                    let mut energies = vec![
+                        terms.solve(p, q).2,
+                        algorithm1::solve(&bts[p..q], &pw).energy,
+                    ];
+                    if platform.core().is_alpha_zero() {
+                        energies.push(lemma3::solve_block(&bts[p..q], &pw).energy);
+                    }
+                    for energy in energies {
+                        assert!(
+                            bound[p] <= energy,
+                            "case {case} [{p}, {q}): bound {} > block energy {energy}",
+                            bound[p]
+                        );
+                    }
+                    ranges += 1;
+                }
+            }
+        }
+        assert!(ranges >= 900, "{ranges} ranges");
+    }
+
+    #[test]
+    fn pruned_dp_equals_the_exhaustive_table_bit_for_bit() {
+        use sdem_prng::{ChaCha8Rng, SeedableRng};
+
+        let platforms = seeded_platforms();
+        let mut rng = ChaCha8Rng::seed_from_u64(0xD9_7AB1E);
+        for case in 0..300 {
+            let platform = &platforms[case % platforms.len()];
+            let pw = PowerParams::of(platform);
+            let bts = block::seeded_tasks(&mut rng, 1 + case % 9);
+            let n = bts.len();
+            let tasks = TaskSet::new(
+                bts.iter()
+                    .map(|t| Task::new(t.index, sec(t.r), sec(t.d), Cycles::new(t.w)))
+                    .collect(),
+            )
+            .unwrap();
+
+            // The recurrence over every range, ascending p, strict `<`.
+            let transition = platform.memory().transition_energy().value();
+            let blocks: Vec<Vec<BlockSolution>> = (0..n)
+                .map(|p| (p + 1..=n).map(|q| block::solve(&bts[p..q], &pw)).collect())
+                .collect();
+            let mut opt = vec![f64::INFINITY; n + 1];
+            let mut cut_from = vec![0; n + 1];
+            opt[0] = 0.0;
+            for q in 1..=n {
+                for p in 0..q {
+                    let trans = if p == 0 { 0.0 } else { transition };
+                    let cand = opt[p] + blocks[p][q - p - 1].energy + trans;
+                    if cand < opt[q] {
+                        opt[q] = cand;
+                        cut_from[q] = p;
+                    }
+                }
+            }
+            let mut cuts = vec![n];
+            while let Some(&q) = cuts.last().filter(|&&q| q > 0) {
+                cuts.push(cut_from[q]);
+            }
+            cuts.reverse();
+            // The memory sleeps between consecutive blocks that carry work.
+            let mut sleep = 0.0f64;
+            let mut prev_end: Option<f64> = None;
+            for pq in cuts.windows(2) {
+                if bts[pq[0]..pq[1]].iter().all(|t| t.w == 0.0) {
+                    continue;
+                }
+                let blk = &blocks[pq[0]][pq[1] - pq[0] - 1];
+                if let Some(pe) = prev_end {
+                    sleep += (blk.s - pe).max(0.0);
+                }
+                prev_end = Some(blk.e.max(prev_end.unwrap_or(f64::NEG_INFINITY)));
+            }
+
+            let sol = schedule_in(&tasks, platform, &mut Workspace::new()).unwrap();
+            assert_eq!(
+                sol.predicted_energy().value().to_bits(),
+                opt[n].to_bits(),
+                "case {case}: energy"
+            );
+            assert_eq!(
+                sol.memory_sleep().as_secs().to_bits(),
+                sleep.to_bits(),
+                "case {case}: memory sleep"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_work_blocks_leave_memory_sleep_alone() {
+        // One task carries work. With ξ_m = 0 a separate block is free, so
+        // zero-work task 0 forms a block of its own, collapsed onto its
+        // 4 ms deadline some 34 ms before the working block starts. The
+        // memory is busy once and never sleeps.
+        let p = sdem_power::PlatformBuilder::new()
+            .memory_break_even(Time::ZERO)
+            .build()
+            .unwrap();
+        let ms = Time::from_millis;
+        let tasks = TaskSet::new(vec![
+            Task::new(0, ms(0.0), ms(4.0), Cycles::new(0.0)),
+            Task::new(1, ms(0.0), ms(40.0), Cycles::new(3.6e6)),
+            Task::new(2, ms(12.0), ms(50.0), Cycles::new(0.0)),
+        ])
+        .unwrap();
+        let mut ws = Workspace::new();
+        for sol in [
+            schedule_in(&tasks, &p, &mut ws).unwrap(),
+            schedule_strict_in(&tasks, &p, &mut ws).unwrap(),
+        ] {
+            sol.schedule().validate(&tasks).unwrap();
+            assert_eq!(sol.schedule().memory_busy_intervals().len(), 1);
+            assert_eq!(sol.memory_sleep(), Time::ZERO);
+        }
+    }
+
+    #[test]
+    fn memory_sleep_never_exceeds_the_simulated_gaps() {
+        // Every block that carries work holds a run, so the gaps between
+        // such blocks are gaps of the schedule too; the simulator, sleeping
+        // every gap, may only find more (coverage holes inside a block).
+        use sdem_prng::{ChaCha8Rng, SeedableRng};
+
+        let platforms = seeded_platforms();
+        let mut rng = ChaCha8Rng::seed_from_u64(0x51_EE9);
+        let mut ws = Workspace::new();
+        for case in 0..300 {
+            let platform = &platforms[case % platforms.len()];
+            let bts = block::seeded_tasks(&mut rng, 1 + case % 9);
+            let tasks = TaskSet::new(
+                bts.iter()
+                    .map(|t| Task::new(t.index, sec(t.r), sec(t.d), Cycles::new(t.w)))
+                    .collect(),
+            )
+            .unwrap();
+            for sol in [
+                schedule_in(&tasks, platform, &mut ws).unwrap(),
+                schedule_strict_in(&tasks, platform, &mut ws).unwrap(),
+            ] {
+                let simulated =
+                    simulate(sol.schedule(), &tasks, platform, SleepPolicy::AlwaysSleep)
+                        .unwrap()
+                        .memory_sleep_time
+                        .as_secs();
+                let reported = sol.memory_sleep().as_secs();
+                assert!(
+                    reported <= simulated + 1e-12,
+                    "case {case}: reported sleep {reported} > simulated gaps {simulated}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn borderline_feasible_tasks_are_rejected_or_solved_finitely() {
+        // A task filling [0, 10 ms] at s_up·(1 + δ): admission and the
+        // block objective share one tolerance, so the task is either
+        // rejected or priced finitely — never admitted at +∞.
+        let p = Platform::paper_defaults();
+        let s_up = p.core().max_speed().as_hz();
+        for delta in [0.0, 1e-13, 1e-11, 1e-10, 5e-10] {
+            let tasks = TaskSet::new(vec![
+                Task::new(
+                    0,
+                    Time::ZERO,
+                    Time::from_millis(10.0),
+                    Cycles::new(s_up * 0.010 * (1.0 + delta)),
+                ),
+                Task::new(
+                    1,
+                    Time::from_millis(5.0),
+                    Time::from_millis(60.0),
+                    Cycles::new(2.0e6),
+                ),
+            ])
+            .unwrap();
+            for scheme in [
+                crate::Scheme::Auto,
+                crate::Scheme::Agreeable,
+                crate::Scheme::AgreeableStrict,
+                crate::Scheme::AgreeableOverhead,
+            ] {
+                match crate::solve(&tasks, &p, scheme) {
+                    Err(SdemError::InfeasibleTask(id)) => {
+                        assert!(delta >= 1e-11, "δ = {delta:e} {scheme:?}: rejected");
+                        assert_eq!(id, sdem_types::TaskId(0));
+                    }
+                    Ok(sol) => {
+                        assert!(delta < 1e-11, "δ = {delta:e} {scheme:?}: admitted");
+                        let energy = sol.predicted_energy().value();
+                        assert!(energy.is_finite(), "δ = {delta:e} {scheme:?}: {energy}");
+                        sol.schedule().validate(&tasks).unwrap();
+                        sol.verify_against_meter(&tasks, &p, crate::OracleOptions::default())
+                            .unwrap();
+                    }
+                    Err(e) => panic!("δ = {delta:e} {scheme:?}: unexpected {e:?}"),
+                }
+            }
         }
     }
 

@@ -211,9 +211,13 @@ pub(crate) fn prepare_in(
     if !tasks.is_agreeable() {
         return Err(SdemError::NotAgreeable);
     }
-    let s_up = platform.core().max_speed();
+    // The block objective's own feasibility test on each full window, so
+    // an admitted task always has a finite block (a looser guard here
+    // would admit tasks the objective prices at +∞).
+    let s_up = platform.core().max_speed().as_hz();
     for t in tasks.iter() {
-        if crate::common_release::exceeds(t.filled_speed(), s_up) {
+        let window = t.deadline().as_secs() - t.release().as_secs();
+        if block::window_too_short(t.work().value(), window, s_up) {
             return Err(SdemError::InfeasibleTask(t.id()));
         }
     }

@@ -144,8 +144,12 @@ impl From<ScheduleError> for OracleError {
 }
 
 /// Relative divergence of two energies, scaled by the larger magnitude
-/// (zero when both are zero).
+/// (zero when both are zero, infinite when either is not finite — an
+/// infinite or NaN energy never agrees with anything).
 pub(crate) fn relative_divergence(a: Joules, b: Joules) -> f64 {
+    if !(a.value().is_finite() && b.value().is_finite()) {
+        return f64::INFINITY;
+    }
     let scale = a.value().abs().max(b.value().abs());
     if scale == 0.0 {
         0.0
@@ -270,6 +274,30 @@ mod tests {
     fn relative_divergence_handles_zero() {
         assert_eq!(relative_divergence(Joules::ZERO, Joules::ZERO), 0.0);
         assert!((relative_divergence(Joules::new(1.0), Joules::new(2.0)) - 0.5).abs() < 1e-15);
+    }
+
+    #[test]
+    fn non_finite_energies_never_agree() {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let (bad, fine) = (Joules::new(bad), Joules::new(1.0));
+            assert_eq!(relative_divergence(bad, fine), f64::INFINITY);
+            assert_eq!(relative_divergence(fine, bad), f64::INFINITY);
+            assert_eq!(relative_divergence(bad, bad), f64::INFINITY);
+        }
+        // An infinite or NaN prediction on a valid schedule is a mismatch.
+        let platform = Platform::paper_defaults();
+        let tasks = general_set();
+        let sol = Scheme::Online.solve(&tasks, &platform).unwrap();
+        for bad in [f64::INFINITY, f64::NAN] {
+            let bad = Solution::new(sol.schedule().clone(), Joules::new(bad), sol.memory_sleep());
+            let err = bad
+                .verify_against_meter(&tasks, &platform, OracleOptions::default())
+                .unwrap_err();
+            assert!(
+                matches!(err, OracleError::Mismatch { relative, .. } if relative == f64::INFINITY),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

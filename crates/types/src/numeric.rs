@@ -36,7 +36,8 @@ pub fn approx_le(a: f64, b: f64, rel: f64) -> bool {
 ///
 /// Terminates once the bracket is narrower than
 /// `tol * max(1, |lo|, |hi|)`. For a convex `f` the result is within the
-/// final bracket of the true minimizer.
+/// final bracket of the true minimizer. `f` may carry state between calls
+/// (a memo of its terms, say); it is called in a fixed order.
 ///
 /// # Panics
 ///
@@ -50,7 +51,7 @@ pub fn approx_le(a: f64, b: f64, rel: f64) -> bool {
 /// assert!((x - 2.0).abs() < 1e-6);
 /// assert!((v - 1.0).abs() < 1e-9);
 /// ```
-pub fn minimize_unimodal(f: impl Fn(f64) -> f64, lo: f64, hi: f64, tol: f64) -> (f64, f64) {
+pub fn minimize_unimodal(mut f: impl FnMut(f64) -> f64, lo: f64, hi: f64, tol: f64) -> (f64, f64) {
     assert!(lo.is_finite() && hi.is_finite(), "bounds must be finite");
     assert!(lo <= hi, "lo must not exceed hi");
     const INV_PHI: f64 = 0.618_033_988_749_894_9;

@@ -276,12 +276,21 @@ impl TaskSet {
     /// `true` if deadlines are agreeable: `r_i ≤ r_j` implies `d_i ≤ d_j`
     /// (the §5 model). Common-release sets are trivially agreeable.
     pub fn is_agreeable(&self) -> bool {
-        let mut sorted: Vec<&Task> = self.tasks.iter().collect();
-        sorted.sort_by(|a, b| {
+        let by_release = |a: &Task, b: &Task| {
             a.release()
                 .total_cmp(&b.release())
                 .then(a.deadline().total_cmp(&b.deadline()))
-        });
+        };
+        // A set stored in release order (generated, chopped and canonical
+        // sets are) is its own stable sort, so it needs no sorted copy.
+        if self.tasks.is_sorted_by(|a, b| by_release(a, b).is_le()) {
+            return self
+                .tasks
+                .windows(2)
+                .all(|p| p[0].deadline() <= p[1].deadline());
+        }
+        let mut sorted: Vec<&Task> = self.tasks.iter().collect();
+        sorted.sort_by(|a, b| by_release(a, b));
         sorted
             .windows(2)
             .all(|p| p[0].deadline() <= p[1].deadline())
@@ -584,6 +593,40 @@ mod tests {
     fn equal_releases_with_any_deadlines_are_agreeable() {
         let set = TaskSet::new(vec![task(0, 0.0, 100.0, 1.0), task(1, 0.0, 50.0, 1.0)]).unwrap();
         assert!(set.is_agreeable());
+    }
+
+    #[test]
+    fn agreeability_does_not_depend_on_storage_order() {
+        // Release-ordered sets take the copy-free path; every other order
+        // sorts a copy. Both must classify the same multiset alike,
+        // signed-zero releases and ties included.
+        use sdem_prng::{ChaCha8Rng, Rng, SeedableRng};
+        let mut rng = ChaCha8Rng::seed_from_u64(0xA9_0DE2);
+        let mut agreeable = 0;
+        for _ in 0..400 {
+            let n = 2 + (rng.next_u64() % 6) as usize;
+            let mut tasks: Vec<Task> = (0..n)
+                .map(|i| {
+                    let r = match rng.next_u64() % 4 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => (rng.next_u64() % 5) as f64,
+                    };
+                    task(i, r, r.abs() + 1.0 + (rng.next_u64() % 6) as f64, 1.0)
+                })
+                .collect();
+            tasks.sort_by(|a, b| {
+                a.release()
+                    .total_cmp(&b.release())
+                    .then(a.deadline().total_cmp(&b.deadline()))
+            });
+            let sorted = TaskSet::new(tasks.clone()).unwrap();
+            tasks.reverse();
+            let reversed = TaskSet::new(tasks).unwrap();
+            assert_eq!(sorted.is_agreeable(), reversed.is_agreeable(), "{sorted:?}");
+            agreeable += usize::from(sorted.is_agreeable());
+        }
+        assert!(agreeable > 0 && agreeable < 400, "{agreeable} agreeable");
     }
 
     #[test]
