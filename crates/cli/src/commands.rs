@@ -9,7 +9,7 @@ use sdem_bench::experiment::{
 };
 use sdem_bench::figures::{self, RobustOptions};
 use sdem_core::dag::DagAssignment;
-use sdem_core::{solve, OracleOptions};
+use sdem_core::{solve, OracleOptions, Scheme};
 use sdem_exec::{CheckpointJournal, SweepRunner};
 use sdem_power::Platform;
 use sdem_serve::{api, ChaosSpec, ReplayConfig, ServiceConfig, SupervisorConfig};
@@ -158,6 +158,8 @@ SCHEMES:
   bounded-bnb          paper §3 branch-and-bound (exact, larger n)
   bounded-refined      paper §3 LPT + local-search refinement (any n)
   bounded-lpt          paper §3 plain LPT heuristic
+  dag-federated        federated LPT packing onto --cores, each core's
+                       chopped windows solved by auto (one shared window)
   mbkp | mbkps         baseline: round-robin + per-core Optimal Available
   yds | oa | avr | css single-core substrate policies (css = YDS clamped
                        to the joint critical speed; system-wide baseline)
@@ -289,6 +291,13 @@ fn build_schedule(
     }
 }
 
+/// `--scheme` when the flag is absent: SDEM-ON on the `--cores` budget.
+fn default_scheme() -> &'static str {
+    Scheme::OnlineBounded(0)
+        .wire_name()
+        .expect("SCHEMES names SDEM-ON")
+}
+
 fn sim_options(scheme: &str) -> SimOptions {
     let profit = SimOptions::uniform(SleepPolicy::WhenProfitable);
     match scheme {
@@ -303,7 +312,7 @@ fn sim_options(scheme: &str) -> SimOptions {
 fn schedule(args: &Args) -> Result<(), CliError> {
     let tasks = load_tasks(args)?;
     let platform = platform_from(args)?;
-    let scheme = args.get_or("scheme", "sdem-on");
+    let scheme = args.get_or("scheme", default_scheme());
     let cores = args.get_usize("cores", 8)?;
     // SDEM schemes go through the same request/execute path the daemon
     // uses (canonicalize → solve → summarize), so batch and serve answers
@@ -329,8 +338,8 @@ fn schedule(args: &Args) -> Result<(), CliError> {
             return Err(CliError::new(
                 ErrorKind::BadRequest,
                 format!(
-                    "--fallback supports the SDEM schemes only (auto, sdem-on, \
-                     cr-*, agreeable*), not `{scheme}`"
+                    "--fallback supports the SDEM schemes only ({}), not `{scheme}`",
+                    api::scheme_names()
                 ),
             ))
         }
@@ -397,7 +406,9 @@ fn compare(args: &Args) -> Result<(), CliError> {
         "scheme", "total [J]", "memory [J]", "cores [J]", "sleeps"
     );
     let mut reference: Option<f64> = None;
-    for scheme in ["mbkp", "mbkps", "sdem-on", "bounded-auto"] {
+    let sdem = [Scheme::OnlineBounded(cores), Scheme::BoundedAuto(cores)];
+    let sdem_names = sdem.iter().filter_map(|s| s.wire_name());
+    for scheme in ["mbkp", "mbkps"].into_iter().chain(sdem_names) {
         match build_schedule(scheme, &tasks, &platform, cores) {
             Ok(sched) => {
                 let report = simulate_with_options(&sched, &tasks, &platform, sim_options(scheme))
@@ -1143,7 +1154,7 @@ fn experiment(args: &Args) -> Result<(), CliError> {
 fn trace(args: &Args) -> Result<(), CliError> {
     let tasks = load_tasks(args)?;
     let platform = platform_from(args)?;
-    let scheme = args.get_or("scheme", "sdem-on");
+    let scheme = args.get_or("scheme", default_scheme());
     let cores = args.get_usize("cores", 8)?;
     let samples = args.get_usize("samples", 500)?;
     let sched = build_schedule(scheme, &tasks, &platform, cores)?;
@@ -1167,9 +1178,38 @@ fn trace(args: &Args) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdem_core::SCHEMES;
 
     fn sv(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn help_schemes_block_matches_the_scheme_table() {
+        // Names sit in columns 2..23 of HELP's SCHEMES block; wrapped
+        // descriptions are indented past them.
+        let block = HELP.split("SCHEMES:\n").nth(1).unwrap();
+        let block = block.split("\n\n").next().unwrap();
+        let listed: Vec<&str> = block
+            .lines()
+            .filter_map(|line| line.get(2..23).filter(|col| !col.starts_with(' ')))
+            .flat_map(str::split_whitespace)
+            .filter(|token| !matches!(*token, "|" | "(default)"))
+            .collect();
+        for name in SCHEMES.iter().filter_map(|e| e.wire) {
+            assert!(
+                listed.contains(&name),
+                "HELP's SCHEMES block omits `{name}`"
+            );
+        }
+        // Every listed SDEM name parses; the rest are batch-only baselines.
+        for name in listed {
+            let baseline = matches!(name, "mbkp" | "mbkps" | "yds" | "oa" | "avr" | "css");
+            assert!(
+                baseline || api::scheme_from_name(name, 8).is_ok(),
+                "HELP lists `{name}`, which does not parse"
+            );
+        }
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! piecewise. Tests verify agreement with [`crate::agreeable::algorithm1`]
 //! and with a dense grid oracle.
 //!
-//! The solver evaluates `F` through [`Terms`], which hoists each task's
+//! The solver evaluates `F` through `Terms`, which hoists each task's
 //! constants once per DP and memoizes its term per window, bit-identical
-//! to the from-scratch [`objective`] kept as the reference.
+//! to the from-scratch `objective` kept as the reference.
 
 use sdem_types::numeric::minimize_unimodal;
 use sdem_types::Workspace;

@@ -47,6 +47,16 @@ pub enum BlockSolverKind {
 /// The agreeable-deadline optimal scheme (generic over `α`): DP over blocks
 /// with the default block solver.
 ///
+/// With `platform.core().alpha() == 0` the block objective reduces exactly
+/// to Eq. 12–14 of the paper (§5.1); with core sleeping (`α ≠ 0`, §5.2) it
+/// is the best-response envelope whose flat region corresponds to the
+/// paper's *Type-I* tasks running at the critical speed `s₀`.
+///
+/// The block terms, the flat `(s, e, energy)` range table, the DP scratch
+/// and the returned schedule's arenas all come from `ws`, so a warmed
+/// workspace solves a set stored in release order without allocating. Any
+/// other storage order costs one sorted copy in [`TaskSet::is_agreeable`].
+///
 /// # Errors
 ///
 /// [`SdemError::NotAgreeable`] for non-agreeable task sets,
@@ -55,9 +65,9 @@ pub enum BlockSolverKind {
 /// # Examples
 ///
 /// ```
-/// use sdem_core::agreeable::schedule;
+/// use sdem_core::agreeable::schedule_in;
 /// use sdem_power::Platform;
-/// use sdem_types::{Task, TaskSet, Time, Cycles};
+/// use sdem_types::{Task, TaskSet, Time, Cycles, Workspace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let platform = Platform::paper_defaults();
@@ -65,28 +75,11 @@ pub enum BlockSolverKind {
 ///     Task::new(0, Time::ZERO, Time::from_millis(30.0), Cycles::new(6.0e6)),
 ///     Task::new(1, Time::from_millis(50.0), Time::from_millis(110.0), Cycles::new(9.0e6)),
 /// ])?;
-/// let sol = schedule(&tasks, &platform)?;
+/// let sol = schedule_in(&tasks, &platform, &mut Workspace::new())?;
 /// sol.schedule().validate(&tasks)?;
 /// # Ok(())
 /// # }
 /// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::Agreeable)` from the crate root, or `schedule_in` to reuse a `Workspace`"
-)]
-pub fn schedule(tasks: &TaskSet, platform: &Platform) -> Result<Solution, SdemError> {
-    schedule_with_solver(tasks, platform, BlockSolverKind::BestResponse)
-}
-
-/// In-place [`schedule`]: the block terms, the flat `(s, e, energy)`
-/// range table, the DP scratch and the returned schedule's arenas all
-/// come from `ws`, so a warmed workspace solves a set stored in release
-/// order without allocating. Any other storage order costs one sorted
-/// copy in [`TaskSet::is_agreeable`].
-///
-/// # Errors
-///
-/// Same as [`schedule`].
 pub fn schedule_in(
     tasks: &TaskSet,
     platform: &Platform,
@@ -99,7 +92,7 @@ pub fn schedule_in(
 ///
 /// # Errors
 ///
-/// Same as [`schedule`].
+/// Same as [`schedule_in`].
 pub fn schedule_with_solver(
     tasks: &TaskSet,
     platform: &Platform,
@@ -112,7 +105,7 @@ pub fn schedule_with_solver(
 ///
 /// # Errors
 ///
-/// Same as [`schedule`].
+/// Same as [`schedule_in`].
 pub fn schedule_with_solver_in(
     tasks: &TaskSet,
     platform: &Platform,
@@ -131,24 +124,11 @@ pub fn schedule_with_solver_in(
 ///
 /// On instances where the paper's DP already yields disjoint blocks (all
 /// we have ever observed for optimal solutions), this is identical to
-/// [`schedule`].
+/// [`schedule_in`].
 ///
 /// # Errors
 ///
-/// Same as [`schedule`].
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::AgreeableStrict)` from the crate root, or `schedule_strict_in` to reuse a `Workspace`"
-)]
-pub fn schedule_strict(tasks: &TaskSet, platform: &Platform) -> Result<Solution, SdemError> {
-    schedule_strict_in(tasks, platform, &mut Workspace::new())
-}
-
-/// In-place [`schedule_strict`].
-///
-/// # Errors
-///
-/// Same as [`schedule`].
+/// Same as [`schedule_in`].
 pub fn schedule_strict_in(
     tasks: &TaskSet,
     platform: &Platform,
@@ -405,10 +385,6 @@ fn schedule_impl(
 
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::agreeable::block;
     use sdem_power::{CorePower, MemoryPower};
@@ -441,7 +417,7 @@ mod tests {
     fn far_apart_tasks_split_into_blocks() {
         let p = platform(0.0, 4.0);
         let tasks = tset(&[(0.0, 2.0, 1.0), (50.0, 52.0, 1.0)]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sol.schedule().validate(&tasks).unwrap();
         // Two separate busy blocks with a long sleep between them.
         assert_eq!(sol.schedule().memory_busy_intervals().len(), 2);
@@ -452,7 +428,7 @@ mod tests {
     fn overlapping_windows_merge_into_one_block() {
         let p = platform(0.0, 4.0);
         let tasks = tset(&[(0.0, 6.0, 2.0), (1.0, 8.0, 2.0), (2.0, 9.0, 2.0)]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sol.schedule().validate(&tasks).unwrap();
         assert_eq!(sol.schedule().memory_busy_intervals().len(), 1);
     }
@@ -461,7 +437,7 @@ mod tests {
     fn predicted_energy_close_to_simulation_alpha_zero() {
         let p = platform(0.0, 3.0);
         let tasks = tset(&[(0.0, 5.0, 2.0), (1.0, 7.0, 1.5), (10.0, 18.0, 3.0)]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let report = simulate(sol.schedule(), &tasks, &p, SleepPolicy::WhenProfitable).unwrap();
         let predicted = sol.predicted_energy().value();
         // Simulation may only be cheaper (coverage holes inside a block).
@@ -481,7 +457,7 @@ mod tests {
     fn predicted_energy_close_to_simulation_alpha_nonzero() {
         let p = platform(4.0, 6.0);
         let tasks = tset(&[(0.0, 5.0, 2.0), (1.0, 7.0, 1.5), (20.0, 32.0, 3.0)]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let report = simulate(sol.schedule(), &tasks, &p, SleepPolicy::WhenProfitable).unwrap();
         let predicted = sol.predicted_energy().value();
         assert!(
@@ -530,7 +506,7 @@ mod tests {
     fn dp_beats_single_block_and_all_singletons() {
         let p = platform(0.0, 4.0);
         let tasks = tset(&[(0.0, 4.0, 2.0), (6.0, 14.0, 3.0), (7.0, 16.0, 1.0)]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let pw = PowerParams::of(&p);
         let bts: Vec<BlockTask> = tasks
             .sorted_by_deadline()
@@ -565,7 +541,7 @@ mod tests {
             (8.0, 15.0, 1.0),
             (9.0, 20.0, 2.5),
         ]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let pw = PowerParams::of(&p);
         let bts: Vec<BlockTask> = tasks
             .sorted_by_deadline()
@@ -606,8 +582,8 @@ mod tests {
     fn strict_matches_plain_dp_when_blocks_are_disjoint() {
         let p = platform(4.0, 6.0);
         let tasks = tset(&[(0.0, 5.0, 2.0), (1.0, 7.0, 1.5), (20.0, 32.0, 3.0)]);
-        let plain = schedule(&tasks, &p).unwrap();
-        let strict = schedule_strict(&tasks, &p).unwrap();
+        let plain = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
+        let strict = schedule_strict_in(&tasks, &p, &mut Workspace::new()).unwrap();
         assert!(
             (plain.predicted_energy().value() - strict.predicted_energy().value()).abs()
                 <= 1e-9 * plain.predicted_energy().value(),
@@ -633,7 +609,7 @@ mod tests {
                 })
                 .collect();
             let tasks = tset(&specs);
-            let strict = schedule_strict(&tasks, &p).unwrap();
+            let strict = schedule_strict_in(&tasks, &p, &mut Workspace::new()).unwrap();
             let sim = simulate(strict.schedule(), &tasks, &p, SleepPolicy::WhenProfitable)
                 .unwrap()
                 .total()
@@ -888,7 +864,10 @@ mod tests {
     fn rejects_non_agreeable() {
         let p = platform(0.0, 1.0);
         let tasks = tset(&[(0.0, 100.0, 1.0), (10.0, 50.0, 1.0)]);
-        assert_eq!(schedule(&tasks, &p), Err(SdemError::NotAgreeable));
+        assert_eq!(
+            schedule_in(&tasks, &p, &mut Workspace::new()),
+            Err(SdemError::NotAgreeable)
+        );
     }
 
     #[test]
@@ -896,8 +875,9 @@ mod tests {
         // Agreeable DP on a common-release set must match the §4 scheme.
         let p = platform(0.0, 4.0);
         let tasks = tset(&[(0.0, 3.0, 2.0), (0.0, 5.0, 1.0), (0.0, 9.0, 4.0)]);
-        let dp = schedule(&tasks, &p).unwrap();
-        let cr = crate::common_release::schedule_alpha_zero(&tasks, &p).unwrap();
+        let dp = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
+        let cr = crate::common_release::schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new())
+            .unwrap();
         let (ea, eb) = (dp.predicted_energy().value(), cr.predicted_energy().value());
         assert!(
             (ea - eb).abs() <= 1e-6 * eb.max(1.0),
@@ -912,7 +892,7 @@ mod tests {
         let mem = MemoryPower::new(Watts::new(4.0)).with_break_even(sec(100.0));
         let p = Platform::new(CorePower::simple(0.0, 1.0, 3.0), mem);
         let tasks = tset(&[(0.0, 3.0, 1.0), (4.0, 8.0, 1.0)]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         // A merged block means the DP planned no inter-block sleep at all
         // (the hole between the two windows stays inside one busy interval).
         assert!(
@@ -926,7 +906,7 @@ mod tests {
             CorePower::simple(0.0, 1.0, 3.0),
             MemoryPower::new(Watts::new(4.0)),
         );
-        let sol0 = schedule(&tasks, &p0).unwrap();
+        let sol0 = schedule_in(&tasks, &p0, &mut Workspace::new()).unwrap();
         assert!(sol0.memory_sleep().as_secs() > 0.0, "expected split blocks");
     }
 }

@@ -36,7 +36,7 @@ use crate::SdemError;
 ///
 /// [`SdemError::UnsupportedModel`] when the platform has non-zero core
 /// static power; otherwise the same preconditions as
-/// [`super::schedule`].
+/// [`super::schedule_in`].
 pub fn solve_single_block_lemma3(
     tasks: &TaskSet,
     platform: &Platform,

@@ -12,7 +12,7 @@
 //!    `(i, j)`-pair decomposition with the five-step iterative scheme of
 //!    §5.2 (which doubles as the §5.1 solver when `α = 0`);
 //! 2. a **dynamic program** over deadline-ordered prefixes choosing the
-//!    partition (§5.1.2 / §5.2.2), in [`schedule`].
+//!    partition (§5.1.2 / §5.2.2), in [`schedule_in`].
 //!
 //! The two block solvers are cross-checked against each other and against a
 //! dense grid oracle in tests; an ablation bench compares their cost.
@@ -41,53 +41,15 @@ pub mod block;
 mod dp;
 pub mod lemma3;
 
-// The deprecated convenience wrappers stay re-exported until removal so
-// downstream callers see the deprecation note instead of a hard break.
-#[allow(deprecated)]
 pub use dp::{
-    schedule, schedule_in, schedule_strict, schedule_strict_in, schedule_with_solver,
-    schedule_with_solver_in, BlockSolverKind,
+    schedule_in, schedule_strict_in, schedule_with_solver, schedule_with_solver_in, BlockSolverKind,
 };
 pub use lemma3::solve_single_block_lemma3;
 
 use sdem_power::Platform;
 use sdem_types::{Task, TaskSet, Workspace};
 
-use crate::{SdemError, Solution};
-
-/// §5.1: agreeable deadlines with negligible core static power.
-///
-/// Delegates to the generic DP; with `platform.core().alpha() == 0` the
-/// block objective reduces exactly to Eq. 12–14 of the paper.
-///
-/// # Errors
-///
-/// [`SdemError::NotAgreeable`] for non-agreeable sets,
-/// [`SdemError::InfeasibleTask`] when a task exceeds `s_up`.
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::Agreeable)` from the crate root, or `schedule_in` to reuse a `Workspace`"
-)]
-pub fn schedule_alpha_zero(tasks: &TaskSet, platform: &Platform) -> Result<Solution, SdemError> {
-    schedule_in(tasks, platform, &mut Workspace::new())
-}
-
-/// §5.2: agreeable deadlines with core sleeping (`α ≠ 0`).
-///
-/// Delegates to the generic DP; the block objective is the best-response
-/// envelope whose flat region corresponds to the paper's *Type-I* tasks
-/// running at the critical speed `s₀`.
-///
-/// # Errors
-///
-/// Same as [`schedule_alpha_zero`].
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::Agreeable)` from the crate root, or `schedule_in` to reuse a `Workspace`"
-)]
-pub fn schedule_alpha_nonzero(tasks: &TaskSet, platform: &Platform) -> Result<Solution, SdemError> {
-    schedule_in(tasks, platform, &mut Workspace::new())
-}
+use crate::SdemError;
 
 /// Solves the whole task set as a **single block** (one memory busy
 /// interval) with the chosen solver, returning the block energy. This is
@@ -96,7 +58,7 @@ pub fn schedule_alpha_nonzero(tasks: &TaskSet, platform: &Platform) -> Result<So
 ///
 /// # Errors
 ///
-/// Same preconditions as [`schedule`].
+/// Same preconditions as [`schedule_in`].
 pub fn solve_single_block(
     tasks: &TaskSet,
     platform: &Platform,
@@ -132,7 +94,7 @@ pub fn solve_single_block(
 ///
 /// # Errors
 ///
-/// Same preconditions as [`schedule`].
+/// Same preconditions as [`schedule_in`].
 pub fn single_block_oracle(
     tasks: &TaskSet,
     platform: &Platform,

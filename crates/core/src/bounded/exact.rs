@@ -12,13 +12,48 @@ use sdem_types::{TaskSet, Time, Workspace};
 use super::{assemble_schedule, common_window, heaviest_task, partition_energy, EXACT_LIMIT};
 use crate::{SdemError, Solution};
 
-/// In-place [`solve_exact`](super::solve_exact): enumeration scratch (the
-/// assignment vector, the per-leaf load accumulator, the incumbent best
-/// assignment) and the returned schedule's arenas come from `ws`.
+/// Exact bounded-core optimum by enumerating all canonical assignments of
+/// `n` tasks to at most `cores` cores. Tasks must share one release time
+/// and one deadline (the Theorem 1 model); core static power is taken as
+/// negligible (`α = 0` model — `platform.core().alpha()` is ignored).
+///
+/// Enumeration scratch (the assignment vector, the per-leaf load
+/// accumulator, the incumbent best assignment) and the returned
+/// schedule's arenas come from `ws`.
 ///
 /// # Errors
 ///
-/// Same as [`solve_exact`](super::solve_exact).
+/// * [`SdemError::TooLarge`] if `tasks.len() > EXACT_LIMIT`;
+/// * [`SdemError::NoCores`] if `cores == 0`;
+/// * [`SdemError::NotCommonRelease`] unless all releases and deadlines
+///   coincide;
+/// * [`SdemError::InfeasibleTask`] when even the fastest schedule misses
+///   the deadline.
+///
+/// # Examples
+///
+/// ```
+/// use sdem_core::bounded::solve_exact_in;
+/// use sdem_power::{CorePower, MemoryPower, Platform};
+/// use sdem_types::{Task, TaskSet, Time, Cycles, Watts, Workspace};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let platform = Platform::new(
+///     CorePower::simple(0.0, 1.0, 3.0),
+///     MemoryPower::new(Watts::new(4.0)),
+/// );
+/// let tasks = TaskSet::new(vec![
+///     Task::new(0, Time::ZERO, Time::from_secs(10.0), Cycles::new(3.0)),
+///     Task::new(1, Time::ZERO, Time::from_secs(10.0), Cycles::new(2.0)),
+///     Task::new(2, Time::ZERO, Time::from_secs(10.0), Cycles::new(1.0)),
+/// ])?;
+/// let sol = solve_exact_in(&tasks, &platform, 2, &mut Workspace::new())?;
+/// sol.schedule().validate(&tasks)?;
+/// // PARTITION structure: {3} vs {2, 1} balances the loads.
+/// assert_eq!(sol.schedule().cores_used(), 2);
+/// # Ok(())
+/// # }
+/// ```
 pub fn solve_exact_in(
     tasks: &TaskSet,
     platform: &Platform,

@@ -13,14 +13,24 @@ use sdem_types::{Partition, TaskSet, Workspace};
 use super::{assemble_schedule, common_window, heaviest_task, lpt_order_into, partition_energy};
 use crate::{SdemError, Solution};
 
-/// In-place [`solve_lpt`](super::solve_lpt): assignment scratch and the
-/// returned schedule's arenas are drawn from `ws`, so a warmed workspace
-/// makes the solve allocation-free. Recycle the solution's schedule back
-/// into `ws` when done with it.
+/// LPT (Longest Processing Time first) heuristic for the bounded-core
+/// case: assign tasks in decreasing workload to the least-loaded core,
+/// then size the shared busy interval optimally (Eq. 2). Polynomial-time
+/// companion to the NP-hard exact problem; property tests compare it with
+/// [`solve_exact_in`](super::solve_exact_in) on small instances and with
+/// [`lower_bound`](super::lower_bound) always.
+///
+/// Assignment scratch and the returned schedule's arenas are drawn from
+/// `ws`, so a warmed workspace makes the solve allocation-free. Recycle
+/// the solution's schedule back into `ws` when done with it.
 ///
 /// # Errors
 ///
-/// Same as [`solve_lpt`](super::solve_lpt).
+/// * [`SdemError::NoCores`] if `cores == 0`;
+/// * [`SdemError::NotCommonRelease`] unless all releases and deadlines
+///   coincide;
+/// * [`SdemError::InfeasibleTask`] when the LPT assignment cannot meet the
+///   deadline even at `s_up` (the exact solver may still succeed).
 pub fn solve_lpt_in(
     tasks: &TaskSet,
     platform: &Platform,

@@ -31,7 +31,7 @@ use sdem_types::{
     CoreId, Joules, Placement, Schedule, Segment, Speed, Task, TaskId, TaskSet, Time, Workspace,
 };
 
-use crate::{SdemError, Solution};
+use crate::SdemError;
 
 mod bnb;
 mod exact;
@@ -43,7 +43,7 @@ pub use exact::solve_exact_in;
 pub use lpt::solve_lpt_in;
 pub use refine::solve_refined_in;
 
-/// Largest task count [`solve_exact`] accepts (the enumeration is
+/// Largest task count [`solve_exact_in`] accepts (the enumeration is
 /// exponential; this caps it at a few million assignments).
 pub const EXACT_LIMIT: usize = 14;
 
@@ -125,81 +125,6 @@ pub fn lower_bound(tasks: &TaskSet, platform: &Platform, cores: usize) -> Joules
     partition_min_energy(&balanced, platform)
 }
 
-/// LPT (Longest Processing Time first) heuristic for the bounded-core
-/// case: assign tasks in decreasing workload to the least-loaded core,
-/// then size the shared busy interval optimally (Eq. 2). Polynomial-time
-/// companion to the NP-hard exact problem; property tests compare it with
-/// [`solve_exact`] on small instances and with [`lower_bound`] always.
-///
-/// # Errors
-///
-/// * [`SdemError::NoCores`] if `cores == 0`;
-/// * [`SdemError::NotCommonRelease`] unless all releases and deadlines
-///   coincide;
-/// * [`SdemError::InfeasibleTask`] when the LPT assignment cannot meet the
-///   deadline even at `s_up` (the exact solver may still succeed).
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::BoundedLpt(cores))` from the crate root, or `solve_lpt_in` to reuse a `Workspace`"
-)]
-pub fn solve_lpt(
-    tasks: &TaskSet,
-    platform: &Platform,
-    cores: usize,
-) -> Result<Solution, SdemError> {
-    solve_lpt_in(tasks, platform, cores, &mut Workspace::new())
-}
-
-/// Exact bounded-core optimum by enumerating all canonical assignments of
-/// `n` tasks to at most `cores` cores. Tasks must share one release time
-/// and one deadline (the Theorem 1 model); core static power is taken as
-/// negligible (`α = 0` model — `platform.core().alpha()` is ignored).
-///
-/// # Errors
-///
-/// * [`SdemError::TooLarge`] if `tasks.len() > EXACT_LIMIT`;
-/// * [`SdemError::NoCores`] if `cores == 0`;
-/// * [`SdemError::NotCommonRelease`] unless all releases and deadlines
-///   coincide;
-/// * [`SdemError::InfeasibleTask`] when even the fastest schedule misses
-///   the deadline.
-///
-/// # Examples
-///
-/// ```
-/// use sdem_core::bounded::solve_exact;
-/// use sdem_power::{CorePower, MemoryPower, Platform};
-/// use sdem_types::{Task, TaskSet, Time, Cycles, Watts};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let platform = Platform::new(
-///     CorePower::simple(0.0, 1.0, 3.0),
-///     MemoryPower::new(Watts::new(4.0)),
-/// );
-/// let tasks = TaskSet::new(vec![
-///     Task::new(0, Time::ZERO, Time::from_secs(10.0), Cycles::new(3.0)),
-///     Task::new(1, Time::ZERO, Time::from_secs(10.0), Cycles::new(2.0)),
-///     Task::new(2, Time::ZERO, Time::from_secs(10.0), Cycles::new(1.0)),
-/// ])?;
-/// let sol = solve_exact(&tasks, &platform, 2)?;
-/// sol.schedule().validate(&tasks)?;
-/// // PARTITION structure: {3} vs {2, 1} balances the loads.
-/// assert_eq!(sol.schedule().cores_used(), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::BoundedExact(cores))` from the crate root, or `solve_exact_in` to reuse a `Workspace`"
-)]
-pub fn solve_exact(
-    tasks: &TaskSet,
-    platform: &Platform,
-    cores: usize,
-) -> Result<Solution, SdemError> {
-    solve_exact_in(tasks, platform, cores, &mut Workspace::new())
-}
-
 /// Validates the Theorem 1 instance shape — every task shares one release
 /// and one deadline — and returns `(release, deadline − release)`.
 pub(crate) fn common_window(tasks: &TaskSet) -> Result<(Time, Time), SdemError> {
@@ -273,10 +198,6 @@ fn assemble_schedule(
 
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
     use sdem_power::{CorePower, MemoryPower};
     use sdem_sim::{simulate, SleepPolicy};
@@ -345,7 +266,7 @@ mod tests {
         // PARTITION instance {3, 2, 1, 2}: balanced split 4/4 must win.
         let p = platform(4.0);
         let tasks = tset(&[3.0, 2.0, 1.0, 2.0], 100.0);
-        let sol = solve_exact(&tasks, &p, 2).unwrap();
+        let sol = solve_exact_in(&tasks, &p, 2, &mut Workspace::new()).unwrap();
         sol.schedule().validate(&tasks).unwrap();
         // Recover the loads from the schedule.
         let mut loads = [0.0f64; 2];
@@ -366,7 +287,7 @@ mod tests {
     fn exact_matches_simulation() {
         let p = platform(2.0);
         let tasks = tset(&[3.0, 2.0, 1.5], 50.0);
-        let sol = solve_exact(&tasks, &p, 2).unwrap();
+        let sol = solve_exact_in(&tasks, &p, 2, &mut Workspace::new()).unwrap();
         let report = simulate(sol.schedule(), &tasks, &p, SleepPolicy::WhenProfitable).unwrap();
         assert!(
             (report.total().value() - sol.predicted_energy().value()).abs()
@@ -383,7 +304,7 @@ mod tests {
         let tasks = tset(&[3.0, 2.0, 1.0, 1.0, 0.5], 100.0);
         let mut prev = f64::INFINITY;
         for cores in 1..=5 {
-            let e = solve_exact(&tasks, &p, cores)
+            let e = solve_exact_in(&tasks, &p, cores, &mut Workspace::new())
                 .unwrap()
                 .predicted_energy()
                 .value();
@@ -398,8 +319,9 @@ mod tests {
         // agree with the §4.1 scheme (cut = singleton-per-core case).
         let p = platform(4.0);
         let tasks = tset(&[3.0, 2.0, 1.0], 100.0);
-        let a = solve_exact(&tasks, &p, 3).unwrap();
-        let b = crate::common_release::schedule_alpha_zero(&tasks, &p).unwrap();
+        let a = solve_exact_in(&tasks, &p, 3, &mut Workspace::new()).unwrap();
+        let b = crate::common_release::schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new())
+            .unwrap();
         assert!(
             (a.predicted_energy().value() - b.predicted_energy().value()).abs()
                 < 1e-9 * b.predicted_energy().value(),
@@ -414,17 +336,23 @@ mod tests {
         let p = platform(1.0);
         let tasks = tset(&[1.0; 15], 10.0);
         assert!(matches!(
-            solve_exact(&tasks, &p, 2),
+            solve_exact_in(&tasks, &p, 2, &mut Workspace::new()),
             Err(SdemError::TooLarge { tasks: 15, .. })
         ));
         let tasks = tset(&[1.0], 10.0);
-        assert_eq!(solve_exact(&tasks, &p, 0), Err(SdemError::NoCores));
+        assert_eq!(
+            solve_exact_in(&tasks, &p, 0, &mut Workspace::new()),
+            Err(SdemError::NoCores)
+        );
         let mixed = TaskSet::new(vec![
             Task::new(0, sec(0.0), sec(5.0), Cycles::new(1.0)),
             Task::new(1, sec(0.0), sec(6.0), Cycles::new(1.0)),
         ])
         .unwrap();
-        assert_eq!(solve_exact(&mixed, &p, 2), Err(SdemError::NotCommonRelease));
+        assert_eq!(
+            solve_exact_in(&mixed, &p, 2, &mut Workspace::new()),
+            Err(SdemError::NotCommonRelease)
+        );
     }
 
     #[test]
@@ -562,8 +490,10 @@ mod tests {
         ] {
             let tasks = tset(&works, 500.0);
             for cores in [2usize, 3] {
-                let exact = solve_exact(&tasks, &p, cores).unwrap().predicted_energy();
-                let lpt = solve_lpt(&tasks, &p, cores).unwrap();
+                let exact = solve_exact_in(&tasks, &p, cores, &mut Workspace::new())
+                    .unwrap()
+                    .predicted_energy();
+                let lpt = solve_lpt_in(&tasks, &p, cores, &mut Workspace::new()).unwrap();
                 lpt.schedule().validate(&tasks).unwrap();
                 let lb = lower_bound(&tasks, &p, cores);
                 assert!(
@@ -590,8 +520,12 @@ mod tests {
         // {3,3,2,2,1,1} splits 6/6 and LPT finds it.
         let p = platform(4.0);
         let tasks = tset(&[3.0, 3.0, 2.0, 2.0, 1.0, 1.0], 500.0);
-        let exact = solve_exact(&tasks, &p, 2).unwrap().predicted_energy();
-        let lpt = solve_lpt(&tasks, &p, 2).unwrap().predicted_energy();
+        let exact = solve_exact_in(&tasks, &p, 2, &mut Workspace::new())
+            .unwrap()
+            .predicted_energy();
+        let lpt = solve_lpt_in(&tasks, &p, 2, &mut Workspace::new())
+            .unwrap()
+            .predicted_energy();
         assert!((exact.value() - lpt.value()).abs() < 1e-9 * exact.value());
     }
 
@@ -599,13 +533,19 @@ mod tests {
     fn lpt_guards() {
         let p = platform(1.0);
         let tasks = tset(&[1.0], 10.0);
-        assert_eq!(solve_lpt(&tasks, &p, 0), Err(SdemError::NoCores));
+        assert_eq!(
+            solve_lpt_in(&tasks, &p, 0, &mut Workspace::new()),
+            Err(SdemError::NoCores)
+        );
         let mixed = TaskSet::new(vec![
             Task::new(0, sec(0.0), sec(5.0), Cycles::new(1.0)),
             Task::new(1, sec(0.0), sec(6.0), Cycles::new(1.0)),
         ])
         .unwrap();
-        assert_eq!(solve_lpt(&mixed, &p, 2), Err(SdemError::NotCommonRelease));
+        assert_eq!(
+            solve_lpt_in(&mixed, &p, 2, &mut Workspace::new()),
+            Err(SdemError::NotCommonRelease)
+        );
     }
 
     #[test]
@@ -615,7 +555,7 @@ mod tests {
         // Two cores, three unit tasks, deadline 1: some core gets ≥ 2 work.
         let tasks = tset(&[1.0, 1.0, 1.0], 1.0);
         assert!(matches!(
-            solve_exact(&tasks, &p, 2),
+            solve_exact_in(&tasks, &p, 2, &mut Workspace::new()),
             Err(SdemError::InfeasibleTask(_))
         ));
         // Every tier agrees the instance is hopeless.

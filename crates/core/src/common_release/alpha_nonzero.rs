@@ -16,10 +16,10 @@
 //! Δ^{(α)}_{m i} = |I|^{(α)} − ( β(λ−1) Σ_{j≥i} w_j^λ / ((n−i+1)α + α_m) )^{1/λ}
 //! ```
 //!
-//! [`schedule_alpha_nonzero`] clamps Eq. 8 into every case's feasible box
-//! (Lemma 2) and returns the minimum *full-system* energy over all cases
-//! (Theorem 3), including the constant critical-speed terms that differ
-//! between cases.
+//! [`schedule_alpha_nonzero_in`] clamps Eq. 8 into every case's feasible
+//! box (Lemma 2) and returns the minimum *full-system* energy over all
+//! cases (Theorem 3), including the constant critical-speed terms that
+//! differ between cases.
 
 use sdem_power::Platform;
 use sdem_types::{CoreId, Joules, Placement, Schedule, Segment, Speed, TaskSet, Time, Workspace};
@@ -153,6 +153,10 @@ impl NonzeroCases {
 /// §4.2 optimal scheme for common-release tasks with core sleeping.
 /// `O(n²)` worst case (`O(n log n)` here thanks to the prefix/suffix forms).
 ///
+/// Every scratch buffer and the returned schedule's arenas are drawn
+/// from `ws`, so a warmed workspace makes the solve allocation-free.
+/// Recycle the solution's schedule back into `ws` when done with it.
+///
 /// # Errors
 ///
 /// [`SdemError::NotCommonRelease`] if releases differ;
@@ -161,9 +165,9 @@ impl NonzeroCases {
 /// # Examples
 ///
 /// ```
-/// use sdem_core::common_release::schedule_alpha_nonzero;
+/// use sdem_core::common_release::schedule_alpha_nonzero_in;
 /// use sdem_power::Platform;
-/// use sdem_types::{Task, TaskSet, Time, Cycles};
+/// use sdem_types::{Task, TaskSet, Time, Cycles, Workspace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let platform = Platform::paper_defaults();
@@ -171,23 +175,11 @@ impl NonzeroCases {
 ///     Task::new(0, Time::ZERO, Time::from_millis(50.0), Cycles::new(1.0e7)),
 ///     Task::new(1, Time::ZERO, Time::from_millis(90.0), Cycles::new(2.0e7)),
 /// ])?;
-/// let sol = schedule_alpha_nonzero(&tasks, &platform)?;
+/// let sol = schedule_alpha_nonzero_in(&tasks, &platform, &mut Workspace::new())?;
 /// sol.schedule().validate(&tasks)?;
 /// # Ok(())
 /// # }
 /// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::CommonReleaseAlphaNonzero)` from the crate root, or `schedule_alpha_nonzero_in` to reuse a `Workspace`"
-)]
-pub fn schedule_alpha_nonzero(tasks: &TaskSet, platform: &Platform) -> Result<Solution, SdemError> {
-    schedule_alpha_nonzero_in(tasks, platform, &mut Workspace::new())
-}
-
-/// In-place [`schedule_alpha_nonzero`]: every scratch buffer and the
-/// returned schedule's arenas are drawn from `ws`, so a warmed workspace
-/// makes the solve allocation-free. Recycle the solution's schedule back
-/// into `ws` when done with it.
 pub fn schedule_alpha_nonzero_in(
     tasks: &TaskSet,
     platform: &Platform,
@@ -275,10 +267,6 @@ fn completion_order_fill(
 
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
     use sdem_power::{CorePower, MemoryPower};
     use sdem_sim::{simulate, SleepPolicy};
@@ -313,7 +301,7 @@ mod tests {
         // s_1 = ((α+α_m)/(β(λ−1)))^{1/λ} (when feasible), §5.2's insight.
         let p = platform(12.0);
         let tasks = tset(&[(100.0, 4.0)]);
-        let sol = schedule_alpha_nonzero(&tasks, &p).unwrap();
+        let sol = schedule_alpha_nonzero_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let pl = sol.schedule().placement(sdem_types::TaskId(0)).unwrap();
         let s1 = ((4.0f64 + 12.0) / 2.0).powf(1.0 / 3.0);
         assert!(
@@ -330,7 +318,7 @@ mod tests {
         // critical speed (no reason to align).
         let p = platform(0.0);
         let tasks = tset(&[(50.0, 2.0), (60.0, 5.0), (80.0, 1.0)]);
-        let sol = schedule_alpha_nonzero(&tasks, &p).unwrap();
+        let sol = schedule_alpha_nonzero_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let s_m = 2.0f64.powf(1.0 / 3.0);
         for t in tasks.iter() {
             let pl = sol.schedule().placement(t.id()).unwrap();
@@ -343,7 +331,7 @@ mod tests {
     fn predicted_energy_matches_simulation() {
         let p = platform(6.0);
         let tasks = tset(&[(8.0, 2.0), (9.0, 4.0), (20.0, 3.0), (25.0, 1.0)]);
-        let sol = schedule_alpha_nonzero(&tasks, &p).unwrap();
+        let sol = schedule_alpha_nonzero_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let report = simulate(sol.schedule(), &tasks, &p, SleepPolicy::WhenProfitable).unwrap();
         let predicted = sol.predicted_energy().value();
         assert!(
@@ -358,7 +346,7 @@ mod tests {
         // A task denser than s_m must run at its filled speed (s_0 clamps up).
         let p = platform(1e-6);
         let tasks = tset(&[(1.0, 3.0), (50.0, 1.0)]);
-        let sol = schedule_alpha_nonzero(&tasks, &p).unwrap();
+        let sol = schedule_alpha_nonzero_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let pl = sol.schedule().placement(sdem_types::TaskId(0)).unwrap();
         assert!((pl.segments()[0].speed().as_hz() - 3.0).abs() < 1e-6);
         sol.schedule().validate(&tasks).unwrap();
@@ -370,7 +358,7 @@ mod tests {
         // must not lose to the "all at s0" schedule.
         let p = platform(50.0);
         let tasks = tset(&[(40.0, 2.0), (40.0, 2.5), (40.0, 3.0)]);
-        let sol = schedule_alpha_nonzero(&tasks, &p).unwrap();
+        let sol = schedule_alpha_nonzero_in(&tasks, &p, &mut Workspace::new()).unwrap();
 
         // Hand-build the "all at s0" schedule and price it.
         let s_m = 2.0f64.powf(1.0 / 3.0);
@@ -414,7 +402,7 @@ mod tests {
     fn zero_work_tasks_get_empty_placements() {
         let p = platform(3.0);
         let tasks = tset(&[(5.0, 0.0), (10.0, 2.0)]);
-        let sol = schedule_alpha_nonzero(&tasks, &p).unwrap();
+        let sol = schedule_alpha_nonzero_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let pl = sol.schedule().placement(sdem_types::TaskId(0)).unwrap();
         assert!(pl.segments().is_empty());
         sol.schedule().validate(&tasks).unwrap();
@@ -424,7 +412,7 @@ mod tests {
     fn optimum_beats_dense_grid() {
         let p = platform(6.0);
         let tasks = tset(&[(8.0, 2.0), (12.0, 4.0), (30.0, 3.0)]);
-        let sol = schedule_alpha_nonzero(&tasks, &p).unwrap();
+        let sol = schedule_alpha_nonzero_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let best = sol.predicted_energy().value();
         let oracle = super::super::reference_optimum(&tasks, &p, 4000).unwrap();
         assert!(

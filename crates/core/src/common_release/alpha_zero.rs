@@ -18,7 +18,7 @@
 //! ```
 //!
 //! Three equivalent drivers are provided:
-//! [`schedule_alpha_zero`] clamps Eq. 4 into every case's feasible box and
+//! [`schedule_alpha_zero_in`] clamps Eq. 4 into every case's feasible box and
 //! takes the global minimum (linear after sorting);
 //! [`schedule_alpha_zero_scan`] is the paper's Theorem-2 sequential scan
 //! with early exit; [`schedule_alpha_zero_binary_search`] is the Lemma-1
@@ -215,6 +215,10 @@ fn place_task(
 /// §4.1 optimal scheme: evaluates every case's clamped closed form and
 /// returns the global optimum. `O(n log n)` (dominated by the sort).
 ///
+/// Scratch tables and the returned schedule's arenas are drawn from `ws`,
+/// so a warmed workspace makes the solve allocation-free. Recycle the
+/// solution's schedule back into `ws` when done with it.
+///
 /// # Errors
 ///
 /// [`SdemError::NotCommonRelease`] if releases differ;
@@ -223,9 +227,9 @@ fn place_task(
 /// # Examples
 ///
 /// ```
-/// use sdem_core::common_release::schedule_alpha_zero;
+/// use sdem_core::common_release::schedule_alpha_zero_in;
 /// use sdem_power::{CorePower, MemoryPower, Platform};
-/// use sdem_types::{Task, TaskSet, Time, Cycles};
+/// use sdem_types::{Task, TaskSet, Time, Cycles, Workspace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let platform = Platform::new(
@@ -236,23 +240,11 @@ fn place_task(
 ///     Task::new(0, Time::ZERO, Time::from_millis(40.0), Cycles::new(4.0e6)),
 ///     Task::new(1, Time::ZERO, Time::from_millis(100.0), Cycles::new(8.0e6)),
 /// ])?;
-/// let sol = schedule_alpha_zero(&tasks, &platform)?;
+/// let sol = schedule_alpha_zero_in(&tasks, &platform, &mut Workspace::new())?;
 /// sol.schedule().validate(&tasks)?;
 /// # Ok(())
 /// # }
 /// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::CommonReleaseAlphaZero)` from the crate root, or `schedule_alpha_zero_in` to reuse a `Workspace`"
-)]
-pub fn schedule_alpha_zero(tasks: &TaskSet, platform: &Platform) -> Result<Solution, SdemError> {
-    schedule_alpha_zero_in(tasks, platform, &mut Workspace::new())
-}
-
-/// In-place [`schedule_alpha_zero`]: scratch tables and the returned
-/// schedule's arenas are drawn from `ws`, so a warmed workspace makes the
-/// solve allocation-free. Recycle the solution's schedule back into `ws`
-/// when done with it.
 pub fn schedule_alpha_zero_in(
     tasks: &TaskSet,
     platform: &Platform,
@@ -277,7 +269,7 @@ pub fn schedule_alpha_zero_in(
 ///
 /// # Errors
 ///
-/// Same as [`schedule_alpha_zero`].
+/// Same as [`schedule_alpha_zero_in`].
 pub fn schedule_alpha_zero_scan(
     tasks: &TaskSet,
     platform: &Platform,
@@ -335,7 +327,7 @@ pub fn schedule_alpha_zero_scan(
 ///
 /// # Errors
 ///
-/// Same as [`schedule_alpha_zero`].
+/// Same as [`schedule_alpha_zero_in`].
 pub fn schedule_alpha_zero_binary_search(
     tasks: &TaskSet,
     platform: &Platform,
@@ -410,10 +402,6 @@ pub fn schedule_alpha_zero_binary_search(
 
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
     use sdem_power::{CorePower, MemoryPower};
     use sdem_sim::{simulate, SleepPolicy};
@@ -449,7 +437,7 @@ mod tests {
         // dE/dT = 4 − 16 T^{−3} = 0 ⇒ T = (16/4)^{1/3} = 4^{1/3}.
         let p = platform(4.0);
         let tasks = tset(&[(10.0, 2.0)]);
-        let sol = schedule_alpha_zero(&tasks, &p).unwrap();
+        let sol = schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let t_star = (2.0f64 * 8.0 / 4.0).powf(1.0 / 3.0);
         assert!((sol.memory_sleep().as_secs() - (10.0 - t_star)).abs() < 1e-9);
         sol.schedule().validate(&tasks).unwrap();
@@ -459,7 +447,7 @@ mod tests {
     fn zero_memory_power_means_all_filled() {
         let p = platform(0.0);
         let tasks = tset(&[(4.0, 2.0), (6.0, 3.0), (10.0, 1.0)]);
-        let sol = schedule_alpha_zero(&tasks, &p).unwrap();
+        let sol = schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new()).unwrap();
         // With α_m = 0 nothing is gained by sleeping: every task fills its
         // region.
         assert!(sol.memory_sleep().as_secs().abs() < 1e-9);
@@ -475,7 +463,7 @@ mod tests {
         let core = CorePower::simple(0.0, 1.0, 3.0).with_max_speed(Speed::from_hz(4.0));
         let p = Platform::new(core, MemoryPower::new(Watts::new(1.0e9)));
         let tasks = tset(&[(4.0, 2.0), (10.0, 8.0)]);
-        let sol = schedule_alpha_zero(&tasks, &p).unwrap();
+        let sol = schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new()).unwrap();
         // Fastest possible finish: max w/s_up = 8/4 = 2 ⇒ Δ = 8.
         assert!((sol.memory_sleep().as_secs() - 8.0).abs() < 1e-6);
         sol.schedule()
@@ -487,7 +475,7 @@ mod tests {
     fn predicted_energy_matches_simulation() {
         let p = platform(4.0);
         let tasks = tset(&[(3.0, 2.0), (5.0, 1.0), (9.0, 4.0), (12.0, 2.5)]);
-        let sol = schedule_alpha_zero(&tasks, &p).unwrap();
+        let sol = schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let report = simulate(sol.schedule(), &tasks, &p, SleepPolicy::WhenProfitable).unwrap();
         assert!(
             (report.total().value() - sol.predicted_energy().value()).abs()
@@ -508,7 +496,7 @@ mod tests {
             vec![(5.0, 4.0), (5.5, 0.1), (6.0, 0.1), (30.0, 9.0)],
         ] {
             let tasks = tset(&specs);
-            let a = schedule_alpha_zero(&tasks, &p).unwrap();
+            let a = schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new()).unwrap();
             let b = schedule_alpha_zero_scan(&tasks, &p).unwrap();
             let c = schedule_alpha_zero_binary_search(&tasks, &p).unwrap();
             let e = a.predicted_energy().value();
@@ -534,7 +522,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(
-            schedule_alpha_zero(&tasks, &p),
+            schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new()),
             Err(SdemError::NotCommonRelease)
         );
     }
@@ -545,7 +533,7 @@ mod tests {
         let p = Platform::new(core, MemoryPower::new(Watts::new(1.0)));
         let tasks = tset(&[(2.0, 5.0)]);
         assert!(matches!(
-            schedule_alpha_zero(&tasks, &p),
+            schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new()),
             Err(SdemError::InfeasibleTask(_))
         ));
     }
@@ -580,7 +568,7 @@ mod tests {
     fn optimal_beats_grid_of_alternatives() {
         let p = platform(4.0);
         let tasks = tset(&[(3.0, 2.0), (6.0, 1.0), (9.0, 3.0)]);
-        let sol = schedule_alpha_zero(&tasks, &p).unwrap();
+        let sol = schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let inst = prepare(&tasks, &p).unwrap();
         let cases = Cases::new(&inst, &p);
         let best = sol.predicted_energy().value();

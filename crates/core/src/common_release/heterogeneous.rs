@@ -173,12 +173,8 @@ pub fn schedule_heterogeneous(
 
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::common_release::schedule_alpha_nonzero;
+    use crate::{solve, Scheme};
     use sdem_power::Platform;
     use sdem_types::{Cycles, Task, Watts};
 
@@ -203,7 +199,12 @@ mod tests {
         let core = CorePower::simple(4.0, 1.0, 3.0);
         let memory = MemoryPower::new(Watts::new(6.0));
         let het = schedule_heterogeneous(&tasks, &[core, core, core], &memory).unwrap();
-        let hom = schedule_alpha_nonzero(&tasks, &Platform::new(core, memory)).unwrap();
+        let hom = solve(
+            &tasks,
+            &Platform::new(core, memory),
+            Scheme::CommonReleaseAlphaNonzero,
+        )
+        .unwrap();
         let (a, b) = (
             het.predicted_energy().value(),
             hom.predicted_energy().value(),

@@ -5,14 +5,14 @@
 //! `T = |I| − Δ`: tasks "aligned" with the busy interval finish exactly at
 //! `T`, the rest finish earlier and (when `α ≠ 0`) put their cores to sleep.
 //!
-//! * [`schedule_alpha_zero`] — §4.1, cores free when idle. The default entry
-//!   point evaluates every case with closed forms (Eq. 4); the paper's
-//!   sequential scan (Theorem 2) and `O(n log n)` binary search (Lemma 1)
-//!   are provided as [`schedule_alpha_zero_scan`] and
+//! * [`schedule_alpha_zero_in`] — §4.1, cores free when idle. The default
+//!   entry point evaluates every case with closed forms (Eq. 4); the
+//!   paper's sequential scan (Theorem 2) and `O(n log n)` binary search
+//!   (Lemma 1) are provided as [`schedule_alpha_zero_scan`] and
 //!   [`schedule_alpha_zero_binary_search`] and agree with it.
-//! * [`schedule_alpha_nonzero`] — §4.2, cores sleep after finishing; tasks
-//!   not aligned with the busy interval run at their critical speed `s₀`
-//!   (Eq. 7–8, Lemma 2, Theorem 3).
+//! * [`schedule_alpha_nonzero_in`] — §4.2, cores sleep after finishing;
+//!   tasks not aligned with the busy interval run at their critical speed
+//!   `s₀` (Eq. 7–8, Lemma 2, Theorem 3).
 //! * [`schedule_heterogeneous`] — the paper's §4 closing remark: the same
 //!   case analysis with per-core power functions (per-task critical speeds,
 //!   per-case energies summed per core and minimized numerically).
@@ -26,14 +26,9 @@ mod heterogeneous;
 mod reference;
 
 pub(crate) use alpha_nonzero::completion_order_into;
-// The deprecated convenience wrappers stay re-exported until removal so
-// downstream callers see the deprecation note instead of a hard break.
-#[allow(deprecated)]
-pub use alpha_nonzero::{schedule_alpha_nonzero, schedule_alpha_nonzero_in};
-#[allow(deprecated)]
+pub use alpha_nonzero::schedule_alpha_nonzero_in;
 pub use alpha_zero::{
-    schedule_alpha_zero, schedule_alpha_zero_binary_search, schedule_alpha_zero_in,
-    schedule_alpha_zero_scan,
+    schedule_alpha_zero_binary_search, schedule_alpha_zero_in, schedule_alpha_zero_scan,
 };
 pub use heterogeneous::schedule_heterogeneous;
 pub use reference::reference_optimum;

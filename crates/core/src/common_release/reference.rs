@@ -32,7 +32,8 @@ use crate::SdemError;
 /// # Examples
 ///
 /// ```
-/// use sdem_core::common_release::{reference_optimum, schedule_alpha_nonzero};
+/// use sdem_core::common_release::reference_optimum;
+/// use sdem_core::{solve, Scheme};
 /// use sdem_power::Platform;
 /// use sdem_types::{Task, TaskSet, Time, Cycles};
 ///
@@ -42,7 +43,7 @@ use crate::SdemError;
 ///     Task::new(0, Time::ZERO, Time::from_millis(60.0), Cycles::new(2.0e7)),
 /// ])?;
 /// let oracle = reference_optimum(&tasks, &platform, 2000)?;
-/// let scheme = schedule_alpha_nonzero(&tasks, &platform)?;
+/// let scheme = solve(&tasks, &platform, Scheme::CommonReleaseAlphaNonzero)?;
 /// assert!(scheme.predicted_energy().value() <= oracle.value() * (1.0 + 1e-6));
 /// # Ok(())
 /// # }
@@ -132,12 +133,8 @@ pub fn reference_optimum(
 
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::common_release::{schedule_alpha_nonzero, schedule_alpha_zero};
+    use crate::{solve, Scheme};
     use sdem_power::{CorePower, MemoryPower};
     use sdem_types::{Cycles, Task, Time, Watts};
 
@@ -168,7 +165,7 @@ mod tests {
             vec![(3.0, 2.0), (5.0, 1.0), (9.0, 4.0), (12.0, 2.5)],
         ] {
             let tasks = tset(&specs);
-            let scheme = schedule_alpha_zero(&tasks, &p).unwrap();
+            let scheme = solve(&tasks, &p, Scheme::CommonReleaseAlphaZero).unwrap();
             let oracle = reference_optimum(&tasks, &p, 5000).unwrap().value();
             let e = scheme.predicted_energy().value();
             assert!(
@@ -194,7 +191,7 @@ mod tests {
             vec![(8.0, 2.0), (9.0, 4.0), (20.0, 3.0), (25.0, 1.0)],
         ] {
             let tasks = tset(&specs);
-            let scheme = schedule_alpha_nonzero(&tasks, &p).unwrap();
+            let scheme = solve(&tasks, &p, Scheme::CommonReleaseAlphaNonzero).unwrap();
             let oracle = reference_optimum(&tasks, &p, 5000).unwrap().value();
             let e = scheme.predicted_energy().value();
             assert!(

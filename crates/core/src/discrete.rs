@@ -195,10 +195,6 @@ pub fn quantize_schedule_in(
 
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
     use sdem_power::{MemoryPower, Platform};
     use sdem_sim::{simulate, SleepPolicy};
@@ -288,7 +284,8 @@ mod tests {
             Task::new(1, Time::ZERO, Time::from_secs(12.0), Cycles::new(4.0)),
         ])
         .unwrap();
-        let continuous = crate::common_release::schedule_alpha_nonzero(&tasks, &platform).unwrap();
+        let continuous =
+            crate::solve(&tasks, &platform, crate::Scheme::CommonReleaseAlphaNonzero).unwrap();
         let e_cont = simulate(
             continuous.schedule(),
             &tasks,

@@ -5,19 +5,19 @@
 //!
 //! | Paper | Model | Here |
 //! |---|---|---|
-//! | §4.1 (Thm 2, Lemma 1) | common release, `α = 0` | [`common_release::schedule_alpha_zero`] |
-//! | §4.2 (Lemma 2, Thm 3) | common release, `α ≠ 0` | [`common_release::schedule_alpha_nonzero`] |
-//! | §5.1 (Lemma 3–4) | agreeable deadlines, `α = 0` | [`agreeable::schedule_alpha_zero`] |
-//! | §5.2 (Alg. 1, Thm 4) | agreeable deadlines, `α ≠ 0` | [`agreeable::schedule_alpha_nonzero`] |
-//! | §6 | general tasks, online | [`online::schedule_online`] (+ [`online::schedule_online_bounded`] for fixed core counts) |
+//! | §4.1 (Thm 2, Lemma 1) | common release, `α = 0` | [`common_release::schedule_alpha_zero_in`] |
+//! | §4.2 (Lemma 2, Thm 3) | common release, `α ≠ 0` | [`common_release::schedule_alpha_nonzero_in`] |
+//! | §5.1 (Lemma 3–4) | agreeable deadlines, `α = 0` | [`agreeable::schedule_in`] |
+//! | §5.2 (Alg. 1, Thm 4) | agreeable deadlines, `α ≠ 0` | [`agreeable::schedule_in`] ([`agreeable::schedule_with_solver_in`] picks Algorithm 1) |
+//! | §6 | general tasks, online | [`online::schedule_online_in`] (+ [`online::schedule_online_bounded_in`] for fixed core counts) |
 //! | §7 (Thm 5, Table 3) | transition overheads | [`overhead`] |
 //! | §3 (Thm 1) | bounded cores (NP-hard) | [`bounded`] (exact, branch-and-bound, LPT + refine, lower bound; size-routed via [`Scheme::BoundedAuto`]) |
 //! | §4 closing remark | heterogeneous cores | [`common_release::schedule_heterogeneous`] |
 //! | §3 (Ishihara–Yasuura citation) | discrete speed levels | [`discrete`] |
 //! | federated extension | precedence DAGs on bounded cores | [`dag`] ([`dag::solve_dags_in`], [`Scheme::DagFederated`]) |
 //! | §5.1.1 closed forms | Lemma-3 bisection block solver | [`agreeable::solve_single_block_lemma3`] |
-//! | DESIGN.md deviation 3 | overlap-free DP variant | [`agreeable::schedule_strict`] |
-//! | (all of the above) | unified entry point | [`Scheduler`] trait, [`Scheme`] enum, [`solve`] |
+//! | DESIGN.md deviation 3 | overlap-free DP variant | [`agreeable::schedule_strict_in`] |
+//! | (all of the above) | unified entry point | [`Scheme`] enum, [`solve`], the [`SCHEMES`] name table |
 //!
 //! All offline schemes assume the paper's *unbounded* model: enough cores
 //! that every task runs on its own core, so the only couplings between tasks
@@ -65,5 +65,5 @@ pub use fault::{
     solve_or_fallback_with, TrialError,
 };
 pub use oracle::{OracleError, OracleOptions, DEFAULT_ORACLE_TOLERANCE};
-pub use scheduler::{solve, solve_in, Scheduler, Scheme};
+pub use scheduler::{solve, solve_in, Scheduler, Scheme, SchemeEntry, SCHEMES};
 pub use solution::{recycle_report, SdemError, Solution};

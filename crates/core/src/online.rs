@@ -129,7 +129,8 @@ impl LiveLists {
 ///
 /// Arrivals are processed in release order; the returned schedule contains
 /// one (possibly multi-segment) placement per task and validates against
-/// the task set and the platform's maximum speed.
+/// the task set and the platform's maximum speed. Scratch buffers and the
+/// returned schedule's arenas are drawn from `ws`.
 ///
 /// # Errors
 ///
@@ -139,9 +140,9 @@ impl LiveLists {
 /// # Examples
 ///
 /// ```
-/// use sdem_core::online::schedule_online;
+/// use sdem_core::online::schedule_online_in;
 /// use sdem_power::Platform;
-/// use sdem_types::{Task, TaskSet, Time, Cycles};
+/// use sdem_types::{Task, TaskSet, Time, Cycles, Workspace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let platform = Platform::paper_defaults();
@@ -149,25 +150,11 @@ impl LiveLists {
 ///     Task::new(0, Time::ZERO, Time::from_millis(60.0), Cycles::new(1.0e7)),
 ///     Task::new(1, Time::from_millis(15.0), Time::from_millis(100.0), Cycles::new(2.0e7)),
 /// ])?;
-/// let schedule = schedule_online(&tasks, &platform)?;
+/// let schedule = schedule_online_in(&tasks, &platform, &mut Workspace::new())?;
 /// schedule.validate(&tasks)?;
 /// # Ok(())
 /// # }
 /// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::Online)` from the crate root (then `Solution::into_schedule`), or `schedule_online_in` to reuse a `Workspace`"
-)]
-pub fn schedule_online(tasks: &TaskSet, platform: &Platform) -> Result<Schedule, SdemError> {
-    schedule_online_with(tasks, platform, InnerSolver::Auto)
-}
-
-/// In-place [`schedule_online`]: scratch buffers and the returned
-/// schedule's arenas are drawn from `ws`.
-///
-/// # Errors
-///
-/// Same as [`schedule_online`].
 pub fn schedule_online_in(
     tasks: &TaskSet,
     platform: &Platform,
@@ -176,11 +163,12 @@ pub fn schedule_online_in(
     schedule_online_impl(tasks, platform, InnerSolver::Auto, None, ws)
 }
 
-/// [`schedule_online`] with an explicit inner-solver choice.
+/// [`schedule_online_in`] with an explicit inner-solver choice and a
+/// throwaway workspace.
 ///
 /// # Errors
 ///
-/// Same as [`schedule_online`].
+/// Same as [`schedule_online_in`].
 pub fn schedule_online_with(
     tasks: &TaskSet,
     platform: &Platform,
@@ -189,9 +177,9 @@ pub fn schedule_online_with(
     schedule_online_impl(tasks, platform, solver, None, &mut Workspace::new())
 }
 
-/// Bounded-core SDEM-ON: like [`schedule_online`] but never uses more than
-/// `max_cores` cores. An arrival finding every core claimed *waits*; each
-/// time a core frees, the waiting task with the earliest deadline is
+/// Bounded-core SDEM-ON: like [`schedule_online_in`] but never uses more
+/// than `max_cores` cores. An arrival finding every core claimed *waits*;
+/// each time a core frees, the waiting task with the earliest deadline is
 /// admitted and the common-release plan is recomputed. A waiting task's
 /// window shrinks while it queues, so overload can make the instance
 /// infeasible — exactly the burst failure mode §3 of the paper argues any
@@ -209,9 +197,9 @@ pub fn schedule_online_with(
 /// # Examples
 ///
 /// ```
-/// use sdem_core::online::schedule_online_bounded;
+/// use sdem_core::online::schedule_online_bounded_in;
 /// use sdem_power::Platform;
-/// use sdem_types::{Task, TaskSet, Time, Cycles};
+/// use sdem_types::{Task, TaskSet, Time, Cycles, Workspace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let platform = Platform::paper_defaults();
@@ -220,29 +208,12 @@ pub fn schedule_online_with(
 ///     Task::new(1, Time::ZERO, Time::from_millis(90.0), Cycles::new(1.2e7)),
 ///     Task::new(2, Time::ZERO, Time::from_millis(120.0), Cycles::new(8.0e6)),
 /// ])?;
-/// let schedule = schedule_online_bounded(&tasks, &platform, 2)?;
+/// let schedule = schedule_online_bounded_in(&tasks, &platform, 2, &mut Workspace::new())?;
 /// schedule.validate(&tasks)?;
 /// assert!(schedule.cores_used() <= 2);
 /// # Ok(())
 /// # }
 /// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::OnlineBounded(max_cores))` from the crate root (then `Solution::into_schedule`), or `schedule_online_bounded_in` to reuse a `Workspace`"
-)]
-pub fn schedule_online_bounded(
-    tasks: &TaskSet,
-    platform: &Platform,
-    max_cores: usize,
-) -> Result<Schedule, SdemError> {
-    schedule_online_bounded_in(tasks, platform, max_cores, &mut Workspace::new())
-}
-
-/// In-place [`schedule_online_bounded`].
-///
-/// # Errors
-///
-/// Same as [`schedule_online_bounded`].
 pub fn schedule_online_bounded_in(
     tasks: &TaskSet,
     platform: &Platform,
@@ -496,10 +467,6 @@ fn replan(
 
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
     use sdem_power::{CorePower, MemoryPower};
     use sdem_sim::{simulate, SleepPolicy};
@@ -531,12 +498,13 @@ mod tests {
     fn single_task_matches_offline_optimum() {
         let p = platform(0.0, 4.0);
         let tasks = tset(&[(0.0, 10.0, 2.0)]);
-        let sched = schedule_online(&tasks, &p).unwrap();
+        let sched = schedule_online_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sched.validate(&tasks).unwrap();
         let online_e = simulate(&sched, &tasks, &p, SleepPolicy::WhenProfitable)
             .unwrap()
             .total();
-        let offline = common_release::schedule_alpha_zero(&tasks, &p).unwrap();
+        let offline =
+            common_release::schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new()).unwrap();
         assert!(
             (online_e.value() - offline.predicted_energy().value()).abs()
                 < 1e-9 * offline.predicted_energy().value(),
@@ -553,13 +521,13 @@ mod tests {
         // All tasks arrive together ⇒ one plan, never revised.
         let p = platform(0.0, 4.0);
         let tasks = tset(&[(0.0, 5.0, 1.0), (0.0, 9.0, 2.0), (0.0, 12.0, 1.5)]);
-        let sched = schedule_online(&tasks, &p).unwrap();
+        let sched = schedule_online_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sched.validate(&tasks).unwrap();
         let online_e = simulate(&sched, &tasks, &p, SleepPolicy::WhenProfitable)
             .unwrap()
             .total()
             .value();
-        let offline = common_release::schedule_alpha_zero(&tasks, &p)
+        let offline = common_release::schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new())
             .unwrap()
             .predicted_energy()
             .value();
@@ -579,7 +547,7 @@ mod tests {
             (8.0, 20.0, 4.0),
             (8.0, 25.0, 2.0),
         ]);
-        let sched = schedule_online(&tasks, &p).unwrap();
+        let sched = schedule_online_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sched.validate(&tasks).unwrap();
     }
 
@@ -592,7 +560,7 @@ mod tests {
             (1.0, 8.0, 2.0),
             (6.5, 12.0, 2.0),
         ]);
-        let sched = schedule_online(&tasks, &p).unwrap();
+        let sched = schedule_online_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sched.validate(&tasks).unwrap(); // validate() checks core exclusivity
     }
 
@@ -602,7 +570,7 @@ mod tests {
         // SDEM-ON should overlap them into one memory busy window.
         let p = platform(0.0, 10.0);
         let tasks = tset(&[(0.0, 20.0, 1.0), (1.0, 20.0, 1.0)]);
-        let sched = schedule_online(&tasks, &p).unwrap();
+        let sched = schedule_online_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sched.validate(&tasks).unwrap();
         assert_eq!(
             sched.memory_busy_intervals().len(),
@@ -616,7 +584,7 @@ mod tests {
         let core = CorePower::simple(0.0, 1.0, 3.0).with_max_speed(Speed::from_hz(2.0));
         let p = Platform::new(core, MemoryPower::new(Watts::new(100.0)));
         let tasks = tset(&[(0.0, 3.0, 4.0), (1.0, 6.0, 6.0)]);
-        let sched = schedule_online(&tasks, &p).unwrap();
+        let sched = schedule_online_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sched
             .validate_with_limits(&tasks, None, Some(Speed::from_hz(2.0)))
             .unwrap();
@@ -628,7 +596,7 @@ mod tests {
         let p = Platform::new(core, MemoryPower::new(Watts::new(1.0)));
         let tasks = tset(&[(0.0, 2.0, 5.0)]);
         assert!(matches!(
-            schedule_online(&tasks, &p),
+            schedule_online_in(&tasks, &p, &mut Workspace::new()),
             Err(SdemError::InfeasibleTask(_))
         ));
     }
@@ -637,7 +605,7 @@ mod tests {
     fn zero_work_tasks_complete_instantly() {
         let p = platform(0.0, 1.0);
         let tasks = tset(&[(0.0, 5.0, 0.0), (0.0, 5.0, 1.0)]);
-        let sched = schedule_online(&tasks, &p).unwrap();
+        let sched = schedule_online_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sched.validate(&tasks).unwrap();
         assert!(sched.placement(TaskId(0)).unwrap().segments().is_empty());
     }
@@ -653,7 +621,7 @@ mod tests {
         assert_eq!(InnerSolver::Auto.resolve(&p1), InnerSolver::AlphaNonzero);
         // And it runs end-to-end.
         let tasks = tset(&[(0.0, 6.0, 2.0), (1.0, 9.0, 3.0)]);
-        let sched = schedule_online(&tasks, &p).unwrap();
+        let sched = schedule_online_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sched.validate(&tasks).unwrap();
     }
 
@@ -667,8 +635,8 @@ mod tests {
             (1.0, 20.0, 4.0),
         ]);
         // Loose cap: identical to the unbounded heuristic.
-        let unbounded = schedule_online(&tasks, &p).unwrap();
-        let loose = schedule_online_bounded(&tasks, &p, 16).unwrap();
+        let unbounded = schedule_online_in(&tasks, &p, &mut Workspace::new()).unwrap();
+        let loose = schedule_online_bounded_in(&tasks, &p, 16, &mut Workspace::new()).unwrap();
         let e = |s: &Schedule| {
             sdem_sim::simulate(s, &tasks, &p, sdem_sim::SleepPolicy::WhenProfitable)
                 .unwrap()
@@ -678,7 +646,7 @@ mod tests {
         assert!((e(&unbounded) - e(&loose)).abs() <= 1e-9 * e(&unbounded));
 
         // Tight cap: still valid, never more than 2 cores.
-        let tight = schedule_online_bounded(&tasks, &p, 2).unwrap();
+        let tight = schedule_online_bounded_in(&tasks, &p, 2, &mut Workspace::new()).unwrap();
         tight.validate(&tasks).unwrap();
         assert!(tight.cores_used() <= 2, "used {} cores", tight.cores_used());
     }
@@ -687,7 +655,7 @@ mod tests {
     fn bounded_single_core_serializes_execution() {
         let p = platform(0.0, 2.0);
         let tasks = tset(&[(0.0, 10.0, 2.0), (0.0, 20.0, 2.0), (0.0, 30.0, 2.0)]);
-        let sched = schedule_online_bounded(&tasks, &p, 1).unwrap();
+        let sched = schedule_online_bounded_in(&tasks, &p, 1, &mut Workspace::new()).unwrap();
         sched.validate(&tasks).unwrap(); // per-core exclusivity included
         assert_eq!(sched.cores_used(), 1);
     }
@@ -699,13 +667,13 @@ mod tests {
         let core = CorePower::simple(0.0, 1.0, 3.0).with_max_speed(Speed::from_hz(1.0));
         let p = Platform::new(core, MemoryPower::new(Watts::new(1.0)));
         let tasks = tset(&[(0.0, 2.0, 1.0), (0.0, 2.0, 1.0), (0.0, 2.0, 1.0)]);
-        assert!(schedule_online_bounded(&tasks, &p, 3).is_ok());
+        assert!(schedule_online_bounded_in(&tasks, &p, 3, &mut Workspace::new()).is_ok());
         assert!(matches!(
-            schedule_online_bounded(&tasks, &p, 2),
+            schedule_online_bounded_in(&tasks, &p, 2, &mut Workspace::new()),
             Err(SdemError::InfeasibleTask(_))
         ));
         assert_eq!(
-            schedule_online_bounded(&tasks, &p, 0),
+            schedule_online_bounded_in(&tasks, &p, 0, &mut Workspace::new()),
             Err(SdemError::NoCores)
         );
     }
@@ -717,7 +685,7 @@ mod tests {
         // so A's placement carries at least two segments.
         let p = platform(0.0, 2.0);
         let tasks = tset(&[(0.0, 2.0, 1.9), (1.0, 30.0, 1.0)]);
-        let sched = schedule_online(&tasks, &p).unwrap();
+        let sched = schedule_online_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sched.validate(&tasks).unwrap();
         assert!(
             sched.placement(TaskId(0)).unwrap().segments().len() >= 2,

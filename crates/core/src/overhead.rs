@@ -13,11 +13,12 @@
 //! `sdem-sim`): every core and the memory are powered across the whole
 //! maximal interval `[0, |I|]`; each trailing idle gap is then priced at
 //! `min(idle-awake, round-trip)`, which is exactly the component-wise
-//! optimal decision Table 3 encodes. [`schedule_common_release`] enumerates
-//! the §4.2-style cases with the `s_c` ordering and, per case, evaluates the
-//! full candidate set {Eq. 8 optimum (cores sleep with the memory), Eq. 4
-//! optimum (cores idle awake), `ξ`, `ξ_m`, `0`, case edges} with exact
-//! pricing — a superset of the paper's Table 3 rows, so it is never worse.
+//! optimal decision Table 3 encodes. [`schedule_common_release_in`]
+//! enumerates the §4.2-style cases with the `s_c` ordering and, per case,
+//! evaluates the full candidate set {Eq. 8 optimum (cores sleep with the
+//! memory), Eq. 4 optimum (cores idle awake), `ξ`, `ξ_m`, `0`, case
+//! edges} with exact pricing — a superset of the paper's Table 3 rows, so
+//! it is never worse.
 //!
 //! [`classify_table3`] reproduces the published decision table literally
 //! and is unit-tested row by row.
@@ -182,6 +183,11 @@ impl OverheadCases {
 ///
 /// With `ξ = ξ_m = 0` this reduces to the §4.2 scheme.
 ///
+/// The case tables, sort scratch and the returned schedule's arenas are
+/// all drawn from `ws`, so a warmed workspace makes the solve
+/// allocation-free. Recycle the solution's schedule back into `ws` when
+/// done with it.
+///
 /// # Errors
 ///
 /// [`SdemError::NotCommonRelease`] if releases differ;
@@ -190,9 +196,9 @@ impl OverheadCases {
 /// # Examples
 ///
 /// ```
-/// use sdem_core::overhead::schedule_common_release;
+/// use sdem_core::overhead::schedule_common_release_in;
 /// use sdem_power::Platform;
-/// use sdem_types::{Task, TaskSet, Time, Cycles};
+/// use sdem_types::{Task, TaskSet, Time, Cycles, Workspace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let platform = Platform::paper_defaults(); // ξ_m = 40 ms
@@ -200,26 +206,11 @@ impl OverheadCases {
 ///     Task::new(0, Time::ZERO, Time::from_millis(60.0), Cycles::new(1.2e7)),
 ///     Task::new(1, Time::ZERO, Time::from_millis(100.0), Cycles::new(2.4e7)),
 /// ])?;
-/// let sol = schedule_common_release(&tasks, &platform)?;
+/// let sol = schedule_common_release_in(&tasks, &platform, &mut Workspace::new())?;
 /// sol.schedule().validate(&tasks)?;
 /// # Ok(())
 /// # }
 /// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::CommonReleaseOverhead)` from the crate root, or `schedule_common_release_in` to reuse a `Workspace`"
-)]
-pub fn schedule_common_release(
-    tasks: &TaskSet,
-    platform: &Platform,
-) -> Result<Solution, SdemError> {
-    schedule_common_release_in(tasks, platform, &mut Workspace::new())
-}
-
-/// In-place [`schedule_common_release`]: the case tables, sort scratch and
-/// the returned schedule's arenas are all drawn from `ws`, so a warmed
-/// workspace makes the solve allocation-free. Recycle the solution's
-/// schedule back into `ws` when done with it.
 pub fn schedule_common_release_in(
     tasks: &TaskSet,
     platform: &Platform,
@@ -351,41 +342,8 @@ pub fn schedule_common_release_in(
     Ok(solution)
 }
 
-/// §7 for agreeable deadlines: the block solvers are unchanged (one busy
-/// interval per block ⇒ one memory round trip) and the DP adds `α_m·ξ_m`
-/// per inter-block transition — which [`crate::agreeable::schedule`]
-/// already does, reading `ξ_m` from the platform.
-///
-/// # Errors
-///
-/// Same as [`crate::agreeable::schedule`].
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::AgreeableOverhead)` from the crate root, or `schedule_agreeable_in` to reuse a `Workspace`"
-)]
-pub fn schedule_agreeable(tasks: &TaskSet, platform: &Platform) -> Result<Solution, SdemError> {
-    crate::agreeable::schedule_in(tasks, platform, &mut Workspace::new())
-}
-
-/// In-place [`schedule_agreeable`].
-///
-/// # Errors
-///
-/// Same as [`crate::agreeable::schedule`].
-pub fn schedule_agreeable_in(
-    tasks: &TaskSet,
-    platform: &Platform,
-    ws: &mut Workspace,
-) -> Result<Solution, SdemError> {
-    crate::agreeable::schedule_in(tasks, platform, ws)
-}
-
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
     use sdem_power::{CorePower, MemoryPower};
     use sdem_sim::{simulate_with_options, SimOptions, SleepPolicy};
@@ -447,7 +405,7 @@ mod tests {
     fn predicted_energy_matches_horizon_simulation() {
         let p = platform(2.0, 5.0, 1.5, 2.5);
         let tasks = tset(&[(10.0, 2.0), (14.0, 4.0), (30.0, 3.0)]);
-        let sol = schedule_common_release(&tasks, &p).unwrap();
+        let sol = schedule_common_release_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let horizon_end = tasks.latest_deadline();
         let opts =
             SimOptions::uniform(SleepPolicy::WhenProfitable).with_horizon(Time::ZERO, horizon_end);
@@ -466,8 +424,8 @@ mod tests {
         // horizon gap terms all cost zero.
         let p = platform(4.0, 6.0, 0.0, 0.0);
         let tasks = tset(&[(8.0, 2.0), (9.0, 4.0), (20.0, 3.0)]);
-        let a = schedule_common_release(&tasks, &p).unwrap();
-        let b = crate::common_release::schedule_alpha_nonzero(&tasks, &p).unwrap();
+        let a = schedule_common_release_in(&tasks, &p, &mut Workspace::new()).unwrap();
+        let b = crate::solve(&tasks, &p, crate::Scheme::CommonReleaseAlphaNonzero).unwrap();
         assert!(
             (a.memory_sleep() - b.memory_sleep()).abs().as_secs() < 1e-9,
             "Δ mismatch: §7 {} vs §4.2 {}",
@@ -488,7 +446,7 @@ mod tests {
         // sleeping equals idling).
         let p = platform(0.5, 5.0, 0.0, 1e6);
         let tasks = tset(&[(10.0, 2.0), (14.0, 4.0)]);
-        let sol = schedule_common_release(&tasks, &p).unwrap();
+        let sol = schedule_common_release_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let e = sol.predicted_energy().value();
         // Hand-priced "everything at the critical speed" alternative:
         // memory idles awake (ξ_m huge), cores sleep for free (ξ = 0).
@@ -510,8 +468,8 @@ mod tests {
         // platform; the §7 scheme must be at least as good.
         let p = platform(2.0, 5.0, 3.0, 4.0);
         let tasks = tset(&[(10.0, 2.0), (14.0, 4.0), (30.0, 3.0), (31.0, 1.0)]);
-        let naive = crate::common_release::schedule_alpha_nonzero(&tasks, &p).unwrap();
-        let aware = schedule_common_release(&tasks, &p).unwrap();
+        let naive = crate::solve(&tasks, &p, crate::Scheme::CommonReleaseAlphaNonzero).unwrap();
+        let aware = schedule_common_release_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let horizon_end = tasks.latest_deadline();
         let opts =
             SimOptions::uniform(SleepPolicy::WhenProfitable).with_horizon(Time::ZERO, horizon_end);
@@ -537,7 +495,7 @@ mod tests {
         let p = Platform::new(core, MemoryPower::new(Watts::new(0.1)));
         // s_m = 2^{1/3} ≈ 1.26; w = 10, |I| = 10 ⇒ tail ≈ 2.06 < 9.
         let tasks = tset(&[(10.0, 10.0)]);
-        let sol = schedule_common_release(&tasks, &p).unwrap();
+        let sol = schedule_common_release_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let pl = sol.schedule().placement(sdem_types::TaskId(0)).unwrap();
         assert!(
             (pl.segments()[0].speed().as_hz() - 1.0).abs() < 1e-9,
@@ -547,14 +505,14 @@ mod tests {
     }
 
     #[test]
-    fn agreeable_delegate_works() {
+    fn agreeable_overhead_scheme_works() {
         let p = platform(0.0, 4.0, 0.0, 2.0);
         let tasks = TaskSet::new(vec![
             Task::new(0, sec(0.0), sec(3.0), Cycles::new(1.0)),
             Task::new(1, sec(5.0), sec(9.0), Cycles::new(1.0)),
         ])
         .unwrap();
-        let sol = schedule_agreeable(&tasks, &p).unwrap();
+        let sol = crate::solve(&tasks, &p, crate::Scheme::AgreeableOverhead).unwrap();
         sol.schedule().validate(&tasks).unwrap();
     }
 }

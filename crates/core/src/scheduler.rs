@@ -1,11 +1,12 @@
-//! The unified scheduling API: one [`Scheduler`] trait over every scheme,
-//! a [`Scheme`] selector, and [`solve`] routing `Scheme::Auto` from the
-//! task-set shape (common release → §4/§7, agreeable → §5, general → §6).
+//! The unified scheduling API: the [`Scheme`] selector over every scheme,
+//! the [`SCHEMES`] table naming each one, the object-safe [`Scheduler`]
+//! trait, and [`solve`] routing `Scheme::Auto` from the task-set shape
+//! (common release → §4/§7, agreeable → §5, general → §6).
 //!
-//! The per-scheme free functions ([`common_release::schedule_alpha_zero`]
-//! and friends) remain the primitive layer; this module is a thin,
-//! object-safe veneer so callers — CLI, sweep engine, baselines harness —
-//! can select a scheme with a value instead of a function pointer.
+//! The per-scheme `_in` functions ([`common_release::schedule_alpha_zero_in`]
+//! and friends) are the primitive layer; a [`Scheme`] value selects one of
+//! them, so callers — CLI, sweep engine, serve daemon — pick a scheme with
+//! a value instead of a function pointer.
 //!
 //! # Examples
 //!
@@ -26,25 +27,28 @@
 //! // Scheme values are also schedulers themselves:
 //! let same = Scheme::CommonReleaseOverhead.solve(&tasks, &platform)?;
 //! assert_eq!(solution.predicted_energy(), same.predicted_energy());
+//! // Every scheme's names live in one table:
+//! assert_eq!(Scheme::from_wire_name("cr-overhead", 8), Some(Scheme::CommonReleaseOverhead));
+//! assert_eq!(Scheme::CommonReleaseOverhead.solve_label(), "solve/common-release-overhead");
 //! # Ok(())
 //! # }
 //! ```
 
+use std::mem::discriminant;
+
 use sdem_power::Platform;
 use sdem_types::{TaskSet, Workspace};
 
-use crate::{agreeable, bounded, common_release, online, overhead, SdemError, Solution};
+use crate::{agreeable, bounded, common_release, dag, online, overhead, SdemError, Solution};
 
 /// The object-safe interface every SDEM scheme implements.
 ///
 /// A scheduler maps an instance (task set + platform) to a [`Solution`]:
-/// the explicit schedule plus the scheme's analytic energy. Schedulers are
-/// stateless values, so trait objects (`&dyn Scheduler`) are cheap to pass
-/// through harness layers.
+/// the explicit schedule plus the scheme's analytic energy. [`Scheme`] is
+/// the production implementation; the trait stays open so harness layers
+/// can pass `&dyn Scheduler` test doubles (a fault-injecting wrapper, say)
+/// through the same code paths.
 pub trait Scheduler {
-    /// Short stable name (for CLIs, reports and sweep labels).
-    fn name(&self) -> &'static str;
-
     /// Solves the instance.
     ///
     /// The default implementation delegates to [`Scheduler::solve_into`]
@@ -77,310 +81,167 @@ pub trait Scheduler {
     ) -> Result<Solution, SdemError>;
 }
 
-/// §4.1 optimal scheme — common release, `α = 0`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommonReleaseAlphaZero;
-
-/// §4.2 optimal scheme — common release, `α ≠ 0`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommonReleaseAlphaNonzero;
-
-/// §7 overhead-aware common-release scheme (Table 3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommonReleaseOverhead;
-
-/// §5 agreeable-deadline DP (block best-response solver).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Agreeable;
-
-/// Overlap-free variant of the agreeable DP (DESIGN.md deviation 3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AgreeableStrict;
-
-/// §7 overhead-aware agreeable scheme.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AgreeableOverhead;
-
-/// §6 online heuristic SDEM-ON (unbounded core pool).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Online;
-
-/// §6 online heuristic with a hard core bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OnlineBounded(pub usize);
-
-/// §3 bounded-core LPT heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedLpt(pub usize);
-
-/// §3 bounded-core exact partition enumeration (small instances only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedExact(pub usize);
-
-/// §3 bounded-core branch-and-bound — exact results (bit-identical to
-/// [`BoundedExact`] on instances both accept) up to
-/// [`bounded::BNB_LIMIT`] tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedBnb(pub usize);
-
-/// §3 bounded-core LPT + local-search refinement (any instance size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedRefined(pub usize);
-
-/// Federated decomposition onto the given core budget: tasks are packed
-/// LPT-style onto cores, chopped into sequential per-core windows, and
-/// each core's window sequence is energy-minimized by the routed paper
-/// solvers (see [`crate::dag`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DagFederated(pub usize);
-
-impl Scheduler for CommonReleaseAlphaZero {
-    fn name(&self) -> &'static str {
-        "common-release-alpha-zero"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        common_release::schedule_alpha_zero_in(tasks, platform, ws)
-    }
-}
-
-impl Scheduler for CommonReleaseAlphaNonzero {
-    fn name(&self) -> &'static str {
-        "common-release-alpha-nonzero"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        common_release::schedule_alpha_nonzero_in(tasks, platform, ws)
-    }
-}
-
-impl Scheduler for CommonReleaseOverhead {
-    fn name(&self) -> &'static str {
-        "common-release-overhead"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        overhead::schedule_common_release_in(tasks, platform, ws)
-    }
-}
-
-impl Scheduler for Agreeable {
-    fn name(&self) -> &'static str {
-        "agreeable"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        agreeable::schedule_in(tasks, platform, ws)
-    }
-}
-
-impl Scheduler for AgreeableStrict {
-    fn name(&self) -> &'static str {
-        "agreeable-strict"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        agreeable::schedule_strict_in(tasks, platform, ws)
-    }
-}
-
-impl Scheduler for AgreeableOverhead {
-    fn name(&self) -> &'static str {
-        "agreeable-overhead"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        overhead::schedule_agreeable_in(tasks, platform, ws)
-    }
-}
-
-impl Scheduler for Online {
-    fn name(&self) -> &'static str {
-        "online"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        let schedule = online::schedule_online_in(tasks, platform, ws)?;
-        Ok(Solution::from_schedule_in(schedule, platform, ws))
-    }
-}
-
-impl Scheduler for OnlineBounded {
-    fn name(&self) -> &'static str {
-        "online-bounded"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        let schedule = online::schedule_online_bounded_in(tasks, platform, self.0, ws)?;
-        Ok(Solution::from_schedule_in(schedule, platform, ws))
-    }
-}
-
-impl Scheduler for BoundedLpt {
-    fn name(&self) -> &'static str {
-        "bounded-lpt"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        bounded::solve_lpt_in(tasks, platform, self.0, ws)
-    }
-}
-
-impl Scheduler for BoundedExact {
-    fn name(&self) -> &'static str {
-        "bounded-exact"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        bounded::solve_exact_in(tasks, platform, self.0, ws)
-    }
-}
-
-impl Scheduler for BoundedBnb {
-    fn name(&self) -> &'static str {
-        "bounded-bnb"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        bounded::solve_bnb_in(tasks, platform, self.0, ws)
-    }
-}
-
-impl Scheduler for BoundedRefined {
-    fn name(&self) -> &'static str {
-        "bounded-refined"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        bounded::solve_refined_in(tasks, platform, self.0, ws)
-    }
-}
-
-impl Scheduler for DagFederated {
-    fn name(&self) -> &'static str {
-        "dag-federated"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        crate::dag::solve_federated_in(tasks, platform, self.0, ws)
-    }
-}
-
-/// Scheme selector for [`solve`]: every [`Scheduler`] implementation as a
-/// value, plus [`Scheme::Auto`] routing.
+/// Scheme selector for [`solve`]: every SDEM scheme as a value, plus the
+/// [`Scheme::Auto`] and [`Scheme::BoundedAuto`] routers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Scheme {
-    /// Route from the task-set shape and the platform (see [`solve`]).
+    /// Route from the task-set shape and the platform (see
+    /// [`Scheme::resolve`]).
     #[default]
     Auto,
-    /// [`CommonReleaseAlphaZero`].
+    /// §4.1 optimal scheme — common release, `α = 0`
+    /// ([`common_release::schedule_alpha_zero_in`]).
     CommonReleaseAlphaZero,
-    /// [`CommonReleaseAlphaNonzero`].
+    /// §4.2 optimal scheme — common release, `α ≠ 0`
+    /// ([`common_release::schedule_alpha_nonzero_in`]).
     CommonReleaseAlphaNonzero,
-    /// [`CommonReleaseOverhead`].
+    /// §7 overhead-aware common-release scheme, Table 3
+    /// ([`overhead::schedule_common_release_in`]).
     CommonReleaseOverhead,
-    /// [`Agreeable`].
+    /// §5 agreeable-deadline DP with the best-response block solver
+    /// ([`agreeable::schedule_in`]).
     Agreeable,
-    /// [`AgreeableStrict`].
+    /// Overlap-free variant of the agreeable DP, DESIGN.md deviation 3
+    /// ([`agreeable::schedule_strict_in`]).
     AgreeableStrict,
-    /// [`AgreeableOverhead`].
+    /// §7 overhead-aware agreeable scheme: the block solvers are unchanged
+    /// (one busy interval per block ⇒ one memory round trip) and the DP
+    /// adds `α_m·ξ_m` per inter-block transition, which
+    /// [`agreeable::schedule_in`] already does, reading `ξ_m` from the
+    /// platform.
     AgreeableOverhead,
-    /// [`Online`].
+    /// §6 online heuristic SDEM-ON on an unbounded core pool
+    /// ([`online::schedule_online_in`]).
     Online,
-    /// [`OnlineBounded`] with the given core budget.
+    /// §6 online heuristic with a hard core bound
+    /// ([`online::schedule_online_bounded_in`]).
     OnlineBounded(usize),
-    /// [`BoundedLpt`] with the given core count.
+    /// §3 bounded-core LPT heuristic on the given core count
+    /// ([`bounded::solve_lpt_in`]).
     BoundedLpt(usize),
-    /// [`BoundedExact`] with the given core count.
+    /// §3 bounded-core exact partition enumeration, small instances only
+    /// ([`bounded::solve_exact_in`]).
     BoundedExact(usize),
-    /// [`BoundedBnb`] with the given core count.
+    /// §3 bounded-core branch-and-bound: exact results (bit-identical to
+    /// [`Scheme::BoundedExact`] on instances both accept) up to
+    /// [`bounded::BNB_LIMIT`] tasks ([`bounded::solve_bnb_in`]).
     BoundedBnb(usize),
-    /// [`BoundedRefined`] with the given core count.
+    /// §3 bounded-core LPT + local-search refinement, any instance size
+    /// ([`bounded::solve_refined_in`]).
     BoundedRefined(usize),
     /// Size-routed bounded-core tiering with the given core count:
     /// [`Scheme::resolve`] picks the strongest tier the instance size
     /// admits — exact (`n ≤` [`bounded::EXACT_LIMIT`]), branch-and-bound
     /// (`n ≤` [`bounded::BNB_LIMIT`]), else LPT + refine.
     BoundedAuto(usize),
-    /// [`DagFederated`] with the given core budget.
+    /// Federated decomposition onto the given core budget: tasks are packed
+    /// LPT-style onto cores, chopped into sequential per-core windows, and
+    /// each core's window sequence is energy-minimized by the routed paper
+    /// solvers ([`dag::solve_federated_in`]).
     DagFederated(usize),
 }
 
+/// One row of [`SCHEMES`]: a [`Scheme`] variant and its names.
+#[derive(Debug, Clone, Copy)]
+pub struct SchemeEntry {
+    /// Builds the variant; the unbounded schemes ignore the core budget.
+    pub make: fn(usize) -> Scheme,
+    /// The name a serve request's `scheme` field and `sdem-cli --scheme`
+    /// select the variant by, if it is reachable by name.
+    pub wire: Option<&'static str>,
+    /// The observability label of the variant's solve site
+    /// ([`Scheme::solve_label`]).
+    pub label: &'static str,
+}
+
+const fn named(make: fn(usize) -> Scheme, wire: &'static str, label: &'static str) -> SchemeEntry {
+    SchemeEntry {
+        make,
+        wire: Some(wire),
+        label,
+    }
+}
+
+const fn unnamed(make: fn(usize) -> Scheme, label: &'static str) -> SchemeEntry {
+    SchemeEntry {
+        make,
+        wire: None,
+        label,
+    }
+}
+
+/// The scheme table: one row per [`Scheme`] variant, the only place a
+/// wire name or a `solve/…` label is spelled. Rows with a wire name come
+/// first, in the order error messages list them.
+pub const SCHEMES: [SchemeEntry; 15] = [
+    named(|_| Scheme::Auto, "auto", "solve/auto"),
+    named(Scheme::OnlineBounded, "sdem-on", "solve/online-bounded"),
+    named(
+        |_| Scheme::CommonReleaseAlphaZero,
+        "cr-alpha-zero",
+        "solve/common-release-alpha-zero",
+    ),
+    named(
+        |_| Scheme::CommonReleaseAlphaNonzero,
+        "cr-alpha-nonzero",
+        "solve/common-release-alpha-nonzero",
+    ),
+    named(
+        |_| Scheme::CommonReleaseOverhead,
+        "cr-overhead",
+        "solve/common-release-overhead",
+    ),
+    named(|_| Scheme::Agreeable, "agreeable", "solve/agreeable"),
+    named(
+        |_| Scheme::AgreeableStrict,
+        "agreeable-strict",
+        "solve/agreeable-strict",
+    ),
+    named(Scheme::BoundedAuto, "bounded-auto", "solve/bounded-auto"),
+    named(Scheme::BoundedExact, "bounded-exact", "solve/bounded-exact"),
+    named(Scheme::BoundedBnb, "bounded-bnb", "solve/bounded-bnb"),
+    named(
+        Scheme::BoundedRefined,
+        "bounded-refined",
+        "solve/bounded-refined",
+    ),
+    named(Scheme::BoundedLpt, "bounded-lpt", "solve/bounded-lpt"),
+    named(Scheme::DagFederated, "dag-federated", "solve/dag-federated"),
+    unnamed(|_| Scheme::AgreeableOverhead, "solve/agreeable-overhead"),
+    unnamed(|_| Scheme::Online, "solve/online"),
+];
+
 impl Scheme {
+    /// The scheme a wire name selects, with `cores` as the budget of the
+    /// bounded schemes; `None` for a name not in [`SCHEMES`].
+    pub fn from_wire_name(name: &str, cores: usize) -> Option<Scheme> {
+        SCHEMES
+            .iter()
+            .find(|e| e.wire == Some(name))
+            .map(|e| (e.make)(cores))
+    }
+
+    /// The name this scheme is selected by on the wire and the CLI, if it
+    /// has one.
+    pub fn wire_name(self) -> Option<&'static str> {
+        self.entry().wire
+    }
+
     /// Observability label for a resolved scheme's solve site
     /// (`"solve/<scheme-name>"`), usable with `sdem-obs`'s
     /// `&'static str`-labeled histogram and span registries.
     pub fn solve_label(self) -> &'static str {
-        match self {
-            Scheme::Auto => "solve/auto",
-            Scheme::CommonReleaseAlphaZero => "solve/common-release-alpha-zero",
-            Scheme::CommonReleaseAlphaNonzero => "solve/common-release-alpha-nonzero",
-            Scheme::CommonReleaseOverhead => "solve/common-release-overhead",
-            Scheme::Agreeable => "solve/agreeable",
-            Scheme::AgreeableStrict => "solve/agreeable-strict",
-            Scheme::AgreeableOverhead => "solve/agreeable-overhead",
-            Scheme::Online => "solve/online",
-            Scheme::OnlineBounded(_) => "solve/online-bounded",
-            Scheme::BoundedLpt(_) => "solve/bounded-lpt",
-            Scheme::BoundedExact(_) => "solve/bounded-exact",
-            Scheme::BoundedBnb(_) => "solve/bounded-bnb",
-            Scheme::BoundedRefined(_) => "solve/bounded-refined",
-            Scheme::BoundedAuto(_) => "solve/bounded-auto",
-            Scheme::DagFederated(_) => "solve/dag-federated",
-        }
+        self.entry().label
+    }
+
+    /// This variant's row of [`SCHEMES`].
+    fn entry(self) -> &'static SchemeEntry {
+        let variant = discriminant(&self);
+        SCHEMES
+            .iter()
+            .find(|e| discriminant(&(e.make)(0)) == variant)
+            .expect("SCHEMES has a row for every variant")
     }
 
     /// Resolves [`Scheme::Auto`] against a concrete instance: common
@@ -425,26 +286,6 @@ impl Scheme {
 }
 
 impl Scheduler for Scheme {
-    fn name(&self) -> &'static str {
-        match self {
-            Scheme::Auto => "auto",
-            Scheme::CommonReleaseAlphaZero => CommonReleaseAlphaZero.name(),
-            Scheme::CommonReleaseAlphaNonzero => CommonReleaseAlphaNonzero.name(),
-            Scheme::CommonReleaseOverhead => CommonReleaseOverhead.name(),
-            Scheme::Agreeable => Agreeable.name(),
-            Scheme::AgreeableStrict => AgreeableStrict.name(),
-            Scheme::AgreeableOverhead => AgreeableOverhead.name(),
-            Scheme::Online => Online.name(),
-            Scheme::OnlineBounded(_) => OnlineBounded(0).name(),
-            Scheme::BoundedLpt(_) => BoundedLpt(0).name(),
-            Scheme::BoundedExact(_) => BoundedExact(0).name(),
-            Scheme::BoundedBnb(_) => BoundedBnb(0).name(),
-            Scheme::BoundedRefined(_) => BoundedRefined(0).name(),
-            Scheme::BoundedAuto(_) => "bounded-auto",
-            Scheme::DagFederated(_) => DagFederated(0).name(),
-        }
-    }
-
     fn solve_into(
         &self,
         tasks: &TaskSet,
@@ -458,25 +299,31 @@ impl Scheduler for Scheme {
         let clock = sdem_obs::registry::maybe_start();
         let _span = sdem_obs::trace::span(label);
         let result = match resolved {
-            Scheme::Auto => unreachable!("resolve never returns Auto"),
-            Scheme::BoundedAuto(_) => unreachable!("resolve never returns BoundedAuto"),
+            Scheme::Auto | Scheme::BoundedAuto(_) => {
+                unreachable!("resolve never returns a router")
+            }
             Scheme::CommonReleaseAlphaZero => {
-                CommonReleaseAlphaZero.solve_into(tasks, platform, ws)
+                common_release::schedule_alpha_zero_in(tasks, platform, ws)
             }
             Scheme::CommonReleaseAlphaNonzero => {
-                CommonReleaseAlphaNonzero.solve_into(tasks, platform, ws)
+                common_release::schedule_alpha_nonzero_in(tasks, platform, ws)
             }
-            Scheme::CommonReleaseOverhead => CommonReleaseOverhead.solve_into(tasks, platform, ws),
-            Scheme::Agreeable => Agreeable.solve_into(tasks, platform, ws),
-            Scheme::AgreeableStrict => AgreeableStrict.solve_into(tasks, platform, ws),
-            Scheme::AgreeableOverhead => AgreeableOverhead.solve_into(tasks, platform, ws),
-            Scheme::Online => Online.solve_into(tasks, platform, ws),
-            Scheme::OnlineBounded(n) => OnlineBounded(n).solve_into(tasks, platform, ws),
-            Scheme::BoundedLpt(n) => BoundedLpt(n).solve_into(tasks, platform, ws),
-            Scheme::BoundedExact(n) => BoundedExact(n).solve_into(tasks, platform, ws),
-            Scheme::BoundedBnb(n) => BoundedBnb(n).solve_into(tasks, platform, ws),
-            Scheme::BoundedRefined(n) => BoundedRefined(n).solve_into(tasks, platform, ws),
-            Scheme::DagFederated(n) => DagFederated(n).solve_into(tasks, platform, ws),
+            Scheme::CommonReleaseOverhead => {
+                overhead::schedule_common_release_in(tasks, platform, ws)
+            }
+            Scheme::Agreeable | Scheme::AgreeableOverhead => {
+                agreeable::schedule_in(tasks, platform, ws)
+            }
+            Scheme::AgreeableStrict => agreeable::schedule_strict_in(tasks, platform, ws),
+            Scheme::Online => online::schedule_online_in(tasks, platform, ws)
+                .map(|schedule| Solution::from_schedule_in(schedule, platform, ws)),
+            Scheme::OnlineBounded(n) => online::schedule_online_bounded_in(tasks, platform, n, ws)
+                .map(|schedule| Solution::from_schedule_in(schedule, platform, ws)),
+            Scheme::BoundedLpt(n) => bounded::solve_lpt_in(tasks, platform, n, ws),
+            Scheme::BoundedExact(n) => bounded::solve_exact_in(tasks, platform, n, ws),
+            Scheme::BoundedBnb(n) => bounded::solve_bnb_in(tasks, platform, n, ws),
+            Scheme::BoundedRefined(n) => bounded::solve_refined_in(tasks, platform, n, ws),
+            Scheme::DagFederated(n) => dag::solve_federated_in(tasks, platform, n, ws),
         };
         sdem_obs::registry::record_elapsed(label, clock);
         result
@@ -512,10 +359,6 @@ pub fn solve_in(
 
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
     use sdem_types::{Cycles, Task, Time};
 
@@ -549,7 +392,8 @@ mod tests {
             Scheme::CommonReleaseOverhead
         );
         let auto = solve(&tasks, &platform, Scheme::Auto).unwrap();
-        let direct = overhead::schedule_common_release(&tasks, &platform).unwrap();
+        let direct =
+            overhead::schedule_common_release_in(&tasks, &platform, &mut Workspace::new()).unwrap();
         assert_eq!(auto.predicted_energy(), direct.predicted_energy());
     }
 
@@ -564,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn schedulers_are_object_safe() {
+    fn schemes_are_object_safe() {
         let platform = Platform::paper_defaults();
         // The §3 bounded solvers need one shared (release, deadline) pair.
         let tasks = TaskSet::new(vec![
@@ -573,15 +417,18 @@ mod tests {
         ])
         .unwrap();
         let zoo: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(CommonReleaseOverhead),
-            Box::new(Online),
-            Box::new(OnlineBounded(4)),
-            Box::new(BoundedLpt(4)),
+            Box::new(Scheme::CommonReleaseOverhead),
+            Box::new(Scheme::Online),
+            Box::new(Scheme::OnlineBounded(4)),
+            Box::new(Scheme::BoundedLpt(4)),
+            Box::new(Scheme::BoundedBnb(2)),
+            Box::new(Scheme::BoundedRefined(2)),
+            Box::new(Scheme::BoundedAuto(2)),
             Box::new(Scheme::Auto),
         ];
         for s in &zoo {
-            assert!(!s.name().is_empty());
             let sol = s.solve(&tasks, &platform).unwrap();
+            sol.schedule().validate(&tasks).unwrap();
             assert!(sol.predicted_energy().value() > 0.0);
         }
     }
@@ -629,26 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_tier_schedulers_are_object_safe() {
-        let platform = Platform::paper_defaults();
-        let tasks = TaskSet::new(vec![
-            Task::new(0, Time::ZERO, Time::from_millis(80.0), Cycles::new(6.0e6)),
-            Task::new(1, Time::ZERO, Time::from_millis(80.0), Cycles::new(9.0e6)),
-        ])
-        .unwrap();
-        let zoo: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(BoundedBnb(2)),
-            Box::new(BoundedRefined(2)),
-            Box::new(Scheme::BoundedAuto(2)),
-        ];
-        for s in &zoo {
-            assert!(!s.name().is_empty());
-            let sol = s.solve(&tasks, &platform).unwrap();
-            sol.schedule().validate(&tasks).unwrap();
-        }
-    }
-
-    #[test]
     fn online_solution_energy_accounts_memory_sleep() {
         let platform = Platform::paper_defaults();
         // Two far-apart arrivals: the gap between their busy intervals
@@ -663,7 +490,7 @@ mod tests {
             ),
         ])
         .unwrap();
-        let sol = Online.solve(&tasks, &platform).unwrap();
+        let sol = Scheme::Online.solve(&tasks, &platform).unwrap();
         assert!(
             sol.memory_sleep().value() > 0.0,
             "expected a sleeping gap, got {:?}",

@@ -80,10 +80,6 @@ struct FaultyScheduler {
 }
 
 impl Scheduler for FaultyScheduler {
-    fn name(&self) -> &'static str {
-        "faulty"
-    }
-
     fn solve_into(
         &self,
         tasks: &TaskSet,

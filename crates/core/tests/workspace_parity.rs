@@ -1,24 +1,20 @@
-//! Parity of the allocating entry points with their `_in` (workspace)
-//! twins on the discrete and bounded solvers' edge cases.
+//! Parity of a cold solve (`solve`, a fresh [`Workspace`] per call) with
+//! the `_in` entry points on a reused workspace, on the discrete and
+//! bounded solvers' edge cases.
 //!
-//! The `_in` variants are the single implementation (the allocating
-//! wrappers delegate to them with a fresh [`Workspace`]), so parity is by
-//! construction — these tests pin the contract anyway, exercising the
-//! shapes most likely to break buffer reuse: single tasks, tasks pinned
-//! to `s_max`, zero break-even platforms, and a workspace reused (warm)
-//! across several differently-shaped solves.
+//! Both routes run one implementation, so parity is by construction —
+//! these tests pin the contract anyway, exercising the shapes most likely
+//! to break buffer reuse: single tasks, tasks pinned to `s_max`, zero
+//! break-even platforms, and a workspace reused (warm) across several
+//! differently-shaped solves.
 
-// This suite's whole point is comparing the deprecated allocating
-// wrappers against their replacements, so it keeps calling them.
-#![allow(deprecated)]
-
-use sdem_core::bounded::{solve_exact, solve_exact_in, solve_lpt, solve_lpt_in};
+use sdem_core::bounded::{solve_exact_in, solve_lpt_in};
 use sdem_core::discrete::{quantize_schedule, quantize_schedule_in, SpeedLevels};
 use sdem_core::{solve, solve_in, Scheme, SdemError, Solution};
 use sdem_power::{CorePower, MemoryPower, Platform};
 use sdem_types::{Cycles, Speed, Task, TaskSet, Time, Watts, Workspace};
 
-/// Absolute energy-parity budget between the allocating and in-place
+/// Absolute energy-parity budget between the cold and in-place
 /// entry points (they share one implementation, so this is headroom).
 const TOL_J: f64 = 1e-12;
 
@@ -44,7 +40,7 @@ fn zero_break_even_platform(s_up: f64) -> Platform {
 fn assert_energy_parity(a: &Solution, b: &Solution) {
     assert!(
         (a.predicted_energy().value() - b.predicted_energy().value()).abs() <= TOL_J,
-        "allocating {} J vs in-place {} J",
+        "cold {} J vs in-place {} J",
         a.predicted_energy().value(),
         b.predicted_energy().value()
     );
@@ -68,12 +64,12 @@ fn single_task_lpt_and_exact_parity() {
     let tasks = common_release(&[3.0], 2.0);
     let mut ws = Workspace::new();
     for cores in [1, 3] {
-        let a = solve_lpt(&tasks, &platform, cores).unwrap();
+        let a = solve(&tasks, &platform, Scheme::BoundedLpt(cores)).unwrap();
         let b = solve_lpt_in(&tasks, &platform, cores, &mut ws).unwrap();
         assert_energy_parity(&a, &b);
         ws.recycle_schedule(b.into_schedule());
 
-        let a = solve_exact(&tasks, &platform, cores).unwrap();
+        let a = solve(&tasks, &platform, Scheme::BoundedExact(cores)).unwrap();
         let b = solve_exact_in(&tasks, &platform, cores, &mut ws).unwrap();
         assert_energy_parity(&a, &b);
         ws.recycle_schedule(b.into_schedule());
@@ -90,7 +86,7 @@ fn all_tasks_at_s_max_parity_and_infeasibility_edge() {
     let tasks = common_release(&[3.0, 3.0, 3.0, 3.0], deadline);
     let mut ws = Workspace::new();
 
-    let a = solve_lpt(&tasks, &platform, 4).unwrap();
+    let a = solve(&tasks, &platform, Scheme::BoundedLpt(4)).unwrap();
     let b = solve_lpt_in(&tasks, &platform, 4, &mut ws).unwrap();
     assert_energy_parity(&a, &b);
     for p in b.schedule().placements() {
@@ -104,7 +100,7 @@ fn all_tasks_at_s_max_parity_and_infeasibility_edge() {
     // must agree the instance is infeasible.
     let over = common_release(&[3.0 + 1e-3, 3.0, 3.0, 3.0], deadline);
     assert!(matches!(
-        solve_lpt(&over, &platform, 4),
+        solve(&over, &platform, Scheme::BoundedLpt(4)),
         Err(SdemError::InfeasibleTask(_))
     ));
     assert!(matches!(

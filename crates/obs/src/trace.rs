@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! {"sdem_trace":1,"events":N}
-//! {"name":"solve/online","tid":0,"ts_ns":12345,"dur_ns":678}
+//! {"name":"solve/example","tid":0,"ts_ns":12345,"dur_ns":678}
 //! {"name":"trial/fault","tid":1,"ts_ns":99999}
 //! ```
 //!
@@ -32,7 +32,7 @@ use crate::registry::now_nanos;
 /// One recorded trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
-    /// Site label, e.g. `"solve/online"`.
+    /// Site label, e.g. `"solve/example"`.
     pub name: &'static str,
     /// Small per-thread ordinal (first-event order).
     pub tid: u64,

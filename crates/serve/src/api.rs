@@ -24,7 +24,7 @@
 //!
 //! ```json
 //! {"v":1,"id":7,"scheme":"auto","cores":8,"tasks":[[0,0.0,40.0,8e6],[1,0.0,70.0,1.2e7]]}
-//! {"v":1,"id":7,"ok":true,"scheme":"auto","resolved":"cr-overhead", ...}
+//! {"v":1,"id":7,"ok":true,"scheme":"auto","resolved":"solve/common-release-overhead","tasks":2,"cores_used":2,"energy_j":0.2033863029239766,"energy_bits":"0x3fca088ff7c1a45f","memory_sleep_ms":7.813191936431907,"memory_sleep_bits":"0x401f40b563116241","degraded":false}
 //! {"v":1,"id":8,"ok":false,"error":{"kind":"bad-request","detail":"..."}}
 //! ```
 
@@ -32,7 +32,7 @@ use core::fmt;
 
 use sdem_core::{
     schedule_race_to_idle_in, solve_in, solve_or_fallback_in, Scheme, SdemError, Solution,
-    TrialError,
+    TrialError, SCHEMES,
 };
 use sdem_obs::json::{self, Value};
 use sdem_power::{CorePower, MemoryPower, Platform};
@@ -129,32 +129,31 @@ pub struct SolveRequest {
     pub tasks: TaskSet,
 }
 
-/// Maps a wire/CLI scheme name onto the [`Scheme`] enum.
+/// Maps a wire/CLI scheme name onto the [`Scheme`] enum, reading
+/// [`SCHEMES`].
 ///
 /// Only the SDEM schemes are routable here — the single-core substrate
 /// baselines (`yds`, `oa`, …) are deliberately batch-only.
+///
+/// # Errors
+///
+/// A `bad-request` [`ApiError`] listing [`scheme_names`] for a name the
+/// table does not hold.
 pub fn scheme_from_name(name: &str, cores: usize) -> Result<Scheme, ApiError> {
-    match name {
-        "auto" => Ok(Scheme::Auto),
-        "sdem-on" => Ok(Scheme::OnlineBounded(cores)),
-        "cr-alpha-zero" => Ok(Scheme::CommonReleaseAlphaZero),
-        "cr-alpha-nonzero" => Ok(Scheme::CommonReleaseAlphaNonzero),
-        "cr-overhead" => Ok(Scheme::CommonReleaseOverhead),
-        "agreeable" => Ok(Scheme::Agreeable),
-        "agreeable-strict" => Ok(Scheme::AgreeableStrict),
-        "bounded-auto" => Ok(Scheme::BoundedAuto(cores)),
-        "bounded-exact" => Ok(Scheme::BoundedExact(cores)),
-        "bounded-bnb" => Ok(Scheme::BoundedBnb(cores)),
-        "bounded-refined" => Ok(Scheme::BoundedRefined(cores)),
-        "bounded-lpt" => Ok(Scheme::BoundedLpt(cores)),
-        "dag-federated" => Ok(Scheme::DagFederated(cores)),
-        other => Err(ApiError::bad_request(format!(
-            "unknown scheme `{other}` (expected auto, sdem-on, cr-alpha-zero, \
-             cr-alpha-nonzero, cr-overhead, agreeable, agreeable-strict, \
-             bounded-auto, bounded-exact, bounded-bnb, bounded-refined, \
-             bounded-lpt or dag-federated)"
-        ))),
-    }
+    Scheme::from_wire_name(name, cores).ok_or_else(|| {
+        ApiError::bad_request(format!(
+            "unknown scheme `{name}` (expected {})",
+            scheme_names()
+        ))
+    })
+}
+
+/// The accepted scheme names in [`SCHEMES`] order, as prose:
+/// `"auto, sdem-on, … or dag-federated"`.
+pub fn scheme_names() -> String {
+    let names: Vec<&str> = SCHEMES.iter().filter_map(|e| e.wire).collect();
+    let (last, rest) = names.split_last().expect("the table names some schemes");
+    format!("{} or {last}", rest.join(", "))
 }
 
 /// Builds the service platform: the paper's Cortex-A57 cores with the
@@ -239,7 +238,10 @@ impl SolveRequest {
                 as usize,
         };
         let scheme_name = match doc.get("scheme") {
-            None => "auto".to_string(),
+            None => Scheme::Auto
+                .wire_name()
+                .expect("SCHEMES names Auto")
+                .to_string(),
             Some(v) => v
                 .as_str()
                 .ok_or_else(|| ApiError::bad_request("`scheme` must be a string"))?
@@ -541,28 +543,8 @@ mod tests {
 
     #[test]
     fn bounded_scheme_names_route_with_the_core_budget() {
-        assert_eq!(
-            scheme_from_name("bounded-auto", 4).unwrap(),
-            Scheme::BoundedAuto(4)
-        );
-        assert_eq!(
-            scheme_from_name("bounded-exact", 2).unwrap(),
-            Scheme::BoundedExact(2)
-        );
-        assert_eq!(
-            scheme_from_name("bounded-bnb", 3).unwrap(),
-            Scheme::BoundedBnb(3)
-        );
-        assert_eq!(
-            scheme_from_name("bounded-refined", 8).unwrap(),
-            Scheme::BoundedRefined(8)
-        );
-        assert_eq!(
-            scheme_from_name("bounded-lpt", 8).unwrap(),
-            Scheme::BoundedLpt(8)
-        );
-        // End to end: a bounded-auto request solves and reports the tier
-        // the router actually picked (two tasks → the exact tier).
+        // A bounded-auto request solves and reports the tier the router
+        // actually picked (two tasks → the exact tier).
         let req = SolveRequest::parse_line(
             "{\"v\":1,\"id\":11,\"scheme\":\"bounded-auto\",\"cores\":2,\
              \"tasks\":[[0,0.0,80.0,8e6],[1,0.0,80.0,1.2e7]]}",
@@ -578,10 +560,6 @@ mod tests {
 
     #[test]
     fn dag_federated_routes_with_the_core_budget() {
-        assert_eq!(
-            scheme_from_name("dag-federated", 3).unwrap(),
-            Scheme::DagFederated(3)
-        );
         let req = SolveRequest::parse_line(
             "{\"v\":1,\"id\":12,\"scheme\":\"dag-federated\",\"cores\":2,\
              \"tasks\":[[0,0.0,80.0,8e6],[1,0.0,80.0,1.2e7]]}",

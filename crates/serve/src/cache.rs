@@ -197,6 +197,7 @@ impl SolveCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdem_core::Scheme;
     use sdem_types::{Cycles, Task, Time};
 
     fn tasks(ids: &[usize]) -> TaskSet {
@@ -228,7 +229,7 @@ mod tests {
 
     fn value(tag: f64) -> CachedSolve {
         CachedSolve {
-            resolved: "cr-overhead",
+            resolved: Scheme::CommonReleaseOverhead.solve_label(),
             tasks: 2,
             cores_used: 1,
             energy_j: tag,

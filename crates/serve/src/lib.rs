@@ -27,8 +27,8 @@
 //! restarts panicked workers with a budget and exponential backoff, a
 //! write-ahead response [`journal`] that makes replay runs
 //! crash-recoverable, a seeded [`chaos`] injection plan, and the
-//! [`replay`] driver that streams a generated arrival trace through the
-//! service with all of the above wired together.
+//! [`replay`](mod@replay) driver that streams a generated arrival trace
+//! through the service with all of the above wired together.
 
 pub mod api;
 pub mod cache;

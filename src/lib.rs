@@ -72,9 +72,9 @@ pub use sdem_workload as workload;
 /// This is the stable surface of the workspace: the `Scheme`-dispatched
 /// solver entry points (`solve`/`solve_in` and their degradable
 /// `solve_or_fallback` twins), the arena-backed [`Workspace`](sdem_types::Workspace), the power
-/// and task vocabulary, and the serving API's wire types. The per-scheme
-/// free functions (`schedule_alpha_zero`, `schedule_online`, …) are
-/// deprecated aliases of these and will be removed in a future release.
+/// and task vocabulary, and the serving API's wire types. Callers that
+/// drive one scheme on a reused workspace can reach its `_in` function
+/// under [`core`] (`core::online::schedule_online_in`, …).
 pub mod prelude {
     pub use sdem_core::{
         solve, solve_in, solve_or_fallback, solve_or_fallback_in, Scheduler, Scheme, SdemError,
