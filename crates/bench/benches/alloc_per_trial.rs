@@ -18,8 +18,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sdem_bench::experiment::{run_trial_with_oracle, run_trial_with_oracle_in};
+use sdem_bench::experiment::{
+    run_trial_checked, run_trial_checked_in, run_trial_quarantined_in, FaultInjection, OracleCheck,
+};
 use sdem_core::{solve, solve_in, Scheme};
+use sdem_exec::TrialCtx;
 use sdem_power::Platform;
 use sdem_types::{TaskSet, Time, Workspace};
 use sdem_workload::paper;
@@ -91,7 +94,7 @@ fn main() {
     let cfg = SyntheticConfig::paper(24, Time::from_millis(400.0));
     let sporadic_set = (0..64)
         .map(|s| sporadic(&cfg, s))
-        .find(|t| run_trial_with_oracle(t, &platform, paper::NUM_CORES, None).is_ok())
+        .find(|t| run_trial_checked(t, &platform, paper::NUM_CORES, OracleCheck::Off).is_ok())
         .expect("a feasible seed exists");
 
     println!("allocation traffic per trial (mean of {ITERS} steady-state trials)");
@@ -306,20 +309,27 @@ fn main() {
 
     let before = count_per_iter(ITERS, || {
         std::hint::black_box(
-            run_trial_with_oracle(&sporadic_set, &platform, paper::NUM_CORES, None).unwrap(),
+            run_trial_checked(&sporadic_set, &platform, paper::NUM_CORES, OracleCheck::Off)
+                .unwrap(),
         );
     });
     report("sweep_trial (allocating)", before);
 
+    let trial = |ws: &mut Workspace| {
+        run_trial_checked_in(
+            &sporadic_set,
+            &platform,
+            paper::NUM_CORES,
+            OracleCheck::Off,
+            ws,
+        )
+    };
     let mut ws = Workspace::new();
     for _ in 0..8 {
-        let _ = run_trial_with_oracle_in(&sporadic_set, &platform, paper::NUM_CORES, None, &mut ws);
+        let _ = trial(&mut ws);
     }
     let after = count_per_iter(ITERS, || {
-        std::hint::black_box(
-            run_trial_with_oracle_in(&sporadic_set, &platform, paper::NUM_CORES, None, &mut ws)
-                .unwrap(),
-        );
+        std::hint::black_box(trial(&mut ws).unwrap());
     });
     report("sweep_trial (warmed workspace)", after);
     assert_eq!(
@@ -328,6 +338,48 @@ fn main() {
          be allocation-free on the warmed workspace path (got {} \
          allocs/trial, {} B/trial)",
         after.0, after.1
+    );
+
+    // The sweep's replicate runner adds nothing to the trial: a warmed
+    // replicate allocates exactly what drawing its task set does (its
+    // repro string is built only when the replicate fails). The context is
+    // one whose first seed is feasible, so no attempt is resampled.
+    let ctx = (0..64)
+        .map(|r| TrialCtx::new(0x5EED, 0, r, 64))
+        .find(|ctx| {
+            let tasks = sporadic(&cfg, ctx.seed(0));
+            run_trial_checked(&tasks, &platform, paper::NUM_CORES, OracleCheck::Off).is_ok()
+        })
+        .expect("a feasible first seed exists");
+    let draw = count_per_iter(ITERS, || {
+        std::hint::black_box(sporadic(&cfg, ctx.seed(0)));
+    });
+    report("synthetic::sporadic (task-set draw alone)", draw);
+    let mut replicate = || {
+        run_trial_quarantined_in(
+            |seed| sporadic(&cfg, seed),
+            &platform,
+            paper::NUM_CORES,
+            &ctx,
+            false,
+            FaultInjection::default(),
+            || format!("--seed {:#x}", ctx.seed(0)),
+            &mut ws,
+        )
+        .unwrap()
+    };
+    for _ in 0..8 {
+        replicate();
+    }
+    let replicated = count_per_iter(ITERS, || {
+        std::hint::black_box(replicate());
+    });
+    report("sweep_replicate (warmed workspace)", replicated);
+    assert_eq!(
+        replicated.0, draw.0,
+        "a warmed sweep replicate must allocate only its task-set draw \
+         ({} vs {} allocs/trial)",
+        replicated.0, draw.0
     );
 
     // Every solver, meter and sweep path above is instrumented with
@@ -344,12 +396,9 @@ fn main() {
     sdem_obs::registry::reset();
     sdem_obs::registry::set_enabled(true);
     // One warm-up pass registers the histogram label slots.
-    let _ = run_trial_with_oracle_in(&sporadic_set, &platform, paper::NUM_CORES, None, &mut ws);
+    let _ = trial(&mut ws);
     let metered = count_per_iter(ITERS, || {
-        std::hint::black_box(
-            run_trial_with_oracle_in(&sporadic_set, &platform, paper::NUM_CORES, None, &mut ws)
-                .unwrap(),
-        );
+        std::hint::black_box(trial(&mut ws).unwrap());
     });
     sdem_obs::registry::set_enabled(false);
     report("sweep_trial (warmed workspace, metrics armed)", metered);

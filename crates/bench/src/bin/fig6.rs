@@ -2,7 +2,7 @@
 //! (system-wide energy saving) of the paper: FFT-1024 + matrix-multiply
 //! benchmark streams over the utilization grid `U ∈ {2..9}`.
 
-use sdem_bench::figures::{self, fig6_with};
+use sdem_bench::figures::{self, fig6};
 use sdem_bench::runner_from_env;
 use sdem_workload::paper;
 
@@ -26,7 +26,9 @@ fn main() {
         paper::DEFAULT_XI_M_MS
     );
 
-    let (rows, stats) = fig6_with(instances, trials, &runner_from_env());
+    let runner = runner_from_env();
+    let sweep = fig6(instances, trials, &runner, Default::default(), None);
+    let (rows, stats) = sweep.expect("sweep").expect_clean();
     eprintln!("sweep: {stats}\n");
 
     println!("Fig. 6a — memory static-energy saving vs MBKP");

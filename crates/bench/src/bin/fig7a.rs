@@ -2,7 +2,7 @@
 //! over MBKPS across memory static powers `α_m ∈ {1..8} W` and utilization
 //! levels `x ∈ {100..800} ms` (synthetic tasks, Table 4 grid).
 
-use sdem_bench::figures::{self, fig7a_with, format_fig7};
+use sdem_bench::figures::{self, fig7a, format_fig7};
 use sdem_bench::runner_from_env;
 use sdem_workload::paper;
 
@@ -21,7 +21,9 @@ fn main() {
         sdem_obs::registry::set_enabled(true);
     }
     println!("Fig. 7a — SDEM-ON improvement over MBKPS, α_m sweep (ξ_m = {} ms), {tasks} tasks, {trials} trials/point  (paper average: 9.74%)\n", paper::DEFAULT_XI_M_MS);
-    let (cells, stats) = fig7a_with(tasks, trials, &runner_from_env());
+    let runner = runner_from_env();
+    let sweep = fig7a(tasks, trials, &runner, Default::default(), None);
+    let (cells, stats) = sweep.expect("sweep").expect_clean();
     eprintln!("sweep: {stats}\n");
     print!("{}", format_fig7(&cells, "alpha_m[W]"));
     if let Some(path) = metrics_path {

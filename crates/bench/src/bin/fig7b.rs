@@ -2,7 +2,7 @@
 //! over MBKPS across memory break-even times `ξ_m ∈ {15..70} ms` and
 //! utilization levels `x ∈ {100..800} ms` (synthetic tasks, Table 4 grid).
 
-use sdem_bench::figures::{self, fig7b_with, format_fig7};
+use sdem_bench::figures::{self, fig7b, format_fig7};
 use sdem_bench::runner_from_env;
 use sdem_workload::paper;
 
@@ -16,7 +16,9 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(paper::TRIALS_PER_POINT);
     println!("Fig. 7b — SDEM-ON improvement over MBKPS, ξ_m sweep (α_m = {} W), {tasks} tasks, {trials} trials/point  (paper average: 10.52%)\n", paper::DEFAULT_ALPHA_M_W);
-    let (cells, stats) = fig7b_with(tasks, trials, &runner_from_env());
+    let runner = runner_from_env();
+    let sweep = fig7b(tasks, trials, &runner, Default::default(), None);
+    let (cells, stats) = sweep.expect("sweep").expect_clean();
     eprintln!("sweep: {stats}\n");
     print!("{}", format_fig7(&cells, "xi_m[ms]"));
 

@@ -12,7 +12,7 @@ use sdem_baselines::mbkp::{self, Assignment};
 use sdem_core::online::schedule_online_in;
 pub use sdem_core::TrialError;
 use sdem_core::{OracleError, OracleOptions, Solution};
-use sdem_exec::{payload_text, SweepRunner, TrialCtx, TrialFailure, FATAL_PANIC_PREFIX};
+use sdem_exec::{payload_text, TrialCtx, TrialFailure, FATAL_PANIC_PREFIX};
 use sdem_power::Platform;
 use sdem_sim::{
     simulate_event_driven, simulate_with_options_in, EnergyReport, SimOptions, SleepPolicy,
@@ -121,81 +121,6 @@ impl OracleCheck {
     }
 }
 
-/// Runs one trial on `cores` cores.
-///
-/// SDEM-ON is metered with `WhenProfitable` memory sleeping; the MBKP
-/// schedule is metered twice: `NeverSleep` (MBKP) and `AlwaysSleep`
-/// (MBKPS). All three use profitable core sleeping, matching the paper's
-/// focus on the memory policy difference.
-///
-/// # Errors
-///
-/// Returns an error when either scheduler finds the instance infeasible
-/// (e.g. the round-robin assignment overloads a core) — callers typically
-/// resample the seed.
-pub fn run_trial(
-    tasks: &TaskSet,
-    platform: &Platform,
-    cores: usize,
-) -> Result<TrialResult, TrialError> {
-    run_trial_with_oracle(tasks, platform, cores, None)
-}
-
-/// [`run_trial`] with an optional sim-oracle cross-check.
-///
-/// When `oracle_tol` is set, the SDEM-ON schedule is additionally priced
-/// analytically ([`Solution::from_schedule`]) and verified against the
-/// interval meter, and the meter is cross-checked against the event-driven
-/// engine — both within the given relative tolerance.
-///
-/// # Panics
-///
-/// Panics on oracle divergence. A diverging oracle means the analytic
-/// accounting and the simulator disagree — a correctness bug, not an
-/// infeasible seed — so it must not be swallowed by the resampling loop.
-/// Use [`run_trial_checked`] with [`OracleCheck::Quarantine`] to get the
-/// divergence back as a [`TrialError`] instead.
-///
-/// # Errors
-///
-/// Returns an error when either scheduler finds the instance infeasible;
-/// see [`run_trial`].
-pub fn run_trial_with_oracle(
-    tasks: &TaskSet,
-    platform: &Platform,
-    cores: usize,
-    oracle_tol: Option<f64>,
-) -> Result<TrialResult, TrialError> {
-    run_trial_with_oracle_in(tasks, platform, cores, oracle_tol, &mut Workspace::new())
-}
-
-/// In-place [`run_trial_with_oracle`]: all scheduling and metering
-/// scratch comes from `ws`, and both schedules are recycled back into it
-/// before returning, so a sweep worker reusing one workspace runs its
-/// trials without growing the heap.
-///
-/// # Panics
-///
-/// Panics on oracle divergence; see [`run_trial_with_oracle`].
-///
-/// # Errors
-///
-/// Returns an error when either scheduler finds the instance infeasible;
-/// see [`run_trial`].
-pub fn run_trial_with_oracle_in(
-    tasks: &TaskSet,
-    platform: &Platform,
-    cores: usize,
-    oracle_tol: Option<f64>,
-    ws: &mut Workspace,
-) -> Result<TrialResult, TrialError> {
-    let oracle = match oracle_tol {
-        Some(tol) => OracleCheck::FailFast(tol),
-        None => OracleCheck::Off,
-    };
-    run_trial_checked_in(tasks, platform, cores, oracle, ws)
-}
-
 /// [`run_trial_checked_in`] with a fresh workspace — the allocating entry
 /// point the `sdem repro` subcommand uses to replay a quarantined seed.
 ///
@@ -211,10 +136,17 @@ pub fn run_trial_checked(
     run_trial_checked_in(tasks, platform, cores, oracle, &mut Workspace::new())
 }
 
-/// The single trial implementation behind [`run_trial`],
-/// [`run_trial_with_oracle`] and the quarantined sweep path: schedules,
-/// meters, optionally cross-checks against the oracle, and reports every
-/// failure through the [`TrialError`] taxonomy.
+/// The single trial implementation behind the sweeps' replicate runner
+/// [`run_trial_quarantined_in`] and `sdem repro`: schedules SDEM-ON and
+/// MBKP, meters SDEM-ON with `WhenProfitable` memory sleeping and the
+/// MBKP schedule three ways (MBKP: `NeverSleep`; MBKPS: `WhenProfitable`;
+/// the ablation: `AlwaysSleep`), all with profitable core sleeping,
+/// optionally cross-checks against the oracle, and reports every failure
+/// through the [`TrialError`] taxonomy.
+///
+/// All scheduling and metering scratch comes from `ws`, and both
+/// schedules are recycled back into it before returning, so a sweep
+/// worker reusing one workspace runs its trials without growing the heap.
 ///
 /// # Panics
 ///
@@ -426,16 +358,22 @@ impl FaultInjection {
     }
 }
 
-/// Runs one replicate for a quarantined sweep: resamples infeasible seeds
-/// exactly like [`run_trial_resampling_in`], but converts every
+/// Runs one replicate of a sweep: draws task sets from the trial's private
+/// seed stream until one is feasible (at most [`MAX_ATTEMPTS_PER_TRIAL`]
+/// seeds; because the stream belongs to the trial alone, the result does
+/// not depend on scheduling order or thread count), and converts every
 /// non-resamplable failure — a solver panic (caught per attempt, so the
 /// [`TrialFailure`] carries the exact seed that crashed), a NaN energy, an
 /// oracle divergence in keep-going mode, or an exhausted retry budget —
 /// into a structured [`TrialFailure`] for the quarantine journal.
 ///
-/// `config` is an opaque reproduction string (typically the equivalent
-/// `sdem repro` flags) stored verbatim in the failure record. `inject`
-/// deterministically fabricates faults for robustness smokes; pass
+/// With an oracle tolerance on the sweep (`ctx.oracle_tolerance()`),
+/// every attempt is cross-checked; see [`run_trial_checked_in`].
+///
+/// `config` builds an opaque reproduction string (typically the
+/// equivalent `sdem repro` flags) stored verbatim in the failure record;
+/// it is called only when the replicate fails. `inject` deterministically
+/// fabricates faults for robustness smokes; pass
 /// [`FaultInjection::default`] for none.
 ///
 /// # Panics
@@ -455,7 +393,7 @@ pub fn run_trial_quarantined_in(
     ctx: &TrialCtx,
     keep_going_oracle: bool,
     inject: FaultInjection,
-    config: &str,
+    config: impl Fn() -> String,
     ws: &mut Workspace,
 ) -> Result<TrialResult, TrialFailure> {
     let oracle = match ctx.oracle_tolerance() {
@@ -467,7 +405,7 @@ pub fn run_trial_quarantined_in(
     let quarantine = |e: &TrialError, seed: u64| {
         TrialFailure::new(e.kind(), e.to_string())
             .with_seed(seed)
-            .with_config(config)
+            .with_config(config())
     };
 
     for (attempt, seed) in ctx.seeds().take(MAX_ATTEMPTS_PER_TRIAL).enumerate() {
@@ -475,10 +413,10 @@ pub fn run_trial_quarantined_in(
             if attempt == 0 && injected == Some(InjectedFault::Panic) {
                 panic!("injected fault: solver panic (trial {})", ctx.trial_index());
             }
-            let tasks = make_tasks(seed);
-            let result = run_trial_checked_in(&tasks, platform, cores, oracle, ws);
-            ws.recycle_tasks(tasks.into_tasks());
-            result
+            // The drawn set is dropped, not recycled: the trial takes no
+            // task arena back out, so recycling it would grow the pool by
+            // one buffer per replicate.
+            run_trial_checked_in(&make_tasks(seed), platform, cores, oracle, ws)
         }));
         match outcome {
             Err(payload) => {
@@ -491,7 +429,7 @@ pub fn run_trial_quarantined_in(
                 *ws = Workspace::new();
                 return Err(TrialFailure::panic(text)
                     .with_seed(seed)
-                    .with_config(config));
+                    .with_config(config()));
             }
             Ok(Ok(mut result)) => {
                 if injected == Some(InjectedFault::NanEnergy) {
@@ -585,102 +523,8 @@ pub fn decode_trial_result(line: &str) -> Option<TrialResult> {
     Some(result)
 }
 
-/// Runs one replicate of a sweep, resampling task sets from the trial's
-/// private seed stream until a feasible instance is found (bounded by
-/// [`MAX_ATTEMPTS_PER_TRIAL`]). Because the stream belongs to the trial
-/// alone, the result does not depend on scheduling order or thread count.
-///
-/// When the sweep was configured with an oracle tolerance
-/// ([`sdem_exec::SweepRunner::with_oracle`], surfaced through
-/// `ctx.oracle_tolerance()`), every attempted trial is cross-checked; see
-/// [`run_trial_with_oracle`].
-///
-/// # Panics
-///
-/// Panics on sim-oracle divergence (a correctness bug, deliberately not
-/// absorbed by the resampling loop).
-pub fn run_trial_resampling(
-    make_tasks: impl Fn(u64) -> TaskSet,
-    platform: &Platform,
-    cores: usize,
-    ctx: &TrialCtx,
-) -> Option<TrialResult> {
-    run_trial_resampling_in(make_tasks, platform, cores, ctx, &mut Workspace::new())
-}
-
-/// In-place [`run_trial_resampling`]: every attempted trial draws its
-/// scratch from `ws`, and each attempt's task set is recycled back into
-/// the workspace, so a sweep worker amortizes all per-trial allocations
-/// across its whole share of the sweep.
-///
-/// # Panics
-///
-/// Panics on sim-oracle divergence; see [`run_trial_resampling`].
-pub fn run_trial_resampling_in(
-    make_tasks: impl Fn(u64) -> TaskSet,
-    platform: &Platform,
-    cores: usize,
-    ctx: &TrialCtx,
-    ws: &mut Workspace,
-) -> Option<TrialResult> {
-    let oracle_tol = ctx.oracle_tolerance();
-    ctx.seeds().take(MAX_ATTEMPTS_PER_TRIAL).find_map(|seed| {
-        let tasks = make_tasks(seed);
-        let result = run_trial_with_oracle_in(&tasks, platform, cores, oracle_tol, ws).ok();
-        ws.recycle_tasks(tasks.into_tasks());
-        if result.is_none() {
-            sdem_obs::registry::incr(sdem_obs::Counter::TrialsResampled);
-        }
-        result
-    })
-}
-
-/// Runs `trials` replicates in parallel (per-trial deterministic seeding,
-/// so any thread count yields the same results) and returns them in
-/// replicate order.
-///
-/// # Panics
-///
-/// Panics if any replicate exhausts its [`MAX_ATTEMPTS_PER_TRIAL`] retry
-/// budget without a feasible seed — a sign the configuration is
-/// overloaded.
-pub fn run_trials(
-    make_tasks: impl Fn(u64) -> TaskSet + Sync,
-    platform: &Platform,
-    cores: usize,
-    trials: usize,
-    seed_base: u64,
-) -> Vec<TrialResult> {
-    run_trials_on(
-        &SweepRunner::new(),
-        make_tasks,
-        platform,
-        cores,
-        trials,
-        seed_base,
-    )
-}
-
-/// [`run_trials`] on an explicit [`SweepRunner`] (thread count, progress).
-pub fn run_trials_on(
-    runner: &SweepRunner,
-    make_tasks: impl Fn(u64) -> TaskSet + Sync,
-    platform: &Platform,
-    cores: usize,
-    trials: usize,
-    seed_base: u64,
-) -> Vec<TrialResult> {
-    let outcome = runner.run_with_state(&[()], trials, seed_base, Workspace::new, |_, ctx, ws| {
-        run_trial_resampling_in(&make_tasks, platform, cores, ctx, ws)
-    });
-    assert_eq!(
-        outcome.stats.failures, 0,
-        "too many infeasible seeds for this configuration"
-    );
-    outcome.per_point.into_iter().next().unwrap_or_default()
-}
-
-/// Mean of a per-trial metric.
+/// Mean of a per-trial metric; NaN when `results` is empty (a figure
+/// point whose every replicate was quarantined shows a hole).
 pub fn mean(results: &[TrialResult], metric: impl Fn(&TrialResult) -> f64) -> f64 {
     results.iter().map(metric).sum::<f64>() / results.len() as f64
 }
@@ -688,14 +532,38 @@ pub fn mean(results: &[TrialResult], metric: impl Fn(&TrialResult) -> f64) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdem_exec::SweepRunner;
     use sdem_types::Time;
     use sdem_workload::synthetic::{sporadic, SyntheticConfig};
 
+    /// `trials` replicates of `cfg` on the paper platform, swept as one
+    /// grid point; every replicate must succeed.
+    fn replicates(
+        runner: &SweepRunner,
+        cfg: &SyntheticConfig,
+        trials: usize,
+        grid_seed: u64,
+    ) -> Vec<TrialResult> {
+        let platform = Platform::paper_defaults();
+        let (inject, tasks) = (FaultInjection::default(), |s| sporadic(cfg, s));
+        let outcome = runner.run_quarantined_with_state(
+            &[()],
+            trials,
+            grid_seed,
+            Workspace::new,
+            |_, ctx, ws| {
+                run_trial_quarantined_in(tasks, &platform, 8, ctx, false, inject, String::new, ws)
+            },
+        );
+        let results = outcome.expect("sweep").per_point.concat();
+        assert_eq!(results.len(), trials, "a replicate was quarantined");
+        results
+    }
+
     #[test]
     fn trial_produces_sane_orderings() {
-        let platform = Platform::paper_defaults();
         let cfg = SyntheticConfig::paper(24, Time::from_millis(400.0));
-        let results = run_trials(|s| sporadic(&cfg, s), &platform, 8, 3, 100);
+        let results = replicates(&SweepRunner::new(), &cfg, 3, 100);
         for r in &results {
             // Sleeping never *increases* the pure memory bill relative to
             // never-sleeping when the policy is profitable.
@@ -719,11 +587,10 @@ mod tests {
 
     #[test]
     fn oracle_sweep_agrees_at_any_thread_count() {
-        let platform = Platform::paper_defaults();
         let cfg = SyntheticConfig::paper(12, Time::from_millis(600.0));
         let run = |threads: usize| {
             let runner = SweepRunner::new().with_threads(threads).with_oracle(true);
-            run_trials_on(&runner, |s| sporadic(&cfg, s), &platform, 8, 3, 42)
+            replicates(&runner, &cfg, 3, 42)
         };
         // The oracle passes (no panic) and stays thread-count invariant.
         let serial = run(1);
@@ -744,7 +611,7 @@ mod tests {
         let cfg = SyntheticConfig::paper(24, Time::from_millis(400.0));
         for seed in 0..20 {
             let tasks = sporadic(&cfg, seed);
-            let _ = run_trial_with_oracle(&tasks, &platform, 8, Some(0.0));
+            let _ = run_trial_checked(&tasks, &platform, 8, OracleCheck::FailFast(0.0));
         }
         // If no seed trips a zero tolerance the two simulators are
         // bit-identical here; treat that as vacuous success.
@@ -811,7 +678,7 @@ mod tests {
             &ctx,
             false,
             inject,
-            "--demo",
+            || "--demo".to_string(),
             &mut ws,
         )
         .expect_err("injected panic must quarantine");
@@ -829,14 +696,15 @@ mod tests {
             &ctx,
             false,
             inject,
-            "--demo",
+            || "--demo".to_string(),
             &mut ws,
         )
         .expect_err("injected NaN must quarantine");
         assert_eq!(f.kind, "non-finite-energy");
         assert!(f.seed.is_some());
 
-        // Trial 2: clean — identical to the un-instrumented path.
+        // Trial 2: clean — identical to a direct trial on the first
+        // feasible seed of its stream.
         let ctx = TrialCtx::new(99, 1, 0, 2);
         let clean = run_trial_quarantined_in(
             |s| sporadic(&cfg, s),
@@ -845,11 +713,16 @@ mod tests {
             &ctx,
             false,
             inject,
-            "--demo",
+            || "--demo".to_string(),
             &mut ws,
         )
         .expect("clean trial");
-        let reference = run_trial_resampling_in(|s| sporadic(&cfg, s), &platform, 8, &ctx, &mut ws)
+        let reference = ctx
+            .seeds()
+            .take(MAX_ATTEMPTS_PER_TRIAL)
+            .find_map(|s| {
+                run_trial_checked(&sporadic(&cfg, s), &platform, 8, OracleCheck::Off).ok()
+            })
             .expect("reference");
         assert_eq!(encode_trial_result(&clean), encode_trial_result(&reference));
     }
@@ -859,7 +732,7 @@ mod tests {
         let platform = Platform::paper_defaults();
         let cfg = SyntheticConfig::paper(12, Time::from_millis(600.0));
         let tasks = sporadic(&cfg, 5);
-        let r = run_trial(&tasks, &platform, 8).expect("trial");
+        let r = run_trial_checked(&tasks, &platform, 8, OracleCheck::Off).expect("trial");
         let encoded = encode_trial_result(&r);
         assert_eq!(encoded.split_ascii_whitespace().count(), 41);
         let decoded = decode_trial_result(&encoded).expect("decode");
@@ -872,9 +745,8 @@ mod tests {
 
     #[test]
     fn mean_helper() {
-        let platform = Platform::paper_defaults();
         let cfg = SyntheticConfig::paper(12, Time::from_millis(600.0));
-        let results = run_trials(|s| sporadic(&cfg, s), &platform, 8, 2, 7);
+        let results = replicates(&SweepRunner::new(), &cfg, 2, 7);
         let m = mean(&results, |r| r.sdem_system_saving_vs_mbkp());
         assert!(m.is_finite());
     }

@@ -6,20 +6,20 @@
 use sdem_core::dag::{recycle_dag_report, solve_dags_in};
 use sdem_core::{OracleOptions, SdemError};
 use sdem_exec::{
-    CheckpointJournal, QuarantineRecord, QuarantinedOutcome, SweepError, SweepRunner, SweepStats,
-    TrialCtx, TrialFailure,
+    CheckpointJournal, QuarantineRecord, SweepError, SweepRunner, SweepStats, TrialCtx,
+    TrialFailure,
 };
 use sdem_power::{MemoryPower, Platform};
 use sdem_prng::SplitMix64;
-use sdem_types::{Time, Watts, Workspace};
+use sdem_types::{TaskSet, Time, Watts, Workspace};
 use sdem_workload::dag::{suite as dag_suite, DagConfig};
 use sdem_workload::dspstone::{stream, Benchmark};
 use sdem_workload::paper;
 use sdem_workload::synthetic::{sporadic, SyntheticConfig};
 
 use crate::experiment::{
-    decode_trial_result, encode_trial_result, mean, run_trial_quarantined_in,
-    run_trial_resampling_in, FaultInjection, TrialResult,
+    decode_trial_result, encode_trial_result, mean, run_trial_quarantined_in, FaultInjection,
+    TrialResult,
 };
 
 /// Grid seed of the Fig. 6 sweep.
@@ -44,74 +44,14 @@ pub struct Fig6Row {
     pub mbkps_system_saving: f64,
 }
 
-/// Fig. 6 sweep: FFT-1024 + matrix-multiply streams over the `U` grid,
-/// default platform (Table 4 stars), `trials` seeds per point.
-///
-/// Eight sporadic streams (four of each kernel) populate the eight-core
-/// platform, matching §8.1.2's premise that at `U = 2` (high utilization)
-/// "all 8 cores are most likely to be used at any time".
-pub fn fig6(instances_per_stream: usize, trials: usize) -> Vec<Fig6Row> {
-    fig6_with(instances_per_stream, trials, &SweepRunner::new()).0
-}
-
-/// [`fig6`] on an explicit [`SweepRunner`], also returning sweep
-/// statistics (wall clock, throughput, thread count).
-pub fn fig6_with(
-    instances_per_stream: usize,
-    trials: usize,
-    runner: &SweepRunner,
-) -> (Vec<Fig6Row>, SweepStats) {
-    let platform = Platform::paper_defaults();
-    let benches = [
-        Benchmark::fft_1024(),
-        Benchmark::matrix_24(),
-        Benchmark::fft_1024(),
-        Benchmark::matrix_24(),
-        Benchmark::fft_1024(),
-        Benchmark::matrix_24(),
-        Benchmark::fft_1024(),
-        Benchmark::matrix_24(),
-    ];
-    // Each worker owns one workspace for its whole share of the sweep.
-    let outcome = runner.run_with_state(
-        &paper::U_POINTS,
-        trials,
-        FIG6_GRID_SEED,
-        Workspace::new,
-        |&u, ctx, ws| {
-            run_trial_resampling_in(
-                |seed| stream(&benches, u, instances_per_stream, seed),
-                &platform,
-                paper::NUM_CORES,
-                ctx,
-                ws,
-            )
-        },
-    );
-    publish_energy_gauges(&outcome.per_point);
-    let rows = paper::U_POINTS
-        .iter()
-        .zip(&outcome.per_point)
-        .map(|(&u, results)| {
-            let results = expect_feasible(results);
-            Fig6Row {
-                u,
-                sdem_memory_saving: mean(results, |r| r.sdem_memory_saving_vs_mbkp()),
-                mbkps_memory_saving: mean(results, |r| r.mbkps_memory_saving_vs_mbkp()),
-                sdem_system_saving: mean(results, |r| r.sdem_system_saving_vs_mbkp()),
-                mbkps_system_saving: mean(results, |r| r.mbkps_system_saving_vs_mbkp()),
-            }
-        })
-        .collect();
-    (rows, outcome.stats)
-}
-
-fn expect_feasible(results: &[TrialResult]) -> &[TrialResult] {
-    assert!(
-        !results.is_empty(),
-        "too many infeasible seeds for this configuration"
-    );
-    results
+/// The Fig. 6 workload at utilization scale `u`: eight sporadic streams
+/// (four FFT-1024, four matrix-multiply) populate the eight-core
+/// platform, matching §8.1.2's premise that at `U = 2` (high
+/// utilization) "all 8 cores are most likely to be used at any time".
+pub fn fig6_tasks(u: f64, instances_per_stream: usize, seed: u64) -> TaskSet {
+    let (fft, matmul) = (Benchmark::fft_1024(), Benchmark::matrix_24());
+    let streams = [fft, matmul, fft, matmul, fft, matmul, fft, matmul];
+    stream(&streams, u, instances_per_stream, seed)
 }
 
 /// Publishes exact sweep-wide energy totals to the `sdem-obs` gauge
@@ -181,105 +121,7 @@ pub struct Fig7Cell {
     pub improvement: f64,
 }
 
-/// Fig. 7a sweep: `α_m × x`, default `ξ_m`.
-pub fn fig7a(tasks_per_trial: usize, trials: usize) -> Vec<Fig7Cell> {
-    fig7a_with(tasks_per_trial, trials, &SweepRunner::new()).0
-}
-
-/// [`fig7a`] on an explicit [`SweepRunner`], also returning sweep stats.
-pub fn fig7a_with(
-    tasks_per_trial: usize,
-    trials: usize,
-    runner: &SweepRunner,
-) -> (Vec<Fig7Cell>, SweepStats) {
-    sweep(
-        tasks_per_trial,
-        trials,
-        &paper::ALPHA_M_POINTS_W,
-        FIG7A_GRID_SEED,
-        runner,
-        |alpha_m| {
-            Platform::paper_defaults().with_memory(
-                MemoryPower::new(Watts::new(alpha_m))
-                    .with_break_even(Time::from_millis(paper::DEFAULT_XI_M_MS)),
-            )
-        },
-    )
-}
-
-/// Fig. 7b sweep: `ξ_m × x`, default `α_m`.
-pub fn fig7b(tasks_per_trial: usize, trials: usize) -> Vec<Fig7Cell> {
-    fig7b_with(tasks_per_trial, trials, &SweepRunner::new()).0
-}
-
-/// [`fig7b`] on an explicit [`SweepRunner`], also returning sweep stats.
-pub fn fig7b_with(
-    tasks_per_trial: usize,
-    trials: usize,
-    runner: &SweepRunner,
-) -> (Vec<Fig7Cell>, SweepStats) {
-    sweep(
-        tasks_per_trial,
-        trials,
-        &paper::XI_M_POINTS_MS,
-        FIG7B_GRID_SEED,
-        runner,
-        |xi_m| {
-            Platform::paper_defaults().with_memory(
-                MemoryPower::new(Watts::new(paper::DEFAULT_ALPHA_M_W))
-                    .with_break_even(Time::from_millis(xi_m)),
-            )
-        },
-    )
-}
-
-fn sweep(
-    tasks_per_trial: usize,
-    trials: usize,
-    params: &[f64],
-    grid_seed: u64,
-    runner: &SweepRunner,
-    platform_of: impl Fn(f64) -> Platform + Sync,
-) -> (Vec<Fig7Cell>, SweepStats) {
-    // One grid point per (param, x); the runner fans the replicates of
-    // every point across workers and regroups them deterministically.
-    let grid: Vec<(f64, f64)> = params
-        .iter()
-        .flat_map(|&param| paper::X_POINTS_MS.iter().map(move |&x| (param, x)))
-        .collect();
-    let outcome = runner.run_with_state(
-        &grid,
-        trials,
-        grid_seed,
-        Workspace::new,
-        |&(param, x_ms), ctx, ws| {
-            let platform = platform_of(param);
-            let cfg = SyntheticConfig::paper(tasks_per_trial, Time::from_millis(x_ms));
-            run_trial_resampling_in(
-                |seed| sporadic(&cfg, seed),
-                &platform,
-                paper::NUM_CORES,
-                ctx,
-                ws,
-            )
-        },
-    );
-    publish_energy_gauges(&outcome.per_point);
-    let cells = grid
-        .iter()
-        .zip(&outcome.per_point)
-        .map(|(&(param, x_ms), results)| Fig7Cell {
-            x_ms,
-            param,
-            improvement: mean(expect_feasible(results), |r| {
-                r.sdem_improvement_over_mbkps()
-            }),
-        })
-        .collect();
-    (cells, outcome.stats)
-}
-
-/// Options shared by the fault-isolated (`*_robust`) figure sweeps.
+/// Fault-handling options of the figure sweeps.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RobustOptions {
     /// Quarantine oracle divergences instead of failing fast. Only
@@ -289,9 +131,9 @@ pub struct RobustOptions {
     pub inject: FaultInjection,
 }
 
-/// Result of a fault-isolated figure sweep: the aggregate rows (absent
-/// when a trial budget stopped the sweep early), the quarantine journal,
-/// and the sweep statistics.
+/// Result of a figure sweep: the aggregate rows (absent when a trial
+/// budget stopped the sweep early), the quarantine journal, and the
+/// sweep statistics.
 #[derive(Debug)]
 pub struct RobustFigure<Row> {
     /// Aggregated figure rows; `None` when the sweep is partial (resume
@@ -308,36 +150,39 @@ pub struct RobustFigure<Row> {
 }
 
 impl<Row> RobustFigure<Row> {
-    /// Whether the sweep stopped before covering the whole grid.
-    pub fn is_partial(&self) -> bool {
-        self.rows.is_none()
+    /// The rows and statistics of a sweep that must run clean, as the
+    /// figure binaries and goldens require.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first quarantined trial, or if the sweep is
+    /// partial.
+    pub fn expect_clean(self) -> (Vec<Row>, SweepStats) {
+        if let Some(first) = self.quarantine.first() {
+            panic!(
+                "{} trial(s) quarantined, first: {first}",
+                self.quarantine.len()
+            );
+        }
+        (self.rows.expect("sweep stopped early"), self.stats)
     }
 }
 
-/// Mean of a metric over the surviving replicates of one grid point; NaN
-/// when every replicate was quarantined (the figure then shows a hole
-/// instead of aborting).
-fn mean_or_nan(results: &[TrialResult], metric: impl Fn(&TrialResult) -> f64) -> f64 {
-    if results.is_empty() {
-        f64::NAN
-    } else {
-        mean(results, metric)
-    }
-}
-
-/// Dispatches a quarantined sweep to the checkpointed engine when a
-/// journal is supplied, using the bit-exact [`encode_trial_result`] /
-/// [`decode_trial_result`] codec so a resumed run reproduces an
-/// uninterrupted one byte for byte.
-fn robust_outcome<P: Sync>(
+/// Runs one replicate per `(point, trial)` on the quarantining engine —
+/// checkpointed when a journal is supplied, through the bit-exact
+/// [`encode_trial_result`] / [`decode_trial_result`] codec so a resumed
+/// run reproduces an uninterrupted one byte for byte — and aggregates
+/// each point's surviving replicates into a row.
+fn run_figure<P: Sync, Row>(
     runner: &SweepRunner,
     points: &[P],
     trials: usize,
     grid_seed: u64,
     journal: Option<&mut CheckpointJournal>,
     trial: impl Fn(&P, &TrialCtx, &mut Workspace) -> Result<TrialResult, TrialFailure> + Sync,
-) -> Result<QuarantinedOutcome<TrialResult>, SweepError> {
-    match journal {
+    row: impl Fn(&P, &[TrialResult]) -> Row,
+) -> Result<RobustFigure<Row>, SweepError> {
+    let outcome = match journal {
         Some(journal) => runner.try_run_checkpointed_with_state(
             points,
             trials,
@@ -349,68 +194,13 @@ fn robust_outcome<P: Sync>(
             journal,
         ),
         None => runner.run_quarantined_with_state(points, trials, grid_seed, Workspace::new, trial),
-    }
-}
-
-/// Fault-isolated [`fig6_with`]: panicking, NaN-producing or diverging
-/// trials are quarantined (with their exact seed and a `sdem repro`
-/// config string) instead of aborting the sweep, and the sweep optionally
-/// journals every finished trial to `journal` for checkpoint/resume.
-///
-/// # Errors
-///
-/// Returns a [`SweepError`] on worker death (a fatal panic) or a
-/// checkpoint I/O / mismatch problem.
-pub fn fig6_robust(
-    instances_per_stream: usize,
-    trials: usize,
-    runner: &SweepRunner,
-    options: RobustOptions,
-    journal: Option<&mut CheckpointJournal>,
-) -> Result<RobustFigure<Fig6Row>, SweepError> {
-    let platform = Platform::paper_defaults();
-    let benches = [
-        Benchmark::fft_1024(),
-        Benchmark::matrix_24(),
-        Benchmark::fft_1024(),
-        Benchmark::matrix_24(),
-        Benchmark::fft_1024(),
-        Benchmark::matrix_24(),
-        Benchmark::fft_1024(),
-        Benchmark::matrix_24(),
-    ];
-    let outcome = robust_outcome(
-        runner,
-        &paper::U_POINTS,
-        trials,
-        FIG6_GRID_SEED,
-        journal,
-        |&u, ctx, ws| {
-            let config = format!("--kind fig6 --instances {instances_per_stream} --u {u}");
-            run_trial_quarantined_in(
-                |seed| stream(&benches, u, instances_per_stream, seed),
-                &platform,
-                paper::NUM_CORES,
-                ctx,
-                options.keep_going_oracle,
-                options.inject,
-                &config,
-                ws,
-            )
-        },
-    )?;
+    }?;
     publish_energy_gauges(&outcome.per_point);
     let rows = (!outcome.is_partial()).then(|| {
-        paper::U_POINTS
+        points
             .iter()
             .zip(&outcome.per_point)
-            .map(|(&u, results)| Fig6Row {
-                u,
-                sdem_memory_saving: mean_or_nan(results, |r| r.sdem_memory_saving_vs_mbkp()),
-                mbkps_memory_saving: mean_or_nan(results, |r| r.mbkps_memory_saving_vs_mbkp()),
-                sdem_system_saving: mean_or_nan(results, |r| r.sdem_system_saving_vs_mbkp()),
-                mbkps_system_saving: mean_or_nan(results, |r| r.mbkps_system_saving_vs_mbkp()),
-            })
+            .map(|(point, results)| row(point, results))
             .collect()
     });
     Ok(RobustFigure {
@@ -421,19 +211,68 @@ pub fn fig6_robust(
     })
 }
 
-/// Fault-isolated [`fig7a_with`]; see [`fig6_robust`] for the semantics.
+/// Fig. 6 sweep: [`fig6_tasks`] over the `U` grid on the default
+/// platform (Table 4 stars), `trials` replicates per point.
+///
+/// Panicking, NaN-producing or diverging trials are quarantined (with
+/// their exact seed and a `sdem repro` config string) instead of
+/// aborting the sweep, and the sweep optionally journals every finished
+/// trial to `journal` for checkpoint/resume.
+///
+/// # Errors
+///
+/// Returns a [`SweepError`] on worker death (a fatal panic) or a
+/// checkpoint I/O / mismatch problem.
+pub fn fig6(
+    instances_per_stream: usize,
+    trials: usize,
+    runner: &SweepRunner,
+    options: RobustOptions,
+    journal: Option<&mut CheckpointJournal>,
+) -> Result<RobustFigure<Fig6Row>, SweepError> {
+    let platform = Platform::paper_defaults();
+    run_figure(
+        runner,
+        &paper::U_POINTS,
+        trials,
+        FIG6_GRID_SEED,
+        journal,
+        |&u, ctx, ws| {
+            run_trial_quarantined_in(
+                |seed| fig6_tasks(u, instances_per_stream, seed),
+                &platform,
+                paper::NUM_CORES,
+                ctx,
+                options.keep_going_oracle,
+                options.inject,
+                || format!("--kind fig6 --instances {instances_per_stream} --u {u}"),
+                ws,
+            )
+        },
+        |&u, results| Fig6Row {
+            u,
+            sdem_memory_saving: mean(results, |r| r.sdem_memory_saving_vs_mbkp()),
+            mbkps_memory_saving: mean(results, |r| r.mbkps_memory_saving_vs_mbkp()),
+            sdem_system_saving: mean(results, |r| r.sdem_system_saving_vs_mbkp()),
+            mbkps_system_saving: mean(results, |r| r.mbkps_system_saving_vs_mbkp()),
+        },
+    )
+}
+
+/// Fig. 7a sweep: `α_m × x`, default `ξ_m`; see [`fig6`] for the fault
+/// handling.
 ///
 /// # Errors
 ///
 /// Returns a [`SweepError`] on worker death or checkpoint problems.
-pub fn fig7a_robust(
+pub fn fig7a(
     tasks_per_trial: usize,
     trials: usize,
     runner: &SweepRunner,
     options: RobustOptions,
     journal: Option<&mut CheckpointJournal>,
 ) -> Result<RobustFigure<Fig7Cell>, SweepError> {
-    robust_fig7(
+    fig7(
         tasks_per_trial,
         trials,
         &paper::ALPHA_M_POINTS_W,
@@ -441,35 +280,24 @@ pub fn fig7a_robust(
         runner,
         options,
         journal,
-        |alpha_m| {
-            Platform::paper_defaults().with_memory(
-                MemoryPower::new(Watts::new(alpha_m))
-                    .with_break_even(Time::from_millis(paper::DEFAULT_XI_M_MS)),
-            )
-        },
-        |alpha_m, x_ms| {
-            format!(
-                "--kind synthetic --tasks {tasks_per_trial} --x-ms {x_ms} \
-                 --alpha-m {alpha_m} --xi-m {}",
-                paper::DEFAULT_XI_M_MS
-            )
-        },
+        |alpha_m| (alpha_m, paper::DEFAULT_XI_M_MS),
     )
 }
 
-/// Fault-isolated [`fig7b_with`]; see [`fig6_robust`] for the semantics.
+/// Fig. 7b sweep: `ξ_m × x`, default `α_m`; see [`fig6`] for the fault
+/// handling.
 ///
 /// # Errors
 ///
 /// Returns a [`SweepError`] on worker death or checkpoint problems.
-pub fn fig7b_robust(
+pub fn fig7b(
     tasks_per_trial: usize,
     trials: usize,
     runner: &SweepRunner,
     options: RobustOptions,
     journal: Option<&mut CheckpointJournal>,
 ) -> Result<RobustFigure<Fig7Cell>, SweepError> {
-    robust_fig7(
+    fig7(
         tasks_per_trial,
         trials,
         &paper::XI_M_POINTS_MS,
@@ -477,24 +305,14 @@ pub fn fig7b_robust(
         runner,
         options,
         journal,
-        |xi_m| {
-            Platform::paper_defaults().with_memory(
-                MemoryPower::new(Watts::new(paper::DEFAULT_ALPHA_M_W))
-                    .with_break_even(Time::from_millis(xi_m)),
-            )
-        },
-        |xi_m, x_ms| {
-            format!(
-                "--kind synthetic --tasks {tasks_per_trial} --x-ms {x_ms} \
-                 --alpha-m {} --xi-m {xi_m}",
-                paper::DEFAULT_ALPHA_M_W
-            )
-        },
+        |xi_m| (paper::DEFAULT_ALPHA_M_W, xi_m),
     )
 }
 
+/// A Fig. 7 sweep over `params × x`, where `memory_of` maps a parameter
+/// to the memory's `(α_m in W, ξ_m in ms)`.
 #[allow(clippy::too_many_arguments)]
-fn robust_fig7(
+fn fig7(
     tasks_per_trial: usize,
     trials: usize,
     params: &[f64],
@@ -502,23 +320,26 @@ fn robust_fig7(
     runner: &SweepRunner,
     options: RobustOptions,
     journal: Option<&mut CheckpointJournal>,
-    platform_of: impl Fn(f64) -> Platform + Sync,
-    config_of: impl Fn(f64, f64) -> String + Sync,
+    memory_of: impl Fn(f64) -> (f64, f64) + Sync,
 ) -> Result<RobustFigure<Fig7Cell>, SweepError> {
+    // One grid point per (param, x); the runner fans the replicates of
+    // every point across workers and regroups them deterministically.
     let grid: Vec<(f64, f64)> = params
         .iter()
         .flat_map(|&param| paper::X_POINTS_MS.iter().map(move |&x| (param, x)))
         .collect();
-    let outcome = robust_outcome(
+    run_figure(
         runner,
         &grid,
         trials,
         grid_seed,
         journal,
         |&(param, x_ms), ctx, ws| {
-            let platform = platform_of(param);
+            let (alpha_m, xi_m) = memory_of(param);
+            let platform = Platform::paper_defaults().with_memory(
+                MemoryPower::new(Watts::new(alpha_m)).with_break_even(Time::from_millis(xi_m)),
+            );
             let cfg = SyntheticConfig::paper(tasks_per_trial, Time::from_millis(x_ms));
-            let config = config_of(param, x_ms);
             run_trial_quarantined_in(
                 |seed| sporadic(&cfg, seed),
                 &platform,
@@ -526,28 +347,21 @@ fn robust_fig7(
                 ctx,
                 options.keep_going_oracle,
                 options.inject,
-                &config,
+                || {
+                    format!(
+                        "--kind synthetic --tasks {tasks_per_trial} --x-ms {x_ms} \
+                         --alpha-m {alpha_m} --xi-m {xi_m}"
+                    )
+                },
                 ws,
             )
         },
-    )?;
-    publish_energy_gauges(&outcome.per_point);
-    let cells = (!outcome.is_partial()).then(|| {
-        grid.iter()
-            .zip(&outcome.per_point)
-            .map(|(&(param, x_ms), results)| Fig7Cell {
-                x_ms,
-                param,
-                improvement: mean_or_nan(results, |r| r.sdem_improvement_over_mbkps()),
-            })
-            .collect()
-    });
-    Ok(RobustFigure {
-        rows: cells,
-        quarantine: outcome.quarantine,
-        stats: outcome.stats,
-        completed: outcome.completed,
-    })
+        |&(param, x_ms), results| Fig7Cell {
+            x_ms,
+            param,
+            improvement: mean(results, |r| r.sdem_improvement_over_mbkps()),
+        },
+    )
 }
 
 /// Grid seed of the DAG federated energy-vs-cores sweep.
@@ -605,11 +419,6 @@ pub struct DagEnergyRow {
     pub clusters: usize,
     /// Cores carrying at least one segment.
     pub cores_used: usize,
-}
-
-/// DAG sweep on a default runner; see [`dag_energy_with`].
-pub fn dag_energy(config: &DagSweepConfig) -> Vec<DagEnergyRow> {
-    dag_energy_with(config, &SweepRunner::new()).0
 }
 
 /// Solves every `(suite, core budget)` cell of the grid with
@@ -769,7 +578,8 @@ mod tests {
 
     #[test]
     fn fig6_tiny_run_has_expected_shape() {
-        let rows = fig6(6, 2);
+        let sweep = fig6(6, 2, &SweepRunner::new(), Default::default(), None);
+        let (rows, _) = sweep.expect("sweep").expect_clean();
         assert_eq!(rows.len(), paper::U_POINTS.len());
         for r in &rows {
             // SDEM-ON must save at least as much memory energy as the naive
@@ -786,36 +596,14 @@ mod tests {
     }
 
     #[test]
-    fn fig6_robust_clean_run_matches_legacy_sweep() {
-        let runner = SweepRunner::new().with_threads(2);
-        let (legacy, _) = fig6_with(6, 2, &runner);
-        let robust = fig6_robust(6, 2, &runner, RobustOptions::default(), None).expect("sweep");
-        assert!(robust.quarantine.is_empty());
-        assert!(!robust.is_partial());
-        let rows = robust.rows.expect("complete");
-        assert_eq!(rows.len(), legacy.len());
-        for (a, b) in rows.iter().zip(&legacy) {
-            assert_eq!(a.u.to_bits(), b.u.to_bits());
-            assert_eq!(
-                a.sdem_system_saving.to_bits(),
-                b.sdem_system_saving.to_bits()
-            );
-            assert_eq!(
-                a.sdem_memory_saving.to_bits(),
-                b.sdem_memory_saving.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn fig6_robust_quarantines_injected_faults_thread_invariantly() {
+    fn fig6_quarantines_injected_faults_thread_invariantly() {
         let options = RobustOptions {
             keep_going_oracle: false,
             inject: FaultInjection { panics: 2, nans: 1 },
         };
         let run = |threads: usize| {
             let runner = SweepRunner::new().with_threads(threads);
-            fig6_robust(6, 2, &runner, options, None).expect("sweep")
+            fig6(6, 2, &runner, options, None).expect("sweep")
         };
         let serial = run(1);
         let parallel = run(4);

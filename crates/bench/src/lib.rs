@@ -14,6 +14,11 @@
 //! count (`SDEM_THREADS=1` forces the serial path, which produces
 //! bit-identical output).
 //!
+//! Every figure sweep runs its replicates through
+//! [`experiment::run_trial_quarantined_in`], so a failed trial becomes a
+//! quarantine record instead of aborting the figure; the binaries and
+//! goldens require an empty one ([`figures::RobustFigure::expect_clean`]).
+//!
 //! Plain benches (`cargo bench -p sdem-bench`) time the algorithms and
 //! the harness via [`microbench`]; the ablation benches compare design
 //! alternatives called out in `DESIGN.md`.

@@ -1,13 +1,18 @@
 //! The sweep engine's contract: results are a pure function of the grid
 //! seed — the worker count must never show up in the output.
 
-use sdem_bench::figures::{fig6_with, fig7a_with};
+use sdem_bench::figures::{fig6, fig7a};
 use sdem_exec::SweepRunner;
 
 #[test]
 fn fig7a_is_thread_count_invariant() {
-    let (serial, serial_stats) = fig7a_with(12, 2, &SweepRunner::new().with_threads(1));
-    let (parallel, parallel_stats) = fig7a_with(12, 2, &SweepRunner::new().with_threads(4));
+    let run = |threads| {
+        let runner = SweepRunner::new().with_threads(threads);
+        let sweep = fig7a(12, 2, &runner, Default::default(), None);
+        sweep.expect("sweep").expect_clean()
+    };
+    let (serial, serial_stats) = run(1);
+    let (parallel, parallel_stats) = run(4);
     assert_eq!(serial_stats.trials, parallel_stats.trials);
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
@@ -25,8 +30,12 @@ fn fig7a_is_thread_count_invariant() {
 
 #[test]
 fn fig6_is_thread_count_invariant() {
-    let (serial, _) = fig6_with(3, 2, &SweepRunner::new().with_threads(1));
-    let (parallel, _) = fig6_with(3, 2, &SweepRunner::new().with_threads(8));
+    let run = |threads| {
+        let runner = SweepRunner::new().with_threads(threads);
+        let sweep = fig6(3, 2, &runner, Default::default(), None);
+        sweep.expect("sweep").expect_clean().0
+    };
+    let (serial, parallel) = (run(1), run(8));
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(
             a.sdem_memory_saving.to_bits(),

@@ -8,8 +8,9 @@
 //! floating-point reassociation but tight enough to catch semantic drift.
 
 use sdem_bench::figures::fig6;
+use sdem_exec::SweepRunner;
 
-/// `fig6(4 instances/stream, 2 trials)` recorded under the sweep engine's
+/// `fig6` at 4 instances/stream and 2 trials, recorded under the sweep engine's
 /// per-trial seeding (grid seed × trial index) — columns: (U, SDEM-ON mem,
 /// MBKPS mem, SDEM-ON sys, MBKPS sys).
 const GOLDEN_FIG6: [(f64, f64, f64, f64, f64); 8] = [
@@ -73,7 +74,8 @@ const GOLDEN_FIG6: [(f64, f64, f64, f64, f64); 8] = [
 
 #[test]
 fn fig6_tiny_configuration_is_bit_stable() {
-    let rows = fig6(4, 2);
+    let sweep = fig6(4, 2, &SweepRunner::new(), Default::default(), None);
+    let (rows, _) = sweep.expect("sweep").expect_clean();
     assert_eq!(rows.len(), GOLDEN_FIG6.len());
     for (row, golden) in rows.iter().zip(&GOLDEN_FIG6) {
         assert_eq!(row.u, golden.0);

@@ -10,17 +10,23 @@
 //! meter, and must be reconciled with `results/README.md` and
 //! `EXPERIMENTS.md` before the golden is re-recorded.
 
-use sdem_bench::figures::{
-    self, dag_energy_with, fig6_with, fig7a_with, fig7b_with, DagSweepConfig,
-};
-use sdem_exec::SweepRunner;
-use sdem_workload::paper;
+use sdem_bench::figures::{self, dag_energy_with, DagSweepConfig, RobustFigure};
+use sdem_exec::{SweepError, SweepRunner};
+use sdem_workload::paper::TRIALS_PER_POINT as TRIALS;
 
 /// Committed goldens, bundled at compile time so the test is hermetic.
 const GOLDEN_FIG6: &str = include_str!("../../../results/fig6.csv");
 const GOLDEN_FIG7A: &str = include_str!("../../../results/fig7a.csv");
 const GOLDEN_FIG7B: &str = include_str!("../../../results/fig7b.csv");
 const GOLDEN_DAG: &str = include_str!("../../../results/dag_energy_vs_cores.csv");
+
+/// The rows of a figure sweep on a default runner; every trial must
+/// succeed, as the figure's binary requires.
+fn clean<Row>(
+    sweep: impl FnOnce(&SweepRunner) -> Result<RobustFigure<Row>, SweepError>,
+) -> Vec<Row> {
+    sweep(&SweepRunner::new()).expect("sweep").expect_clean().0
+}
 
 fn assert_bytes_equal(regenerated: &str, golden: &str, figure: &str) {
     if regenerated == golden {
@@ -46,13 +52,13 @@ fn assert_bytes_equal(regenerated: &str, golden: &str, figure: &str) {
 
 #[test]
 fn fig6_csv_matches_committed_golden_byte_for_byte() {
-    let (rows, _) = fig6_with(30, paper::TRIALS_PER_POINT, &SweepRunner::new());
+    let rows = clean(|r| figures::fig6(30, TRIALS, r, Default::default(), None));
     assert_bytes_equal(&figures::fig6_to_csv(&rows), GOLDEN_FIG6, "fig6.csv");
 }
 
 #[test]
 fn fig7a_csv_matches_committed_golden_byte_for_byte() {
-    let (cells, _) = fig7a_with(60, paper::TRIALS_PER_POINT, &SweepRunner::new());
+    let cells = clean(|r| figures::fig7a(60, TRIALS, r, Default::default(), None));
     assert_bytes_equal(
         &figures::fig7_to_csv(&cells, "alpha_m_w"),
         GOLDEN_FIG7A,
@@ -72,7 +78,7 @@ fn dag_energy_csv_matches_committed_golden_byte_for_byte() {
 
 #[test]
 fn fig7b_csv_matches_committed_golden_byte_for_byte() {
-    let (cells, _) = fig7b_with(60, paper::TRIALS_PER_POINT, &SweepRunner::new());
+    let cells = clean(|r| figures::fig7b(60, TRIALS, r, Default::default(), None));
     assert_bytes_equal(
         &figures::fig7_to_csv(&cells, "xi_m_ms"),
         GOLDEN_FIG7B,

@@ -16,21 +16,27 @@
 //! and nothing else in this binary touches `sdem-obs`.
 
 use sdem_bench::experiment::{run_trial_checked, OracleCheck};
-use sdem_bench::figures::{self, fig7a_with};
+use sdem_bench::figures::{self, Fig7Cell};
 use sdem_exec::SweepRunner;
 use sdem_types::Time;
 use sdem_workload::synthetic::{sporadic, SyntheticConfig};
 
+fn fig7a(threads: usize) -> Vec<Fig7Cell> {
+    let runner = SweepRunner::new().with_threads(threads);
+    let sweep = figures::fig7a(12, 2, &runner, Default::default(), None);
+    sweep.expect("sweep").expect_clean().0
+}
+
 #[test]
 fn observability_is_bit_transparent_and_gauges_match_untraced_fold() {
     // --- Untraced reference sweep -----------------------------------
-    let (plain, _) = fig7a_with(12, 2, &SweepRunner::new().with_threads(2));
+    let plain = fig7a(2);
 
     // --- Same sweep, fully instrumented -----------------------------
     sdem_obs::registry::reset();
     sdem_obs::registry::set_enabled(true);
     sdem_obs::trace::set_enabled(true);
-    let (metered, _) = fig7a_with(12, 2, &SweepRunner::new().with_threads(2));
+    let metered = fig7a(2);
     sdem_obs::registry::set_enabled(false);
     sdem_obs::trace::set_enabled(false);
     let two_threads = sdem_obs::registry::snapshot();
@@ -54,7 +60,7 @@ fn observability_is_bit_transparent_and_gauges_match_untraced_fold() {
     // --- Same sweep, one worker: the aggregate must not move ---------
     sdem_obs::registry::reset();
     sdem_obs::registry::set_enabled(true);
-    let _ = fig7a_with(12, 2, &SweepRunner::new().with_threads(1));
+    let _ = fig7a(1);
     sdem_obs::registry::set_enabled(false);
     let one_thread = sdem_obs::registry::snapshot();
 

@@ -5,7 +5,7 @@ use std::fs;
 use sdem_baselines::mbkp::{self, Assignment};
 use sdem_baselines::{avr, css, oa, yds};
 use sdem_bench::experiment::{
-    mean, run_trial_checked, run_trial_resampling, FaultInjection, OracleCheck,
+    mean, run_trial_checked, run_trial_quarantined_in, FaultInjection, OracleCheck,
 };
 use sdem_bench::figures::{self, RobustOptions};
 use sdem_core::dag::DagAssignment;
@@ -636,61 +636,11 @@ fn sweep(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn sweep_dispatch(args: &Args) -> Result<(), CliError> {
-    let robust = args.get("quarantine").is_some()
-        || args.get("inject").is_some()
-        || args.get("checkpoint").is_some()
-        || args.get("resume").is_some()
-        || args.get("halt-after").is_some()
-        || args.has_flag("oracle-keep-going");
-    if robust {
-        return sweep_robust(args);
-    }
-    let figure = args.get_or("figure", "fig7a");
-    let trials = args.get_usize("trials", 5)?;
-    let runner = runner_from(args)?;
-    let (table, csv, stats) = match figure {
-        "fig6" => {
-            let instances = args.get_usize("instances", 15)?;
-            let (rows, stats) = figures::fig6_with(instances, trials, &runner);
-            (fig6_table(&rows), figures::fig6_to_csv(&rows), stats)
-        }
-        "fig7a" => {
-            let tasks = args.get_usize("tasks", 40)?;
-            let (cells, stats) = figures::fig7a_with(tasks, trials, &runner);
-            (
-                figures::format_fig7(&cells, "alpha_m[W]"),
-                figures::fig7_to_csv(&cells, "alpha_m_w"),
-                stats,
-            )
-        }
-        "fig7b" => {
-            let tasks = args.get_usize("tasks", 40)?;
-            let (cells, stats) = figures::fig7b_with(tasks, trials, &runner);
-            (
-                figures::format_fig7(&cells, "xi_m[ms]"),
-                figures::fig7_to_csv(&cells, "xi_m_ms"),
-                stats,
-            )
-        }
-        other => return Err(format!("unknown figure `{other}`").into()),
-    };
-    print!("{table}");
-    // Stats carry wall-clock throughput and the thread count; keep them off
-    // stdout so captured tables stay identical for any --threads value.
-    eprintln!("sweep: {stats}");
-    if let Some(path) = args.get("csv") {
-        fs::write(path, &csv).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        eprintln!("wrote CSV to {path}");
-    }
-    Ok(())
-}
-
-/// The fault-isolated sweep mode: quarantines failed trials, optionally
-/// journals every finished trial for checkpoint/resume, and keeps stdout
+/// The figure sweep: quarantines failed trials, optionally journals
+/// every finished trial for checkpoint/resume, and keeps stdout
 /// byte-identical for any thread count (including the quarantine file,
 /// which is sorted by trial index).
-fn sweep_robust(args: &Args) -> Result<(), CliError> {
+fn sweep_dispatch(args: &Args) -> Result<(), CliError> {
     let figure = args.get_or("figure", "fig7a");
     let trials = args.get_usize("trials", 5)?;
     let mut runner = runner_from(args)?;
@@ -714,7 +664,7 @@ fn sweep_robust(args: &Args) -> Result<(), CliError> {
             )
         }
         (Some(path), None) => Some(CheckpointJournal::new(path)),
-        (None, Some(path)) => Some(CheckpointJournal::resume(path).map_err(|e| e.to_string())?),
+        (None, Some(path)) => Some(CheckpointJournal::resume(path)?),
         (None, None) => None,
     };
     if let Some(j) = &journal {
@@ -726,12 +676,14 @@ fn sweep_robust(args: &Args) -> Result<(), CliError> {
         }
     }
 
-    let err = |e: sdem_exec::SweepError| e.to_string();
+    let fig7 = |cells: &[figures::Fig7Cell], axis, column| {
+        let table = figures::format_fig7(cells, axis);
+        (table, figures::fig7_to_csv(cells, column))
+    };
     let (rendered, quarantine, stats, completed) = match figure {
         "fig6" => {
             let instances = args.get_usize("instances", 15)?;
-            let f = figures::fig6_robust(instances, trials, &runner, options, journal.as_mut())
-                .map_err(err)?;
+            let f = figures::fig6(instances, trials, &runner, options, journal.as_mut())?;
             let rendered = f
                 .rows
                 .as_deref()
@@ -740,26 +692,17 @@ fn sweep_robust(args: &Args) -> Result<(), CliError> {
         }
         "fig7a" => {
             let tasks = args.get_usize("tasks", 40)?;
-            let f = figures::fig7a_robust(tasks, trials, &runner, options, journal.as_mut())
-                .map_err(err)?;
-            let rendered = f.rows.as_deref().map(|cells| {
-                (
-                    figures::format_fig7(cells, "alpha_m[W]"),
-                    figures::fig7_to_csv(cells, "alpha_m_w"),
-                )
-            });
+            let f = figures::fig7a(tasks, trials, &runner, options, journal.as_mut())?;
+            let rendered = f
+                .rows
+                .as_deref()
+                .map(|c| fig7(c, "alpha_m[W]", "alpha_m_w"));
             (rendered, f.quarantine, f.stats, f.completed)
         }
         "fig7b" => {
             let tasks = args.get_usize("tasks", 40)?;
-            let f = figures::fig7b_robust(tasks, trials, &runner, options, journal.as_mut())
-                .map_err(err)?;
-            let rendered = f.rows.as_deref().map(|cells| {
-                (
-                    figures::format_fig7(cells, "xi_m[ms]"),
-                    figures::fig7_to_csv(cells, "xi_m_ms"),
-                )
-            });
+            let f = figures::fig7b(tasks, trials, &runner, options, journal.as_mut())?;
+            let rendered = f.rows.as_deref().map(|c| fig7(c, "xi_m[ms]", "xi_m_ms"));
             (rendered, f.quarantine, f.stats, f.completed)
         }
         other => return Err(format!("unknown figure `{other}`").into()),
@@ -904,19 +847,9 @@ fn repro(args: &Args) -> Result<(), CliError> {
             args.get_usize("instances", 20)?,
             seed,
         ),
-        // The Fig. 6 sweep's eight-stream workload (quarantine configs
-        // from `sweep --figure fig6` name this kind).
-        "fig6" => stream(
-            &[
-                Benchmark::fft_1024(),
-                Benchmark::matrix_24(),
-                Benchmark::fft_1024(),
-                Benchmark::matrix_24(),
-                Benchmark::fft_1024(),
-                Benchmark::matrix_24(),
-                Benchmark::fft_1024(),
-                Benchmark::matrix_24(),
-            ],
+        // The Fig. 6 sweep's workload (quarantine configs from
+        // `sweep --figure fig6` name this kind).
+        "fig6" => figures::fig6_tasks(
             args.get_f64("u", 4.0)?,
             args.get_usize("instances", 15)?,
             seed,
@@ -1116,15 +1049,32 @@ fn experiment(args: &Args) -> Result<(), CliError> {
         other => Err(format!("unknown workload kind `{other}`")),
     };
     make_tasks(0)?; // Surface an unknown kind before spawning workers.
+    let repro = format!(
+        "--kind {kind} --tasks {tasks_n} --x-ms {x_ms} --u {u} --instances {instances} \
+         --cores {cores} --alpha-m {} --xi-m {}",
+        args.get_f64("alpha-m", api::DEFAULT_ALPHA_M_W)?,
+        args.get_f64("xi-m", api::DEFAULT_XI_M_MS)?,
+    );
 
-    let outcome = runner.run(&[()], trials, seed, |_, ctx| {
-        run_trial_resampling(
-            |s| make_tasks(s).expect("kind validated above"),
-            &platform,
-            cores,
-            ctx,
-        )
-    });
+    let outcome =
+        runner.run_quarantined_with_state(&[()], trials, seed, Workspace::new, |_, ctx, ws| {
+            run_trial_quarantined_in(
+                |s| make_tasks(s).expect("kind validated above"),
+                &platform,
+                cores,
+                ctx,
+                false,
+                FaultInjection::default(),
+                || repro.clone(),
+                ws,
+            )
+        })?;
+    for record in &outcome.quarantine {
+        eprintln!(
+            "quarantine: {record}; replay with `sdem-cli repro --seed {:#x} {}`",
+            record.seed, record.config
+        );
+    }
     let results = &outcome.per_point[0];
     if results.is_empty() {
         return Err("no feasible seeds for this configuration".into());

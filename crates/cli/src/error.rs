@@ -7,6 +7,7 @@
 //! stable codes the serve wire protocol and quarantine records spell as
 //! strings.
 
+use sdem_exec::SweepError;
 use sdem_serve::ApiError;
 use sdem_types::ErrorKind;
 
@@ -52,6 +53,13 @@ impl From<&str> for CliError {
 impl From<ApiError> for CliError {
     fn from(e: ApiError) -> Self {
         Self::new(e.kind, e.detail)
+    }
+}
+
+/// Sweep errors keep their taxonomy kind (checkpoint-error, worker-panic).
+impl From<SweepError> for CliError {
+    fn from(e: SweepError) -> Self {
+        Self::new(e.kind(), e.to_string())
     }
 }
 

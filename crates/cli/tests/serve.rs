@@ -44,6 +44,9 @@ fn batch() -> String {
     }
     lines.push("this is not json".to_string());
     lines.push("{\"v\":99,\"id\":24,\"tasks\":[[0,0,60,5e6]]}".to_string());
+    // Nested far past the parser's depth bound: a bad request, not a
+    // stack overflow.
+    lines.push("[".repeat(100_000));
     lines.join("\n") + "\n"
 }
 
@@ -54,7 +57,7 @@ fn daemon_drains_at_eof_and_restarts_byte_identically() {
     assert_eq!(code, 0, "clean drain must exit 0");
     assert_eq!(
         first.lines().count(),
-        26,
+        27,
         "every line answered exactly once:\n{first}"
     );
     assert!(first.contains("\"kind\":\"bad-request\""), "{first}");
@@ -77,7 +80,7 @@ fn serve_metrics_exports_request_counters() {
     assert_eq!(code, 0);
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(text.contains("\"requests_admitted\": 24"), "{text}");
-    assert!(text.contains("\"requests_rejected\": 2"), "{text}");
+    assert!(text.contains("\"requests_rejected\": 3"), "{text}");
     assert!(text.contains("\"cache_hits\""), "{text}");
     assert!(text.contains("serve/request_ns"), "{text}");
 
@@ -244,4 +247,15 @@ fn exit_codes_follow_the_error_taxonomy() {
         .unwrap();
     assert_eq!(status.code(), Some(4), "scheme-error must exit 4");
     std::fs::remove_file(&tasks).ok();
+
+    // A sweep checkpoint that cannot be read exits with the
+    // checkpoint-error code (15), as `replay --resume` does.
+    let missing = dir.join("never-written.jsonl");
+    let status = Command::new(BIN)
+        .args(["sweep", "--resume", missing.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), Some(15), "checkpoint-error must exit 15");
 }

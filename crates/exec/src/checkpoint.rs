@@ -16,23 +16,23 @@
 //! {"trial":9,"fault":{…quarantine record…}}
 //! ```
 //!
-//! Lines that fail to parse (e.g. a torn tail from a hard kill) are
-//! skipped on resume; the affected trial simply reruns.
+//! The file discipline is [`sdem_obs::journal`]'s: lines that fail to
+//! parse (e.g. a torn tail from a hard kill) are skipped on resume — the
+//! affected trial simply reruns — and ended before the next record.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
-use crate::fault::{
-    json_hex_u64, json_str, json_string, json_usize, QuarantineRecord, SweepError, TrialFailure,
-};
+use sdem_obs::journal::{Format, Journal};
+use sdem_obs::json::{self, Value};
+
+use crate::fault::{hex_field, usize_field, QuarantineRecord, SweepError, TrialFailure};
 use crate::Slot;
 
-/// Magic first-line key identifying a sweep checkpoint file.
-const HEADER_KEY: &str = "sdem_checkpoint";
-/// Checkpoint format version this build reads and writes.
-const FORMAT_VERSION: usize = 1;
+/// Header key and format version of a sweep checkpoint file.
+const FORMAT: Format = Format {
+    key: "sdem_checkpoint",
+    version: 1,
+};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Header {
@@ -42,42 +42,44 @@ struct Header {
 }
 
 impl Header {
-    fn to_line(self) -> String {
+    /// The header members after the format key.
+    fn fields(self) -> String {
         format!(
-            "{{\"{HEADER_KEY}\":{FORMAT_VERSION},\"grid_seed\":\"{:#018x}\",\"points\":{},\"replications\":{}}}",
+            "\"grid_seed\":\"{:#018x}\",\"points\":{},\"replications\":{}",
             self.grid_seed, self.points, self.replications
         )
     }
 
-    fn from_line(line: &str) -> Option<Self> {
-        if json_usize(line, HEADER_KEY)? != FORMAT_VERSION {
-            return None;
-        }
+    fn from_json(doc: &Value) -> Option<Self> {
         Some(Self {
-            grid_seed: json_hex_u64(line, "grid_seed")?,
-            points: json_usize(line, "points")?,
-            replications: json_usize(line, "replications")?,
+            grid_seed: hex_field(doc, "grid_seed")?,
+            points: usize_field(doc, "points")?,
+            replications: usize_field(doc, "replications")?,
         })
     }
 }
 
-/// One journaled trial, as loaded back on resume.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Entry {
-    /// A successful trial with its domain-encoded result.
-    Done(String),
-    /// A quarantined trial with its full record.
-    Fault(QuarantineRecord),
+/// One journaled trial as loaded on resume: its domain-encoded result, or
+/// the failure it was quarantined with.
+type Entry = (usize, Result<String, TrialFailure>);
+
+fn entry_from_json(doc: &Value) -> Option<Entry> {
+    let trial = usize_field(doc, "trial")?;
+    if let Some(encoded) = doc.get("ok") {
+        return Some((trial, Ok(encoded.as_str()?.to_string())));
+    }
+    let record = QuarantineRecord::from_json(doc.get("fault")?)?;
+    let failure = TrialFailure::new(record.kind, record.detail)
+        .with_seed(record.seed)
+        .with_config(record.config);
+    Some((trial, Err(failure)))
 }
 
-fn entry_from_line(line: &str) -> Option<(usize, Entry)> {
-    let trial = json_usize(line, "trial")?;
-    if let Some(encoded) = json_str(line, "ok") {
-        return Some((trial, Entry::Done(encoded)));
+fn error(path: &Path, detail: String) -> SweepError {
+    SweepError::Checkpoint {
+        path: path.display().to_string(),
+        detail,
     }
-    let (_, rest) = line.split_once("\"fault\":")?;
-    let record = QuarantineRecord::from_json_line(rest)?;
-    Some((trial, Entry::Fault(record)))
 }
 
 /// Incremental journal of finished sweep trials, for checkpoint/resume.
@@ -90,11 +92,10 @@ fn entry_from_line(line: &str) -> Option<(usize, Entry)> {
 #[derive(Debug)]
 pub struct CheckpointJournal {
     path: PathBuf,
-    resume: bool,
-    header: Option<Header>,
-    entries: Vec<(usize, Entry)>,
-    writer: Option<Mutex<BufWriter<File>>>,
-    io_error: Mutex<Option<String>>,
+    /// The loaded header; `None` for a fresh journal.
+    resumed: Option<Header>,
+    entries: Vec<Entry>,
+    journal: Option<Journal>,
 }
 
 impl CheckpointJournal {
@@ -103,11 +104,9 @@ impl CheckpointJournal {
     pub fn new(path: impl Into<PathBuf>) -> Self {
         Self {
             path: path.into(),
-            resume: false,
-            header: None,
+            resumed: None,
             entries: Vec::new(),
-            writer: None,
-            io_error: Mutex::new(None),
+            journal: None,
         }
     }
 
@@ -115,36 +114,22 @@ impl CheckpointJournal {
     ///
     /// Unparsable lines (torn tails from a hard kill) are skipped — the
     /// corresponding trials rerun. Fails if the file cannot be read or
-    /// does not start with a checkpoint header.
+    /// does not start with a checkpoint header. Nothing is written to the
+    /// file until the sweep journals its first trial.
     pub fn resume(path: impl Into<PathBuf>) -> Result<Self, SweepError> {
         let path = path.into();
-        let err = |detail: String| SweepError::Checkpoint {
-            path: path.display().to_string(),
-            detail,
-        };
-        let file = File::open(&path).map_err(|e| err(format!("cannot open: {e}")))?;
-        let mut lines = BufReader::new(file).lines();
-        let first = match lines.next() {
-            Some(Ok(line)) => line,
-            Some(Err(e)) => return Err(err(format!("cannot read: {e}"))),
-            None => return Err(err("file is empty".into())),
-        };
-        let header = Header::from_line(&first)
-            .ok_or_else(|| err("missing or unreadable checkpoint header".into()))?;
         let mut entries = Vec::new();
-        for line in lines {
-            let line = line.map_err(|e| err(format!("cannot read: {e}")))?;
-            if let Some(entry) = entry_from_line(&line) {
-                entries.push(entry);
-            }
-        }
+        let (journal, header) = Journal::resume(&path, FORMAT, |doc| {
+            entries.extend(entry_from_json(doc));
+        })
+        .map_err(|e| error(&path, e))?;
+        let header = Header::from_json(&header)
+            .ok_or_else(|| error(&path, "missing or unreadable checkpoint header".into()))?;
         Ok(Self {
             path,
-            resume: true,
-            header: Some(header),
+            resumed: Some(header),
             entries,
-            writer: None,
-            io_error: Mutex::new(None),
+            journal: Some(journal),
         })
     }
 
@@ -159,8 +144,8 @@ impl CheckpointJournal {
     }
 
     /// Validates the journal against the sweep's dimensions, converts
-    /// loaded entries into preloaded slots, and opens the file for
-    /// appending (creating it with a header when fresh).
+    /// loaded entries into preloaded slots, and creates the file with a
+    /// header when fresh.
     pub(crate) fn prepare<T>(
         &mut self,
         grid_seed: u64,
@@ -173,63 +158,38 @@ impl CheckpointJournal {
             points,
             replications,
         };
+        let Some(stored) = self.resumed else {
+            let journal = Journal::create(&self.path, FORMAT, &header.fields())
+                .map_err(|e| error(&self.path, e))?;
+            self.journal = Some(journal);
+            return Ok(Vec::new());
+        };
+        if stored != header {
+            return Err(SweepError::CheckpointMismatch {
+                detail: format!(
+                    "checkpoint recorded grid_seed {:#x}, {} points × {} reps; \
+                     this sweep has grid_seed {:#x}, {} points × {} reps",
+                    stored.grid_seed,
+                    stored.points,
+                    stored.replications,
+                    header.grid_seed,
+                    header.points,
+                    header.replications
+                ),
+            });
+        }
         let mut slots = Vec::with_capacity(self.entries.len());
-        if self.resume {
-            let stored = self.header.expect("resumed journal always has a header");
-            if stored != header {
-                return Err(SweepError::CheckpointMismatch {
-                    detail: format!(
-                        "checkpoint recorded grid_seed {:#x}, {} points × {} reps; \
-                         this sweep has grid_seed {:#x}, {} points × {} reps",
-                        stored.grid_seed,
-                        stored.points,
-                        stored.replications,
-                        header.grid_seed,
-                        header.points,
-                        header.replications
-                    ),
-                });
-            }
-            for (trial, entry) in self.entries.drain(..) {
-                let slot = match entry {
-                    Entry::Done(encoded) => {
-                        let value = decode(&encoded).ok_or_else(|| SweepError::Checkpoint {
-                            path: self.path.display().to_string(),
-                            detail: format!("trial {trial}: undecodable journaled result"),
-                        })?;
-                        Slot::Done(value)
-                    }
-                    Entry::Fault(record) => {
-                        let mut failure =
-                            TrialFailure::new(record.kind, record.detail).with_seed(record.seed);
-                        failure.config = record.config;
-                        Slot::Fault(failure)
-                    }
-                };
-                slots.push((trial, slot));
-            }
-            let file = OpenOptions::new()
-                .append(true)
-                .open(&self.path)
-                .map_err(|e| SweepError::Checkpoint {
-                    path: self.path.display().to_string(),
-                    detail: format!("cannot reopen for append: {e}"),
-                })?;
-            self.writer = Some(Mutex::new(BufWriter::new(file)));
-        } else {
-            let file = File::create(&self.path).map_err(|e| SweepError::Checkpoint {
-                path: self.path.display().to_string(),
-                detail: format!("cannot create: {e}"),
-            })?;
-            let mut writer = BufWriter::new(file);
-            writeln!(writer, "{}", header.to_line())
-                .and_then(|()| writer.flush())
-                .map_err(|e| SweepError::Checkpoint {
-                    path: self.path.display().to_string(),
-                    detail: format!("cannot write header: {e}"),
-                })?;
-            self.header = Some(header);
-            self.writer = Some(Mutex::new(writer));
+        for (trial, entry) in std::mem::take(&mut self.entries) {
+            let slot = match entry {
+                Ok(encoded) => Slot::Done(decode(&encoded).ok_or_else(|| {
+                    error(
+                        &self.path,
+                        format!("trial {trial}: undecodable journaled result"),
+                    )
+                })?),
+                Err(failure) => Slot::Fault(failure),
+            };
+            slots.push((trial, slot));
         }
         Ok(slots)
     }
@@ -237,51 +197,40 @@ impl CheckpointJournal {
     /// Journals a successful trial. IO errors are latched (the sweep
     /// keeps running) and surfaced by [`Self::take_error`] at the end.
     pub(crate) fn append_ok(&self, trial: usize, encoded: &str) {
-        self.append_line(&format!(
+        self.append(&format!(
             "{{\"trial\":{trial},\"ok\":{}}}",
-            json_string(encoded)
+            json::quote(encoded)
         ));
     }
 
     /// Journals a quarantined trial.
     pub(crate) fn append_fault(&self, trial: usize, record: &QuarantineRecord) {
-        self.append_line(&format!(
+        self.append(&format!(
             "{{\"trial\":{trial},\"fault\":{}}}",
             record.to_json_line()
         ));
     }
 
-    fn append_line(&self, line: &str) {
-        let Some(writer) = &self.writer else { return };
-        let mut w = writer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let outcome = writeln!(w, "{line}").and_then(|()| w.flush());
-        if let Err(e) = outcome {
-            let mut latch = self
-                .io_error
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            latch.get_or_insert_with(|| e.to_string());
+    fn append(&self, record: &str) {
+        if let Some(journal) = &self.journal {
+            journal.append(record);
         }
     }
 
     /// First journaling IO error hit during the sweep, if any.
     pub(crate) fn take_error(&self) -> Option<SweepError> {
-        let mut latch = self
-            .io_error
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        latch.take().map(|detail| SweepError::Checkpoint {
-            path: self.path.display().to_string(),
-            detail: format!("write failed: {detail}"),
-        })
+        let detail = self.journal.as_ref()?.take_error()?;
+        Some(error(&self.path, format!("write failed: {detail}")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn entry(line: &str) -> Option<Entry> {
+        entry_from_json(&json::parse(line).ok()?)
+    }
 
     #[test]
     fn header_round_trips() {
@@ -290,17 +239,16 @@ mod tests {
             points: 3,
             replications: 5,
         };
-        assert_eq!(Header::from_line(&h.to_line()), Some(h));
-        assert_eq!(Header::from_line("{\"trial\":1,\"ok\":\"x\"}"), None);
+        let line = format!("{{\"sdem_checkpoint\":1,{}}}", h.fields());
+        assert_eq!(Header::from_json(&json::parse(&line).unwrap()), Some(h));
+        let record = json::parse("{\"trial\":1,\"ok\":\"x\"}").unwrap();
+        assert_eq!(Header::from_json(&record), None);
     }
 
     #[test]
     fn entries_round_trip_and_torn_lines_are_skipped() {
         let ok = "{\"trial\":4,\"ok\":\"dead beef\"}";
-        assert_eq!(
-            entry_from_line(ok),
-            Some((4, Entry::Done("dead beef".into())))
-        );
+        assert_eq!(entry(ok), Some((4, Ok("dead beef".into()))));
         let record = QuarantineRecord {
             trial_index: 9,
             point: 1,
@@ -312,8 +260,11 @@ mod tests {
             config: "--x 1".into(),
         };
         let fault = format!("{{\"trial\":9,\"fault\":{}}}", record.to_json_line());
-        assert_eq!(entry_from_line(&fault), Some((9, Entry::Fault(record))));
-        assert_eq!(entry_from_line("{\"trial\":9,\"ok\":\"tor"), None);
-        assert_eq!(entry_from_line(""), None);
+        let failure = TrialFailure::new("solver-panic", "boom")
+            .with_seed(11)
+            .with_config("--x 1");
+        assert_eq!(entry(&fault), Some((9, Err(failure))));
+        assert_eq!(entry("{\"trial\":9,\"ok\":\"tor"), None);
+        assert_eq!(entry(""), None);
     }
 }

@@ -10,6 +10,7 @@
 
 use core::fmt;
 
+use sdem_obs::json::{self, Value};
 use sdem_types::ErrorKind;
 
 /// Panic-message prefix that escalates a contained panic into a fatal
@@ -139,9 +140,9 @@ impl QuarantineRecord {
             self.replicate,
             self.grid_seed,
             self.seed,
-            json_string(&self.kind),
-            json_string(&self.detail),
-            json_string(&self.config),
+            json::quote(&self.kind),
+            json::quote(&self.detail),
+            json::quote(&self.config),
         )
     }
 
@@ -153,15 +154,21 @@ impl QuarantineRecord {
 
     /// Parses a record from a line produced by [`Self::to_json_line`].
     pub fn from_json_line(line: &str) -> Option<Self> {
+        Self::from_json(&json::parse(line).ok()?)
+    }
+
+    /// The record a parsed [`Self::to_json_line`] object holds.
+    pub(crate) fn from_json(doc: &Value) -> Option<Self> {
+        let text = |key: &str| Some(doc.get(key)?.as_str()?.to_string());
         Some(Self {
-            trial_index: json_usize(line, "trial")?,
-            point: json_usize(line, "point")?,
-            replicate: json_usize(line, "replicate")?,
-            grid_seed: json_hex_u64(line, "grid_seed")?,
-            seed: json_hex_u64(line, "seed")?,
-            kind: json_str(line, "kind")?,
-            detail: json_str(line, "detail")?,
-            config: json_str(line, "config")?,
+            trial_index: usize_field(doc, "trial")?,
+            point: usize_field(doc, "point")?,
+            replicate: usize_field(doc, "replicate")?,
+            grid_seed: hex_field(doc, "grid_seed")?,
+            seed: hex_field(doc, "seed")?,
+            kind: text("kind")?,
+            detail: text("detail")?,
+            config: text("config")?,
         })
     }
 }
@@ -233,72 +240,15 @@ impl fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Escapes and quotes a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// `doc[key]` as a `usize`.
+pub(crate) fn usize_field(doc: &Value, key: &str) -> Option<usize> {
+    usize::try_from(doc.get(key)?.as_u64()?).ok()
 }
 
-/// Locates the raw value text following `"key":` in one of our own
-/// JSON lines. Returns the remainder of the line starting at the value.
-fn value_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    Some(&line[start..])
-}
-
-/// Parses an unsigned decimal field from one of our own JSON lines.
-pub(crate) fn json_usize(line: &str, key: &str) -> Option<usize> {
-    let rest = value_after(line, key)?;
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest[..end].parse().ok()
-}
-
-/// Parses a `"0x…"` hex string field from one of our own JSON lines.
-pub(crate) fn json_hex_u64(line: &str, key: &str) -> Option<u64> {
-    let s = json_str(line, key)?;
-    u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
-}
-
-/// Parses a quoted, escaped string field from one of our own JSON lines.
-pub(crate) fn json_str(line: &str, key: &str) -> Option<String> {
-    let rest = value_after(line, key)?;
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
+/// `doc[key]` as a `u64` written as a `"0x…"` hex string (JSON numbers
+/// cannot carry a full `u64` exactly).
+pub(crate) fn hex_field(doc: &Value, key: &str) -> Option<u64> {
+    u64::from_str_radix(doc.get(key)?.as_str()?.strip_prefix("0x")?, 16).ok()
 }
 
 #[cfg(test)]

@@ -23,7 +23,10 @@
 //! * **Checkpoint/resume** — a [`CheckpointJournal`] logs each finished
 //!   trial as it completes, and a resumed sweep replays the journal and
 //!   executes only the remainder, bit-identically to an uninterrupted
-//!   run (seeds are derived, never sequential).
+//!   run (seeds are derived, never sequential). The file discipline is
+//!   `sdem_obs::journal`'s, shared with the replay journal: a torn final
+//!   line is skipped and ended before the next record, so a sweep can be
+//!   killed and resumed any number of times.
 //!
 //! The entry point is [`SweepRunner::run`], which takes the grid points,
 //! the replication count and a trial closure, and returns the per-point

@@ -6,7 +6,9 @@
 //! bit-identical to an uninterrupted one. These tests enforce that at
 //! every possible tear point: the last journaled record is truncated at
 //! **each byte offset** in turn, the journal is resumed, and the final
-//! outcome is compared against the uninterrupted reference.
+//! outcome is compared against the uninterrupted reference — then the
+//! same file is resumed a second time, as after a second crash, and must
+//! load every trial and reproduce the reference again.
 //!
 //! Two tails are exercised: a short `ok` record and a much longer
 //! `fault` (quarantine) record, whose JSON payload offers many more
@@ -86,32 +88,12 @@ where
     let full_records = body.matches('\n').count();
     assert_eq!(full_records, POINTS.len() * REPS);
 
-    // Tear at every byte of the final record: 0 (line vanished entirely,
-    // no trailing newline) through len-1 (one byte short), plus the
-    // untorn file as a control.
-    for keep in 0..=last_line_len {
-        let mut torn = bytes[..last_line_start + keep].to_vec();
-        if keep == last_line_len {
-            torn.push(b'\n'); // the control: intact file
-        }
-        std::fs::write(&path, &torn).expect("write torn journal");
-
+    // Resumes the journal at `path` and finishes the sweep, returning how
+    // many trials were preloaded; the outcome must equal the reference.
+    let resume_and_finish = |keep: usize, pass: &str| {
         let mut journal = CheckpointJournal::resume(&path)
-            .unwrap_or_else(|e| panic!("{tag}: resume failed at tear offset {keep}: {e}"));
-        // A tear usually drops the last record (it reruns), but one that
-        // only removes the closing brace leaves a fully parsable payload
-        // behind — both are legal, silently *corrupted* loads are not
-        // (the outcome comparison below would catch those).
-        assert!(
-            journal.preloaded() == full_records - 1 || journal.preloaded() == full_records,
-            "{tag}: tear at offset {keep} preloaded {} of {full_records} records",
-            journal.preloaded(),
-            full_records = full_records
-        );
-        if keep == last_line_len {
-            assert_eq!(journal.preloaded(), full_records, "{tag}: untorn control");
-        }
-
+            .unwrap_or_else(|e| panic!("{tag}: {pass} resume failed at tear offset {keep}: {e}"));
+        let preloaded = journal.preloaded();
         let resumed = SweepRunner::new()
             .with_threads(2)
             .try_run_checkpointed_with_state(
@@ -124,16 +106,49 @@ where
                 decode,
                 &mut journal,
             )
-            .unwrap_or_else(|e| panic!("{tag}: resumed run failed at tear offset {keep}: {e}"));
-
+            .unwrap_or_else(|e| {
+                panic!("{tag}: {pass} resumed run failed at tear offset {keep}: {e}")
+            });
         assert!(!resumed.is_partial());
         assert_eq!(
             resumed.per_point, reference.per_point,
-            "{tag}: results diverged after tear at offset {keep}"
+            "{tag}: results diverged after {pass} resume at tear offset {keep}"
         );
         assert_eq!(
             resumed.quarantine, reference.quarantine,
-            "{tag}: quarantine diverged after tear at offset {keep}"
+            "{tag}: quarantine diverged after {pass} resume at tear offset {keep}"
+        );
+        preloaded
+    };
+
+    // Tear at every byte of the final record: 0 (line vanished entirely,
+    // no trailing newline) through len-1 (one byte short), plus the
+    // untorn file as a control.
+    for keep in 0..=last_line_len {
+        let mut torn = bytes[..last_line_start + keep].to_vec();
+        let intact = keep == last_line_len;
+        if intact {
+            torn.push(b'\n'); // the control: intact file
+        }
+        std::fs::write(&path, &torn).expect("write torn journal");
+
+        // Every strict prefix of a record fails to parse — even one that
+        // lost only its closing brace — so a tear always drops exactly the
+        // last record, which reruns.
+        let expected = if intact {
+            full_records
+        } else {
+            full_records - 1
+        };
+        let preloaded = resume_and_finish(keep, "first");
+        assert_eq!(preloaded, expected, "{tag}: tear at offset {keep}");
+
+        // Crash twice: the rerun trial was journaled on a line of its own,
+        // so resuming the same file again loads every trial.
+        let preloaded = resume_and_finish(keep, "second");
+        assert_eq!(
+            preloaded, full_records,
+            "{tag}: second resume at offset {keep}"
         );
     }
     std::fs::remove_file(&path).ok();

@@ -1,7 +1,8 @@
 //! Zero-dependency observability for the `sdem` workspace.
 //!
-//! Three pieces, all behind **no-op defaults** so an uninstrumented run
-//! is bit-identical and allocation-free:
+//! Two sinks behind **no-op defaults**, so an uninstrumented run is
+//! bit-identical and allocation-free, plus the JSON codec and the journal
+//! the workspace shares:
 //!
 //! * [`registry`] — a process-global, lock-free metrics registry:
 //!   fixed [`Counter`]s, labeled f64 [gauges](registry::set_gauge) and
@@ -13,8 +14,11 @@
 //!   [instants](trace::instant) with monotonic timestamps, exported as
 //!   JSONL. Tracing explicitly trades the allocation-free hot path for
 //!   a timeline; disabled (default) it records nothing.
-//! * [`json`] — the minimal JSON writer/parser backing the exports and
-//!   `sdem stats --check`.
+//! * [`json`] — the minimal JSON writer/parser backing the exports,
+//!   `sdem stats --check`, the serve wire protocol and the journals.
+//! * [`journal`] — the one crash-safe JSONL journal (header line, one
+//!   flushed record per line, torn tails skipped on resume) behind the
+//!   sweep checkpoint and the replay response journal.
 //!
 //! # Instrumentation idiom
 //!
@@ -36,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod hist;
+pub mod journal;
 pub mod json;
 pub mod registry;
 pub mod trace;

@@ -9,8 +9,7 @@
 //! bytes the emitter would have produced, the resumed run's output is
 //! byte-identical to an uninterrupted run at any worker count.
 //!
-//! File format (one JSON object per line, same torn-tail discipline as
-//! `sdem-exec`'s sweep checkpoint):
+//! File format (one JSON object per line):
 //!
 //! ```text
 //! {"sdem_replay":1,"trace":"seed=0x7ace,…","chaos":"","events":N}
@@ -21,24 +20,24 @@
 //! The header pins the run's identity — canonical trace spec, canonical
 //! chaos spec and event count, all worker-count-independent — and resume
 //! refuses a journal whose header disagrees with the requested replay.
-//! Lines that fail to parse (a torn tail from `kill -9` mid-write) are
-//! skipped; the affected seq simply re-runs.
+//! The file discipline is [`sdem_obs::journal`]'s: lines that fail to
+//! parse (a torn tail from `kill -9` mid-write) are skipped — the affected
+//! seq simply re-runs — and ended before the next record.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
+use sdem_obs::journal::{Format, Journal};
 use sdem_obs::json::{self, Value};
 use sdem_types::ErrorKind;
 
 use crate::api::ApiError;
 
-/// Magic first-line key identifying a replay journal file.
-const HEADER_KEY: &str = "sdem_replay";
-/// Journal format version this build reads and writes.
-const FORMAT_VERSION: u64 = 1;
+/// Header key and format version of a replay journal file.
+const FORMAT: Format = Format {
+    key: "sdem_replay",
+    version: 1,
+};
 
 /// The run identity a journal is bound to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,32 +51,28 @@ pub struct JournalHeader {
 }
 
 impl JournalHeader {
-    fn to_line(&self) -> String {
+    /// The header members after the format key.
+    fn fields(&self) -> String {
         format!(
-            "{{\"{HEADER_KEY}\":{FORMAT_VERSION},\"trace\":{},\"chaos\":{},\"events\":{}}}",
+            "\"trace\":{},\"chaos\":{},\"events\":{}",
             json::quote(&self.trace),
             json::quote(&self.chaos),
             self.events
         )
     }
 
-    fn from_line(line: &str) -> Option<Self> {
-        let doc = json::parse(line).ok()?;
-        if doc.get(HEADER_KEY).and_then(Value::as_u64)? != FORMAT_VERSION {
-            return None;
-        }
+    fn from_json(doc: &Value) -> Option<Self> {
         Some(Self {
-            trace: doc.get("trace").and_then(Value::as_str)?.to_string(),
-            chaos: doc.get("chaos").and_then(Value::as_str)?.to_string(),
-            events: doc.get("events").and_then(Value::as_u64)?,
+            trace: doc.get("trace")?.as_str()?.to_string(),
+            chaos: doc.get("chaos")?.as_str()?.to_string(),
+            events: doc.get("events")?.as_u64()?,
         })
     }
 }
 
-fn entry_from_line(line: &str) -> Option<(u64, String)> {
-    let doc = json::parse(line).ok()?;
-    let seq = doc.get("seq").and_then(Value::as_u64)?;
-    let stored = doc.get("line").and_then(Value::as_str)?.to_string();
+fn entry_from_json(doc: &Value) -> Option<(u64, String)> {
+    let seq = doc.get("seq")?.as_u64()?;
+    let stored = doc.get("line")?.as_str()?.to_string();
     Some((seq, stored))
 }
 
@@ -89,11 +84,17 @@ fn entry_from_line(line: &str) -> Option<(u64, String)> {
 /// every emitted line is journaled before it reaches the sink.
 #[derive(Debug)]
 pub struct ReplayJournal {
-    path: PathBuf,
     header: JournalHeader,
     entries: BTreeMap<u64, String>,
-    writer: Mutex<BufWriter<File>>,
-    io_error: Mutex<Option<String>>,
+    journal: Journal,
+}
+
+/// A `checkpoint-error` naming the journal file.
+fn error(path: &Path, detail: impl std::fmt::Display) -> ApiError {
+    ApiError::new(
+        ErrorKind::CheckpointError,
+        format!("journal {}: {detail}", path.display()),
+    )
 }
 
 impl ReplayJournal {
@@ -106,23 +107,12 @@ impl ReplayJournal {
     /// cannot be written.
     pub fn create(path: impl Into<PathBuf>, header: JournalHeader) -> Result<Self, ApiError> {
         let path = path.into();
-        let err = |detail: String| {
-            ApiError::new(
-                ErrorKind::CheckpointError,
-                format!("journal {}: {detail}", path.display()),
-            )
-        };
-        let file = File::create(&path).map_err(|e| err(format!("cannot create: {e}")))?;
-        let mut writer = BufWriter::new(file);
-        writeln!(writer, "{}", header.to_line())
-            .and_then(|()| writer.flush())
-            .map_err(|e| err(format!("cannot write header: {e}")))?;
+        let journal =
+            Journal::create(&path, FORMAT, &header.fields()).map_err(|e| error(&path, e))?;
         Ok(Self {
-            path,
             header,
             entries: BTreeMap::new(),
-            writer: Mutex::new(writer),
-            io_error: Mutex::new(None),
+            journal,
         })
     }
 
@@ -130,8 +120,8 @@ impl ReplayJournal {
     ///
     /// The stored header must equal `expected` — resuming under a
     /// different trace, chaos plan or event count would stitch two
-    /// unrelated runs together. Unparsable entry lines (torn tail) are
-    /// skipped; their seqs re-run.
+    /// unrelated runs together — and a refused journal is left untouched.
+    /// Unparsable entry lines (torn tail) are skipped; their seqs re-run.
     ///
     /// # Errors
     ///
@@ -139,56 +129,38 @@ impl ReplayJournal {
     /// header mismatches.
     pub fn resume(path: impl Into<PathBuf>, expected: &JournalHeader) -> Result<Self, ApiError> {
         let path = path.into();
-        let err = |detail: String| {
-            ApiError::new(
-                ErrorKind::CheckpointError,
-                format!("journal {}: {detail}", path.display()),
-            )
-        };
-        let file = File::open(&path).map_err(|e| err(format!("cannot open: {e}")))?;
-        let mut lines = BufReader::new(file).lines();
-        let first = match lines.next() {
-            Some(Ok(line)) => line,
-            Some(Err(e)) => return Err(err(format!("cannot read: {e}"))),
-            None => return Err(err("file is empty".into())),
-        };
-        let header = JournalHeader::from_line(&first)
-            .ok_or_else(|| err("missing or unreadable replay header".into()))?;
-        if header != *expected {
-            return Err(err(format!(
-                "journal recorded trace `{}`, chaos `{}`, {} events; this replay has trace \
-                 `{}`, chaos `{}`, {} events",
-                header.trace,
-                header.chaos,
-                header.events,
-                expected.trace,
-                expected.chaos,
-                expected.events
-            )));
-        }
         let mut entries = BTreeMap::new();
-        for line in lines {
-            let line = line.map_err(|e| err(format!("cannot read: {e}")))?;
-            if let Some((seq, stored)) = entry_from_line(&line) {
-                entries.insert(seq, stored);
-            }
+        let (journal, header) = Journal::resume(&path, FORMAT, |doc| {
+            entries.extend(entry_from_json(doc));
+        })
+        .map_err(|e| error(&path, e))?;
+        let header = JournalHeader::from_json(&header)
+            .ok_or_else(|| error(&path, "missing or unreadable replay header"))?;
+        if header != *expected {
+            return Err(error(
+                &path,
+                format!(
+                    "journal recorded trace `{}`, chaos `{}`, {} events; this replay has trace \
+                     `{}`, chaos `{}`, {} events",
+                    header.trace,
+                    header.chaos,
+                    header.events,
+                    expected.trace,
+                    expected.chaos,
+                    expected.events
+                ),
+            ));
         }
-        let file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| err(format!("cannot reopen for append: {e}")))?;
         Ok(Self {
-            path,
             header,
             entries,
-            writer: Mutex::new(BufWriter::new(file)),
-            io_error: Mutex::new(None),
+            journal,
         })
     }
 
     /// Path of the journal file.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
     /// The run identity the journal is bound to.
@@ -212,33 +184,14 @@ impl ReplayJournal {
     /// the service keeps answering and [`Self::take_error`] surfaces the
     /// failure at the end of the run.
     pub fn append(&self, seq: u64, line: &str) {
-        let record = format!("{{\"seq\":{seq},\"line\":{}}}", json::quote(line));
-        let mut w = self
-            .writer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let outcome = writeln!(w, "{record}").and_then(|()| w.flush());
-        if let Err(e) = outcome {
-            let mut latch = self
-                .io_error
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            latch.get_or_insert_with(|| e.to_string());
-        }
+        self.journal
+            .append(&format!("{{\"seq\":{seq},\"line\":{}}}", json::quote(line)));
     }
 
     /// First journaling IO error hit during the run, if any.
     pub fn take_error(&self) -> Option<ApiError> {
-        let mut latch = self
-            .io_error
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        latch.take().map(|detail| {
-            ApiError::new(
-                ErrorKind::CheckpointError,
-                format!("journal {}: write failed: {detail}", self.path.display()),
-            )
-        })
+        let detail = self.journal.take_error()?;
+        Some(error(self.path(), format!("write failed: {detail}")))
     }
 }
 
@@ -258,12 +211,20 @@ mod tests {
         std::env::temp_dir().join(format!("sdem-journal-{name}-{}", std::process::id()))
     }
 
+    fn entry_from_line(line: &str) -> Option<(u64, String)> {
+        entry_from_json(&json::parse(line).ok()?)
+    }
+
     #[test]
     fn header_round_trips() {
         let h = header();
-        assert_eq!(JournalHeader::from_line(&h.to_line()), Some(h));
-        assert_eq!(JournalHeader::from_line("{\"seq\":0,\"line\":\"x\"}"), None);
-        assert_eq!(JournalHeader::from_line("{\"sdem_replay\":9}"), None);
+        let line = format!("{{\"sdem_replay\":1,{}}}", h.fields());
+        assert_eq!(
+            JournalHeader::from_json(&json::parse(&line).unwrap()),
+            Some(h)
+        );
+        let record = json::parse("{\"seq\":0,\"line\":\"x\"}").unwrap();
+        assert_eq!(JournalHeader::from_json(&record), None);
     }
 
     #[test]
@@ -311,8 +272,14 @@ mod tests {
         drop(ReplayJournal::create(&path, header()).unwrap());
         let mut other = header();
         other.events = 999;
+        let before = std::fs::read(&path).unwrap();
         let err = ReplayJournal::resume(&path, &other).unwrap_err();
         assert_eq!(err.kind, ErrorKind::CheckpointError);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "refused resume wrote"
+        );
 
         std::fs::write(&path, "not a journal\n").unwrap();
         let err = ReplayJournal::resume(&path, &header()).unwrap_err();

@@ -7,7 +7,7 @@
 //! * a replay halted mid-run and resumed from its journal emits output
 //!   byte-identical to an uninterrupted run — including when the journal
 //!   tail is truncated at **every byte offset** (the `kill -9` torn-tail
-//!   case);
+//!   case) and the same journal is then resumed a second time;
 //! * with chaos-injected worker panics the daemon stays up, the
 //!   restart/degraded/reject ledgers match the injected plan exactly,
 //!   and every non-injected response is bit-identical to the clean run;
@@ -164,6 +164,15 @@ fn journal_truncated_at_every_tail_byte_offset_still_resumes_identically() {
             EVENTS - 1
         };
         assert_eq!(report.recovered, expect_recovered, "cut at byte {cut}");
+
+        // Crash twice: the re-run seq was journaled on a line of its own,
+        // so a second resume of the same file recovers every seq.
+        let (again, report) = run(&resume);
+        assert_eq!(again, clean, "second resume after cut at byte {cut}");
+        assert_eq!(
+            report.recovered, EVENTS,
+            "second resume after cut at byte {cut}"
+        );
     }
     std::fs::remove_file(&path).ok();
 }
