@@ -11,19 +11,22 @@
 //! Each case runs one warm-up trial (to populate the workspace pools and
 //! any lazily-allocated globals), then measures the steady state over a
 //! fixed number of trials and reports mean allocations and bytes per
-//! trial. The analytic common-release solvers must reach **zero**
-//! allocations per trial on the warmed path — that invariant is asserted
-//! here, so a regression fails the bench run loudly.
+//! trial. The analytic common-release solvers, the full sweep trial with
+//! the oracle off and the sim-oracle's event engine must reach **zero**
+//! allocations per trial on the warmed path — those invariants are
+//! asserted here, so a regression fails the bench run loudly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use sdem_baselines::mbkp::{self, Assignment};
 use sdem_bench::experiment::{
     run_trial_checked, run_trial_checked_in, run_trial_quarantined_in, FaultInjection, OracleCheck,
 };
-use sdem_core::{solve, solve_in, Scheme};
+use sdem_core::{solve, solve_in, Scheme, DEFAULT_ORACLE_TOLERANCE};
 use sdem_exec::TrialCtx;
 use sdem_power::Platform;
+use sdem_sim::{simulate_event_driven_in, SimOptions};
 use sdem_types::{TaskSet, Time, Workspace};
 use sdem_workload::paper;
 use sdem_workload::synthetic::{sporadic, SyntheticConfig};
@@ -339,6 +342,66 @@ fn main() {
          allocs/trial, {} B/trial)",
         after.0, after.1
     );
+
+    // The same trial with the sim-oracle armed: the analytic-vs-meter check
+    // clones the SDEM-ON schedule and meters it on a fresh workspace, so
+    // this row is reported only. Its three event-engine runs are pooled
+    // (asserted on their own below).
+    let oracle = |ws: &mut Workspace| {
+        run_trial_checked_in(
+            &sporadic_set,
+            &platform,
+            paper::NUM_CORES,
+            OracleCheck::FailFast(DEFAULT_ORACLE_TOLERANCE),
+            ws,
+        )
+    };
+    for _ in 0..8 {
+        let _ = oracle(&mut ws);
+    }
+    let armed = count_per_iter(ITERS, || {
+        std::hint::black_box(oracle(&mut ws).unwrap());
+    });
+    report("sweep_trial (warmed workspace, oracle armed)", armed);
+
+    // The event engine alone on a Fig. 7a MBKP schedule (60 tasks, 8
+    // cores): its state tables and event list come from the workspace.
+    {
+        let cfg = SyntheticConfig::paper(60, Time::from_millis(paper::DEFAULT_X_MS));
+        let (tasks, schedule) = (0..64)
+            .find_map(|seed| {
+                let tasks = sporadic(&cfg, seed);
+                let mbkp = mbkp::schedule_online(
+                    &tasks,
+                    &platform,
+                    paper::NUM_CORES,
+                    Assignment::RoundRobin,
+                );
+                mbkp.ok().map(|schedule| (tasks, schedule))
+            })
+            .expect("a feasible seed exists");
+        let engine = |ws: &mut Workspace| {
+            simulate_event_driven_in(&schedule, &tasks, &platform, SimOptions::default(), ws)
+                .unwrap()
+        };
+        let mut ws = Workspace::new();
+        for _ in 0..8 {
+            engine(&mut ws);
+        }
+        let warmed = count_per_iter(ITERS, || {
+            std::hint::black_box(engine(&mut ws));
+        });
+        report(
+            "simulate_event_driven_in/MBKP n=60 (warmed workspace)",
+            warmed,
+        );
+        assert_eq!(
+            warmed.0, 0.0,
+            "the event engine must be allocation-free on the warmed \
+             workspace path (got {} allocs/run)",
+            warmed.0
+        );
+    }
 
     // The sweep's replicate runner adds nothing to the trial: a warmed
     // replicate allocates exactly what drawing its task set does (its

@@ -15,7 +15,7 @@ use sdem_core::{OracleError, OracleOptions, Solution};
 use sdem_exec::{payload_text, TrialCtx, TrialFailure, FATAL_PANIC_PREFIX};
 use sdem_power::Platform;
 use sdem_sim::{
-    simulate_event_driven, simulate_with_options_in, EnergyReport, SimOptions, SleepPolicy,
+    simulate_event_driven_in, simulate_with_options_in, EnergyReport, SimOptions, SleepPolicy,
 };
 use sdem_types::{Joules, TaskSet, Time, Workspace};
 
@@ -244,7 +244,7 @@ pub fn run_trial_checked_in(
             ("MBKP/never-sleep", &mbkp_schedule, never, &mbkp_report),
             ("MBKPS/profitable", &mbkp_schedule, profit, &mbkps_report),
         ] {
-            let engine = simulate_event_driven(schedule, tasks, platform, opts)?;
+            let engine = simulate_event_driven_in(schedule, tasks, platform, opts, ws)?;
             let (a, b) = (engine.total().value(), metered.total().value());
             let scale = a.abs().max(b.abs());
             let relative = if scale == 0.0 {

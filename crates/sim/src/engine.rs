@@ -6,70 +6,22 @@
 //! slice by slice from the instantaneous power of each component, and sleep
 //! round-trip overheads are charged per sleep episode.
 //!
+//! The states come from one chronological sweep ([`crate::timeline`]): the
+//! runs of every core are tabled once with their dynamic power, and each
+//! slice midpoint is classified by monotone cursors, one per core and one
+//! for the memory. A call costs O(slices × cores) after an
+//! O(segments · log segments) table build.
+//!
 //! This path exists as an independent cross-check of the closed-form meter
 //! in [`crate::meter`]: the two must agree to floating-point tolerance on
-//! every schedule (asserted by property tests).
+//! every schedule (asserted by property tests). It never prices a gap in
+//! closed form; it only integrates explicit per-component states.
 
 use sdem_power::Platform;
-use sdem_types::{IntervalSet, Schedule, ScheduleError, Speed, TaskSet, Time};
+use sdem_types::{Joules, Schedule, ScheduleError, TaskSet, Time, Workspace};
 
-use crate::timeline::SleepTimeline;
+use crate::timeline::{State, Sweep};
 use crate::{EnergyReport, SimOptions};
-
-/// Component state during one time slice.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum State {
-    /// Executing at the given speed (cores) or serving a busy core (memory).
-    Busy(Speed),
-    /// Powered and idle: static power accrues.
-    IdleAwake,
-    /// Sleeping inside the on-span: no power (round trip charged per episode).
-    Asleep,
-    /// Outside the component's on-span: off, free.
-    Off,
-}
-
-/// One core's timeline: speed-annotated busy runs plus the shared
-/// [`SleepTimeline`] gap decisions.
-struct ComponentTimeline {
-    /// Sorted disjoint `(start, end, speed)` busy runs.
-    busy: Vec<(Time, Time, Speed)>,
-    /// Shared busy/gap kernel with per-gap sleep decisions.
-    sleep: SleepTimeline,
-}
-
-impl ComponentTimeline {
-    fn new(
-        mut busy: Vec<(Time, Time, Speed)>,
-        policy: crate::SleepPolicy,
-        xi: Time,
-        horizon: Option<(Time, Time)>,
-    ) -> Self {
-        busy.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let spans = IntervalSet::from_spans(busy.iter().map(|&(a, b, _)| (a, b)).collect());
-        let sleep = SleepTimeline::new(spans, policy, xi, horizon);
-        Self { busy, sleep }
-    }
-
-    fn state_at(&self, t: Time) -> State {
-        for &(a, b, s) in &self.busy {
-            if t >= a && t < b {
-                return State::Busy(s);
-            }
-        }
-        if self.sleep.asleep_at(t) {
-            State::Asleep
-        } else if self.sleep.awake_idle_at(t) {
-            State::IdleAwake
-        } else {
-            State::Off
-        }
-    }
-
-    fn sleep_episodes(&self) -> usize {
-        self.sleep.sleep_episodes()
-    }
-}
 
 /// Event-driven counterpart of [`crate::simulate_with_options`].
 ///
@@ -107,103 +59,108 @@ pub fn simulate_event_driven(
     platform: &Platform,
     options: SimOptions,
 ) -> Result<EnergyReport, ScheduleError> {
+    simulate_event_driven_in(schedule, tasks, platform, options, &mut Workspace::new())
+}
+
+/// In-place [`simulate_event_driven`]: the validation scratch, the state
+/// tables and the event list are drawn from `ws`, so a warmed workspace
+/// makes the engine allocation-free.
+///
+/// # Errors
+///
+/// Same as [`simulate_event_driven`].
+pub fn simulate_event_driven_in(
+    schedule: &Schedule,
+    tasks: &TaskSet,
+    platform: &Platform,
+    options: SimOptions,
+    ws: &mut Workspace,
+) -> Result<EnergyReport, ScheduleError> {
     if options.validate {
-        schedule.validate_with_limits(tasks, None, Some(platform.core().max_speed()))?;
+        schedule.validate_with_limits_in(tasks, None, Some(platform.core().max_speed()), ws)?;
     }
 
     let core_model = platform.core();
     let memory = platform.memory();
+    let per_cycle = memory.access_energy_per_cycle();
     let mut report = EnergyReport::default();
+    let mut sweep = Sweep::new_in(schedule, platform, options, ws);
+    let (cores, mem) = (sweep.cores(), sweep.memory());
 
-    // Per-core timelines.
-    let core_timelines: Vec<ComponentTimeline> = schedule
-        .cores()
-        .into_iter()
-        .map(|core| {
-            let busy = schedule
-                .placements()
-                .iter()
-                .filter(|p| p.core() == core)
-                .flat_map(|p| p.segments().iter().map(|s| (s.start(), s.end(), s.speed())))
-                .collect();
-            ComponentTimeline::new(
-                busy,
-                options.core_policy,
-                core_model.break_even(),
-                options.horizon,
-            )
-        })
-        .collect();
-
-    // Memory timeline from the merged busy intervals (no speed needed).
-    let memory_timeline = SleepTimeline::new(
-        schedule.memory_busy_intervals(),
-        options.memory_policy,
-        memory.break_even(),
-        options.horizon,
+    // Event instants: every segment boundary (the memory's busy boundaries
+    // are among them) plus the horizon.
+    let mut events = ws.take_f64s();
+    events.reserve(
+        2 * schedule
+            .placements()
+            .iter()
+            .map(|p| p.segments().len())
+            .sum::<usize>()
+            + 2,
     );
-
-    // Event instants: every busy boundary of every component.
-    let mut events: Vec<Time> = core_timelines
-        .iter()
-        .flat_map(|tl| tl.busy.iter().flat_map(|&(a, b, _)| [a, b]))
-        .chain(memory_timeline.busy().iter().flat_map(|&(a, b)| [a, b]))
-        .collect();
-    if let Some((t0, t1)) = options.horizon {
-        events.push(t0);
-        events.push(t1);
+    for seg in schedule.placements().iter().flat_map(|p| p.segments()) {
+        events.push(seg.start().as_secs());
+        events.push(seg.end().as_secs());
     }
-    events.sort_by(Time::total_cmp);
+    if let Some((t0, t1)) = options.horizon {
+        events.push(t0.as_secs());
+        events.push(t1.as_secs());
+    }
+    events.sort_unstable_by(f64::total_cmp);
     events.dedup_by(|a, b| a == b);
 
     // Integrate power over each slice.
     for pair in events.windows(2) {
-        let (t0, t1) = (pair[0], pair[1]);
+        let (t0, t1) = (Time::from_secs(pair[0]), Time::from_secs(pair[1]));
         let dt = t1 - t0;
         if dt.value() <= 0.0 {
             continue;
         }
-        let mid = t0 + dt * 0.5;
-        for tl in &core_timelines {
-            match tl.state_at(mid) {
-                State::Busy(speed) => {
-                    report.core_dynamic += core_model.dynamic_power(speed) * dt;
+        sweep.seek(t0 + dt * 0.5);
+        for core in 0..cores {
+            match sweep.state(core) {
+                State::Busy(run) => {
+                    let (speed, dynamic) = sweep.run(run);
+                    report.core_dynamic += dynamic * dt;
                     report.core_static += core_model.alpha() * dt;
-                    report.memory_dynamic += sdem_types::Joules::new(
-                        memory.access_energy_per_cycle() * (speed * dt).value(),
-                    );
+                    report.memory_dynamic += Joules::new(per_cycle * (speed * dt).value());
                 }
                 State::IdleAwake => report.core_static += core_model.alpha() * dt,
                 State::Asleep | State::Off => {}
             }
         }
-        if memory_timeline.is_busy_at(mid) || memory_timeline.awake_idle_at(mid) {
-            report.memory_static += memory.awake_energy(dt);
-            report.memory_awake_time += dt;
-        } else if memory_timeline.asleep_at(mid) {
-            report.memory_sleep_time += dt;
+        match sweep.state(mem) {
+            State::Busy(_) | State::IdleAwake => {
+                report.memory_static += memory.awake_energy(dt);
+                report.memory_awake_time += dt;
+            }
+            State::Asleep => report.memory_sleep_time += dt,
+            State::Off => {}
         }
     }
 
     // Sleep round trips, charged per episode.
-    for tl in &core_timelines {
-        let n = tl.sleep_episodes();
+    for core in 0..cores {
+        let n = sweep.sleeps(core);
         report.core_sleeps += n;
         report.core_transition += core_model.transition_energy() * n as f64;
     }
-    let n = memory_timeline.sleep_episodes();
+    let n = sweep.sleeps(mem);
     report.memory_sleeps = n;
     report.memory_transition += memory.transition_energy() * n as f64;
 
+    ws.recycle_f64s(events);
+    sweep.recycle(ws);
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::{State, Sweep};
     use crate::{simulate_with_options, SleepPolicy};
     use sdem_power::{CorePower, MemoryPower};
-    use sdem_types::{CoreId, Cycles, Placement, Task, TaskId, Watts};
+    use sdem_types::{CoreId, Cycles, Placement, Speed, Task, TaskId, Watts};
 
     fn sec(v: f64) -> Time {
         Time::from_secs(v)
@@ -288,22 +245,45 @@ mod tests {
 
     #[test]
     fn state_machine_classification() {
-        let tl = ComponentTimeline::new(
-            vec![
-                (sec(0.0), sec(2.0), Speed::from_hz(1.0)),
-                (sec(5.0), sec(6.0), Speed::from_hz(2.0)),
-                (sec(6.5), sec(7.0), Speed::from_hz(3.0)),
-            ],
-            SleepPolicy::WhenProfitable,
-            sec(1.0),
-            None,
+        let run = |task, start, end, hz| {
+            Placement::single(
+                TaskId(task),
+                CoreId(0),
+                sec(start),
+                sec(end),
+                Speed::from_hz(hz),
+            )
+        };
+        // Stored out of start order: the table sorts them.
+        let schedule = Schedule::new(vec![
+            run(1, 5.0, 6.0, 2.0),
+            run(0, 0.0, 2.0, 1.0),
+            run(2, 6.5, 7.0, 3.0),
+        ]);
+        let platform = Platform::new(
+            CorePower::simple(1.0, 1.0, 3.0).with_break_even(sec(1.0)),
+            MemoryPower::new(Watts::new(2.0)),
         );
-        assert_eq!(tl.state_at(sec(1.0)), State::Busy(Speed::from_hz(1.0)));
-        assert_eq!(tl.state_at(sec(3.0)), State::Asleep); // 3 s gap ≥ ξ
-        assert_eq!(tl.state_at(sec(6.2)), State::IdleAwake); // 0.5 s gap < ξ
-        assert_eq!(tl.state_at(sec(10.0)), State::Off);
-        assert_eq!(tl.state_at(sec(-1.0)), State::Off);
-        assert_eq!(tl.sleep_episodes(), 1);
+        let mut ws = Workspace::new();
+        let mut sweep = Sweep::new_in(&schedule, &platform, SimOptions::default(), &mut ws);
+        let mut at = |t: f64| {
+            sweep.seek(sec(t));
+            match sweep.state(0) {
+                State::Busy(i) => Ok(sweep.run(i).0),
+                idle => Err(idle),
+            }
+        };
+        assert_eq!(at(1.0), Ok(Speed::from_hz(1.0)));
+        assert_eq!(at(3.0), Err(State::Asleep)); // 3 s gap ≥ ξ
+        assert_eq!(at(5.5), Ok(Speed::from_hz(2.0)));
+        assert_eq!(at(6.2), Err(State::IdleAwake)); // 0.5 s gap < ξ
+        assert_eq!(at(10.0), Err(State::Off));
+        // Going back in time rewinds the cursors.
+        assert_eq!(at(-1.0), Err(State::Off));
+        assert_eq!(at(6.7), Ok(Speed::from_hz(3.0)));
+        assert_eq!(at(f64::NAN), Err(State::Off));
+        assert_eq!(sweep.sleeps(0), 1);
+        sweep.recycle(&mut ws);
     }
 
     #[test]

@@ -10,7 +10,12 @@
 //!   prices each busy span and idle gap directly;
 //! * [`simulate_event_driven`] — a chronological event engine with explicit
 //!   per-core and memory state machines (`Off → Busy ↔ Idle ↔ Asleep`),
-//!   which is the authoritative reference for transition accounting.
+//!   which is the authoritative reference for transition accounting. It
+//!   tables every core's runs once and classifies each slice between
+//!   consecutive segment boundaries with monotone per-component cursors,
+//!   so a run costs O(slices × cores) after an O(segments · log segments)
+//!   build ([`simulate_event_driven_in`] draws its tables from a
+//!   [`sdem_types::Workspace`]).
 //!
 //! # Energy accounting conventions
 //!
@@ -60,7 +65,7 @@ mod summary;
 mod timeline;
 mod trace;
 
-pub use engine::simulate_event_driven;
+pub use engine::{simulate_event_driven, simulate_event_driven_in};
 pub use meter::{simulate, simulate_with_options, simulate_with_options_in};
 pub use options::{SimOptions, SleepPolicy};
 pub use power_trace::{power_trace, power_trace_in, trace_to_csv, PowerSample};

@@ -3,15 +3,16 @@
 //! Produces the data behind "power over time" plots: at each sample
 //! instant, the total draw is the sum of every core's state power (busy →
 //! `α + β·s^λ`, idle-awake → `α`, asleep/off → 0) plus the memory's
-//! (`α_m` while awake). Gap sleep decisions follow the same
-//! [`crate::SleepPolicy`] logic as the energy meters, so integrating the
-//! trace recovers the metered energy (up to transition overheads, which
-//! are impulses, and sampling resolution).
+//! (`α_m` while awake). States come from the same chronological sweep as
+//! the event engine ([`crate::timeline`]), so a component is powered
+//! exactly when it is busy or inside a gap its [`crate::SleepPolicy`]
+//! keeps awake, and integrating the trace recovers the metered energy (up
+//! to transition overheads, which are impulses, and sampling resolution).
 
 use sdem_power::Platform;
 use sdem_types::{Schedule, Time, Watts, Workspace};
 
-use crate::timeline::SleepTimeline;
+use crate::timeline::{State, Sweep};
 use crate::SimOptions;
 
 /// One sample of the system power trace.
@@ -65,7 +66,7 @@ pub fn power_trace(
     power_trace_in(schedule, platform, options, samples, &mut Workspace::new())
 }
 
-/// In-place [`power_trace`]: timeline scratch comes from `ws`. The
+/// In-place [`power_trace`]: the state tables come from `ws`. The
 /// returned sample vector itself still allocates (it is the output).
 ///
 /// # Panics
@@ -88,87 +89,32 @@ pub fn power_trace_in(
         return Vec::new();
     }
     let core_model = platform.core();
-    let memory = platform.memory();
-
-    // Per-core busy runs (for speed lookup) + shared gap sleep decisions.
-    struct CoreLine {
-        busy: Vec<(Time, Time, f64)>, // (start, end, speed Hz)
-        sleep: SleepTimeline,
-    }
-    let mut core_ids = ws.take_core_ids();
-    schedule.cores_into(&mut core_ids);
-    let mut lines: Vec<CoreLine> = Vec::with_capacity(core_ids.len());
-    for &core in core_ids.iter() {
-        let mut busy: Vec<(Time, Time, f64)> = schedule
-            .placements()
-            .iter()
-            .filter(|p| p.core() == core)
-            .flat_map(|p| {
-                p.segments()
-                    .iter()
-                    .map(|s| (s.start(), s.end(), s.speed().as_hz()))
-            })
-            .collect();
-        busy.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut core_busy = ws.take_intervals();
-        schedule.core_busy_intervals_into(core, &mut core_busy);
-        let sleep = SleepTimeline::new_in(
-            core_busy,
-            options.core_policy,
-            core_model.break_even(),
-            options.horizon,
-            ws,
-        );
-        lines.push(CoreLine { busy, sleep });
-    }
-
-    let mut mem_busy = ws.take_intervals();
-    schedule.memory_busy_intervals_into(&mut mem_busy);
-    let mem = SleepTimeline::new_in(
-        mem_busy,
-        options.memory_policy,
-        memory.break_even(),
-        options.horizon,
-        ws,
-    );
-
-    // Outside the busy span a component is off — unless a horizon powers the
-    // whole window and no priced gap covers the instant.
-    let off_span_awake = |sleep: &SleepTimeline, t: Time| {
-        let (s0, s1) = sleep.busy_span_or(t0);
-        options.horizon.is_some() && !sleep.in_gap(t) && (t < s0 || t >= s1)
-    };
-
+    let alpha_m = platform.memory().alpha_m();
+    let mut sweep = Sweep::new_in(schedule, platform, options, ws);
     let trace = (0..samples)
         .map(|k| {
             let t = t0 + Time::from_secs(span * (k as f64 + 0.5) / samples as f64);
+            sweep.seek(t);
             let mut cores = Watts::ZERO;
-            for line in &lines {
-                if let Some(&(_, _, s)) = line.busy.iter().find(|&&(a, b, _)| t >= a && t < b) {
-                    cores += core_model.power(sdem_types::Speed::from_hz(s));
-                } else if line.sleep.awake_idle_at(t) || off_span_awake(&line.sleep, t) {
-                    cores += core_model.alpha();
+            for core in 0..sweep.cores() {
+                match sweep.state(core) {
+                    State::Busy(run) => cores += core_model.alpha() + sweep.run(run).1,
+                    State::IdleAwake => cores += core_model.alpha(),
+                    State::Asleep | State::Off => {}
                 }
             }
-            let memory_draw =
-                if mem.is_busy_at(t) || mem.awake_idle_at(t) || off_span_awake(&mem, t) {
-                    memory.alpha_m()
-                } else {
-                    Watts::ZERO
-                };
+            let memory = match sweep.state(sweep.memory()) {
+                State::Busy(_) | State::IdleAwake => alpha_m,
+                State::Asleep | State::Off => Watts::ZERO,
+            };
             PowerSample {
                 time: t,
                 cores,
-                memory: memory_draw,
+                memory,
             }
         })
         .collect();
-
-    ws.recycle_core_ids(core_ids);
-    mem.recycle(ws);
-    for line in lines {
-        line.sleep.recycle(ws);
-    }
+    sweep.recycle(ws);
     trace
 }
 

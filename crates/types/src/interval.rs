@@ -3,11 +3,9 @@
 //!
 //! Every interval computation in the workspace — a core's busy windows,
 //! the memory's union of busy windows, the idle gaps a sleep policy
-//! prices against `ξ`/`ξ_m` — routes through [`IntervalSet`] (the set
-//! algebra) and [`Timeline`] (a busy set paired with the powered-span
-//! convention). Keeping one implementation makes the analytic schemes,
-//! the simulator and the figure pipelines agree bit-for-bit on what "a
-//! gap" is.
+//! prices against `ξ`/`ξ_m` — routes through [`IntervalSet`]. Keeping
+//! one implementation makes the analytic schemes, the simulator and the
+//! figure pipelines agree bit-for-bit on what "a gap" is.
 //!
 //! # Conventions
 //!
@@ -423,86 +421,6 @@ impl<'a> IntoIterator for &'a IntervalSet {
     }
 }
 
-/// A component's activity timeline: its coalesced busy intervals plus
-/// the powered-span convention under which its idle gaps are priced.
-///
-/// This is the shape every energy accounting in the workspace consumes:
-/// the meter, the event-driven engine, the power-trace renderer and the
-/// schedulers' closed forms all derive their gap lists from a
-/// `Timeline`.
-///
-/// # Examples
-///
-/// ```
-/// use sdem_types::{IntervalSet, Time, Timeline};
-///
-/// let s = |x: f64| Time::from_secs(x);
-/// let busy = IntervalSet::from_spans(vec![(s(2.0), s(3.0)), (s(5.0), s(7.0))]);
-/// let tl = Timeline::new(busy, Some((s(0.0), s(10.0))));
-/// // Leading, inner and trailing idle all become gaps under a horizon.
-/// assert_eq!(
-///     tl.gaps().as_slice(),
-///     &[(s(0.0), s(2.0)), (s(3.0), s(5.0)), (s(7.0), s(10.0))]
-/// );
-/// assert_eq!(tl.busy_time(), s(3.0));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Timeline {
-    busy: IntervalSet,
-    horizon: Option<(Time, Time)>,
-}
-
-impl Timeline {
-    /// Pairs a busy set with an optional powered horizon.
-    pub fn new(busy: IntervalSet, horizon: Option<(Time, Time)>) -> Self {
-        Self { busy, horizon }
-    }
-
-    /// The busy intervals.
-    #[inline]
-    pub fn busy(&self) -> &IntervalSet {
-        &self.busy
-    }
-
-    /// The powered horizon, when one was given.
-    #[inline]
-    pub fn horizon(&self) -> Option<(Time, Time)> {
-        self.horizon
-    }
-
-    /// Total busy time.
-    pub fn busy_time(&self) -> Time {
-        self.busy.total()
-    }
-
-    /// The window the component is powered over: the horizon when given,
-    /// otherwise the busy set's own span.
-    pub fn powered_span(&self) -> Option<(Time, Time)> {
-        self.horizon.or_else(|| self.busy.span())
-    }
-
-    /// The priced idle gaps (see [`IntervalSet::gaps`]), chronological.
-    pub fn gaps(&self) -> IntervalSet {
-        self.busy.gaps(self.horizon)
-    }
-
-    /// In-place [`Self::gaps`] writing into a reusable buffer.
-    pub fn gaps_into(&self, out: &mut IntervalSet) {
-        self.busy.gaps_into(self.horizon, out);
-    }
-
-    /// `true` when the component executes work at `t`.
-    pub fn is_busy_at(&self, t: Time) -> bool {
-        self.busy.contains(t)
-    }
-
-    /// Consumes the timeline, returning the busy set (e.g. to recycle its
-    /// allocation into a [`crate::Workspace`]).
-    pub fn into_busy(self) -> IntervalSet {
-        self.busy
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,19 +608,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn timeline_spans_and_queries() {
-        let tl = Timeline::new(set(&[(2.0, 3.0)]), None);
-        assert_eq!(tl.powered_span(), Some((s(2.0), s(3.0))));
-        assert_eq!(tl.gaps(), IntervalSet::new());
-        assert!(tl.is_busy_at(s(2.5)));
-        assert!(!tl.is_busy_at(s(3.5)));
-        let tl = Timeline::new(set(&[(2.0, 3.0)]), Some((s(0.0), s(4.0))));
-        assert_eq!(tl.powered_span(), Some((s(0.0), s(4.0))));
-        assert_eq!(raw(&tl.gaps()), vec![(0.0, 2.0), (3.0, 4.0)]);
-        assert_eq!(tl.busy().len(), 1);
-        assert_eq!(tl.horizon(), Some((s(0.0), s(4.0))));
     }
 }

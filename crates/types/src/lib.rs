@@ -13,7 +13,7 @@
 //! * explicit [`Schedule`]s — per-core, per-task execution [`Segment`]s —
 //!   which every scheduler in the workspace produces and the simulator
 //!   consumes;
-//! * the canonical interval kernel ([`IntervalSet`], [`Timeline`]): sorted,
+//! * the canonical interval kernel ([`IntervalSet`]): sorted,
 //!   coalesced, half-open `[start, end)` intervals with union, intersection,
 //!   complement and gap iteration — the single implementation behind every
 //!   busy/idle computation in the workspace;
@@ -51,7 +51,7 @@ mod units;
 mod workspace;
 
 pub use error::{ScheduleError, TaskSetError};
-pub use interval::{IntervalSet, Timeline};
+pub use interval::IntervalSet;
 pub use kind::{ErrorKind, ERROR_KINDS};
 pub use partition::Partition;
 pub use schedule::{CoreId, Placement, Schedule, Segment};

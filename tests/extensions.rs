@@ -8,7 +8,7 @@ use sdem::core::{common_release, solve, Scheme, Solution};
 use sdem::power::{CorePower, MemoryPower, Platform};
 use sdem::prng::{ChaCha8Rng, Rng, SeedableRng};
 use sdem::sim::{power_trace, simulate_with_options, SimOptions, SleepPolicy};
-use sdem::types::{Cycles, Speed, Task, TaskSet, Time, Watts};
+use sdem::types::{CoreId, Cycles, Placement, Schedule, Speed, Task, TaskId, TaskSet, Time, Watts};
 use sdem::workload::periodic::{unroll, PeriodicTask};
 
 const CASES: u64 = 40;
@@ -234,6 +234,7 @@ fn memory_access_energy_is_schedule_invariant() {
 
 #[test]
 fn power_trace_integral_matches_meter() {
+    let mut inputs = Vec::new();
     for case in 0..CASES {
         let mut rng = rng_for(6, case);
         let tasks = sporadic_tasks(&mut rng, 6);
@@ -243,20 +244,54 @@ fn power_trace_integral_matches_meter() {
         let sched = solve(&tasks, &p, Scheme::Online)
             .map(Solution::into_schedule)
             .unwrap();
-        let opts = SimOptions::uniform(SleepPolicy::NeverSleep);
+        inputs.push((
+            tasks,
+            sched,
+            p,
+            SimOptions::uniform(SleepPolicy::NeverSleep),
+        ));
+    }
+    // Under a horizon, a component that never runs is never powered, as
+    // both meters price it: a core holding only a zero-work placement
+    // (metered 4.4 mJ of core energy) and the memory of an empty schedule
+    // (metered 0) draw nothing. Neither case sleeps a gap with a
+    // transition cost, so the integral has no impulses to miss.
+    let paper = Platform::paper_defaults();
+    let horizon = SimOptions::default().with_horizon(Time::ZERO, Time::from_millis(20.0));
+    let window =
+        |id: usize, w: f64| Task::new(id, Time::ZERO, Time::from_millis(20.0), Cycles::new(w));
+    let pair = TaskSet::new(vec![window(0, 8.0e6), window(1, 0.0)]).unwrap();
+    let idle_core = Schedule::new(vec![
+        Placement::single(
+            TaskId(0),
+            CoreId(0),
+            Time::ZERO,
+            Time::from_millis(10.0),
+            Speed::from_mhz(800.0),
+        ),
+        Placement::new(TaskId(1), CoreId(1), Vec::new()),
+    ]);
+    inputs.push((pair.clone(), idle_core, paper, horizon));
+    let unvalidated = SimOptions {
+        validate: false,
+        ..horizon
+    };
+    inputs.push((pair, Schedule::empty(), paper, unvalidated));
+
+    for (tasks, sched, p, opts) in inputs {
         let metered = simulate_with_options(&sched, &tasks, &p, opts)
             .unwrap()
             .total()
             .value();
-        let Some((t0, t1)) = sched.span() else {
+        let Some((t0, t1)) = opts.horizon.or_else(|| sched.span()) else {
             continue;
         };
         let samples = 40_000;
         let trace = power_trace(&sched, &p, opts, samples);
         let dt = (t1 - t0).as_secs() / samples as f64;
         let integrated: f64 = trace.iter().map(|s| s.total().value() * dt).sum();
-        // NeverSleep has no transition impulses, so the integral converges
-        // to the metered value as the sampling densifies.
+        // No transition impulses, so the integral converges to the
+        // metered value as the sampling densifies.
         assert!(
             (integrated - metered).abs() <= 2e-2 * metered.max(1e-9),
             "integrated {integrated} vs metered {metered}"
