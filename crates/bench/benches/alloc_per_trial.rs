@@ -12,9 +12,9 @@
 //! any lazily-allocated globals), then measures the steady state over a
 //! fixed number of trials and reports mean allocations and bytes per
 //! trial. The analytic common-release solvers, the full sweep trial with
-//! the oracle off and the sim-oracle's event engine must reach **zero**
-//! allocations per trial on the warmed path — those invariants are
-//! asserted here, so a regression fails the bench run loudly.
+//! the oracle off or armed and the sim-oracle's event engine must reach
+//! **zero** allocations per trial on the warmed path — those invariants
+//! are asserted here, so a regression fails the bench run loudly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -344,9 +344,9 @@ fn main() {
     );
 
     // The same trial with the sim-oracle armed: the analytic-vs-meter check
-    // clones the SDEM-ON schedule and meters it on a fresh workspace, so
-    // this row is reported only. Its three event-engine runs are pooled
-    // (asserted on their own below).
+    // copies the SDEM-ON schedule into pooled buffers and meters it on the
+    // trial's workspace, and the three event-engine runs are pooled too
+    // (the engine is also asserted on its own below).
     let oracle = |ws: &mut Workspace| {
         run_trial_checked_in(
             &sporadic_set,
@@ -363,6 +363,12 @@ fn main() {
         std::hint::black_box(oracle(&mut ws).unwrap());
     });
     report("sweep_trial (warmed workspace, oracle armed)", armed);
+    assert_eq!(
+        armed.0, 0.0,
+        "the oracle-armed sweep trial must be allocation-free on the \
+         warmed workspace path (got {} allocs/trial, {} B/trial)",
+        armed.0, armed.1
+    );
 
     // The event engine alone on a Fig. 7a MBKP schedule (60 tasks, 8
     // cores): its state tables and event list come from the workspace.

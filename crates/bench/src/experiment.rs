@@ -209,11 +209,12 @@ pub fn run_trial_checked_in(
     if let Some(tol) = oracle.tolerance() {
         // Analytic accounting vs the interval meter, through the canonical
         // Solution API.
-        let analytic = Solution::from_schedule_in(sdem_schedule.clone(), platform, ws);
-        let verdict = analytic.verify_against_meter(
+        let analytic = Solution::from_schedule_in(ws.clone_schedule(&sdem_schedule), platform, ws);
+        let verdict = analytic.verify_against_meter_in(
             tasks,
             platform,
             OracleOptions::with_sim(profit).with_tolerance(tol),
+            ws,
         );
         sdem_core::recycle_report(analytic, ws);
         if let Err(e) = verdict {

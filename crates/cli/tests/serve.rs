@@ -8,6 +8,10 @@ use std::process::{Command, Stdio};
 const BIN: &str = env!("CARGO_BIN_EXE_sdem-cli");
 
 fn run_daemon(args: &[&str], input: &str) -> (String, i32) {
+    run_daemon_bytes(args, input.as_bytes())
+}
+
+fn run_daemon_bytes(args: &[&str], input: &[u8]) -> (String, i32) {
     let mut child = Command::new(BIN)
         .args(args)
         .stdin(Stdio::piped())
@@ -19,7 +23,7 @@ fn run_daemon(args: &[&str], input: &str) -> (String, i32) {
         .stdin
         .take()
         .expect("stdin")
-        .write_all(input.as_bytes())
+        .write_all(input)
         .expect("write requests");
     // Dropping stdin closes the pipe: EOF is the shutdown signal.
     let out = child.wait_with_output().expect("wait");
@@ -92,6 +96,48 @@ fn serve_metrics_exports_request_counters() {
         .unwrap();
     assert!(status.success());
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn bad_lines_are_answered_in_order_and_the_session_goes_on() {
+    // A line that is not UTF-8 used to end the session (exit 17) with
+    // every later request unanswered. A line over the 1 MiB cap is
+    // refused unread, so its id is not recovered; one under it is served.
+    let ok = |id: u64| format!("{{\"v\":1,\"id\":{id},\"tasks\":[[0,0,60,5e6]]}}");
+    let under_cap = format!(
+        "{{\"v\":1,\"id\":1,\"note\":\"{}\",\"tasks\":[[0,0,60,5e6]]}}",
+        "x".repeat(900_000)
+    );
+    let over_cap = format!(
+        "{{\"v\":1,\"id\":4,\"scheme\":\"{}\"}}",
+        "s".repeat(2 << 20)
+    );
+    let mut input = Vec::new();
+    for line in [
+        ok(0).as_bytes(),
+        under_cap.as_bytes(),
+        b"{\"v\":1,\"id\":2,\"scheme\":\"\xff\"}",
+        ok(3).as_bytes(),
+        over_cap.as_bytes(),
+        ok(5).as_bytes(),
+    ] {
+        input.extend_from_slice(line);
+        input.push(b'\n');
+    }
+    let (out, code) = run_daemon_bytes(&["serve", "--workers", "2"], &input);
+    assert_eq!(code, 0, "bad lines must not end the session:\n{out}");
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 6, "every line answered exactly once:\n{out}");
+    for (line, id) in lines.iter().zip(["0", "1", "null", "3", "null", "5"]) {
+        assert!(
+            line.starts_with(&format!("{{\"v\":1,\"id\":{id},")),
+            "{line}"
+        );
+    }
+    assert!(lines[1].contains("\"ok\":true"), "{}", lines[1]);
+    assert!(lines[2].contains("request line is not valid UTF-8"));
+    assert!(lines[4].contains("request line longer than 1048576 bytes"));
+    assert!(lines[5].contains("\"ok\":true"));
 }
 
 fn run_replay(args: &[&str]) -> (String, i32) {

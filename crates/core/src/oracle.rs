@@ -37,8 +37,8 @@
 use core::fmt;
 
 use sdem_power::Platform;
-use sdem_sim::{simulate_with_options, SimOptions};
-use sdem_types::{Joules, ScheduleError, TaskSet};
+use sdem_sim::{simulate_with_options_in, SimOptions};
+use sdem_types::{Joules, ScheduleError, TaskSet, Workspace};
 
 use crate::Solution;
 
@@ -175,9 +175,25 @@ impl Solution {
         platform: &Platform,
         options: OracleOptions,
     ) -> Result<Joules, OracleError> {
+        self.verify_against_meter_in(tasks, platform, options, &mut Workspace::new())
+    }
+
+    /// [`Self::verify_against_meter`], metering on the pooled buffers of
+    /// `ws` (allocation-free once the workspace is warm).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::verify_against_meter`].
+    pub fn verify_against_meter_in(
+        &self,
+        tasks: &TaskSet,
+        platform: &Platform,
+        options: OracleOptions,
+        ws: &mut Workspace,
+    ) -> Result<Joules, OracleError> {
         sdem_obs::registry::incr(sdem_obs::Counter::OracleChecks);
         let _span = sdem_obs::trace::span("oracle/verify");
-        let report = simulate_with_options(self.schedule(), tasks, platform, options.sim)?;
+        let report = simulate_with_options_in(self.schedule(), tasks, platform, options.sim, ws)?;
         let metered = report.total();
         let relative = relative_divergence(self.predicted_energy(), metered);
         if relative > options.rel_tol {

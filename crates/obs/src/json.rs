@@ -1,13 +1,16 @@
-//! Minimal, dependency-free JSON: string escaping for the writers and a
-//! small recursive-descent parser for `sdem stats` / `sdem stats --check`.
+//! Minimal, dependency-free JSON: string escaping for the writers and one
+//! reader for everything the workspace reads back (journals, `sdem stats`,
+//! wire requests).
 //!
-//! The parser accepts standard JSON (objects, arrays, strings with
-//! escapes, numbers, booleans, null) and preserves object key order. It
-//! exists so the CLI can validate and summarise the files this crate
-//! writes without pulling in an external dependency; it is not a
-//! general-purpose validator (e.g. it does not enforce UTF-16 surrogate
-//! pairing in `\u` escapes).
+//! The reader is a linear pull layer, [`Reader`], that emits [`Event`]s
+//! over borrowed slices; [`parse`] is the tree builder on top of it, and
+//! a caller that knows its schema (the serve request decoder) reads the
+//! events directly and builds no tree. It accepts standard JSON (objects,
+//! arrays, strings with escapes, numbers, booleans, null) and preserves
+//! object key order. It is not a general-purpose validator (e.g. it does
+//! not enforce UTF-16 surrogate pairing in `\u` escapes).
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Escapes `s` into `out` as JSON string *contents* (no quotes).
@@ -122,35 +125,197 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Deepest nesting of arrays and objects [`parse`] accepts: it recurses
-/// once per container, and a line of 100,000 `[` must be an error, not a
-/// stack overflow. No document the workspace reads nests deeper than 4.
+/// Deepest nesting of arrays and objects the [`Reader`] accepts:
+/// [`Reader::value`] recurses once per container, and a line of 100,000
+/// `[` must be an error, not a stack overflow. No document the workspace
+/// reads nests deeper than 4. (The reader keeps one bit per open
+/// container in a `u64`.)
 pub const MAX_DEPTH: usize = 64;
+const _: () = assert!(MAX_DEPTH <= u64::BITS as usize);
 
-/// Parses one complete JSON document (trailing whitespace allowed).
+/// Parses one complete JSON document (trailing whitespace allowed): the
+/// tree builder over [`Reader`].
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
+    let mut reader = Reader::new(text);
+    let first = reader.next_event()?;
+    let value = reader.value(first)?;
+    reader.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// One token of a document, in source order, as [`Reader::next_event`]
+/// emits it. Strings borrow from the input unless they hold an escape.
+#[derive(Debug, PartialEq)]
+pub enum Event<'a> {
+    /// `{`; keys and their values follow until [`Event::EndObject`].
+    BeginObject,
+    /// `}`
+    EndObject,
+    /// `[`; values follow until [`Event::EndArray`].
+    BeginArray,
+    /// `]`
+    EndArray,
+    /// An object key (escapes resolved); the events of its value follow.
+    Key(Cow<'a, str>),
+    /// A string value (escapes resolved).
+    Str(Cow<'a, str>),
+    /// A number, converted by `str::parse::<f64>`.
+    Num(f64),
+    /// `true` / `false`
+    Bool(bool),
+    /// `null`
+    Null,
+}
+
+/// What [`Reader::next_event`] reads next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// A value: the root, an object member's, or an array element after `,`.
+    Value,
+    /// Just after `[`: `]` or the first element.
+    ArrayOpen,
+    /// Just after `{`: `}` or the first key.
+    ObjectOpen,
+    /// After a value inside a container: `,` or the closing bracket.
+    Next,
+    /// The root value is complete.
+    Done,
+}
+
+/// The one JSON reader: a linear pull parser that emits [`Event`]s over
+/// borrowed slices.
+///
+/// The input is read front to back once: a string is copied run by run
+/// between its escapes (and not at all without one), and a number token
+/// is converted with `str::parse::<f64>`. Open containers are kept in a
+/// bit mask, not on the call stack; nesting deeper than [`MAX_DEPTH`] is
+/// an error, so [`Reader::value`] recurses at most that deep. The first
+/// error in source order ends the document, with the offset and reason
+/// [`parse`] reports.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
     /// Containers open at `pos`.
     depth: usize,
+    /// Bit `d` is set when the container at depth `d + 1` is an object.
+    objects: u64,
+    state: State,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
+            objects: 0,
+            state: State::Value,
+        }
+    }
+
+    /// The next event. After the root value's last event, call
+    /// [`Reader::finish`]; `next_event` then only reports an error.
+    #[inline]
+    pub fn next_event(&mut self) -> Result<Event<'a>, ParseError> {
+        self.skip_ws();
+        match self.state {
+            State::Value => self.value_event(),
+            State::ArrayOpen if self.peek() == Some(b']') => self.close(),
+            State::ArrayOpen => self.value_event(),
+            State::ObjectOpen if self.peek() == Some(b'}') => self.close(),
+            State::ObjectOpen => self.key(),
+            State::Next => {
+                let object = self.objects >> (self.depth - 1) & 1 == 1;
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.skip_ws();
+                        if object {
+                            self.key()
+                        } else {
+                            self.value_event()
+                        }
+                    }
+                    Some(b'}') if object => self.close(),
+                    Some(b']') if !object => self.close(),
+                    _ if object => Err(self.err("expected ',' or '}'")),
+                    _ => Err(self.err("expected ',' or ']'")),
+                }
+            }
+            State::Done if self.pos < self.text.len() => {
+                Err(self.err("trailing characters after document"))
+            }
+            State::Done => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// Builds the [`Value`] that `first` (the event just read) begins,
+    /// reading the rest of it.
+    ///
+    /// # Panics
+    ///
+    /// If `first` is a key or a closing bracket, which begin no value.
+    pub fn value(&mut self, first: Event<'a>) -> Result<Value, ParseError> {
+        Ok(match first {
+            Event::Null => Value::Null,
+            Event::Bool(b) => Value::Bool(b),
+            Event::Num(n) => Value::Num(n),
+            Event::Str(s) => Value::Str(s.into_owned()),
+            Event::BeginArray => {
+                let mut items = Vec::new();
+                loop {
+                    match self.next_event()? {
+                        Event::EndArray => break Value::Arr(items),
+                        event => items.push(self.value(event)?),
+                    }
+                }
+            }
+            Event::BeginObject => {
+                let mut members = Vec::new();
+                while let Event::Key(key) = self.next_event()? {
+                    let event = self.next_event()?;
+                    members.push((key.into_owned(), self.value(event)?));
+                }
+                Value::Obj(members)
+            }
+            Event::Key(_) | Event::EndArray | Event::EndObject => {
+                panic!("Reader::value called with {first:?}, which begins no value")
+            }
+        })
+    }
+
+    /// Reads past the rest of the value that `first` (the event just
+    /// read) begins, checking its syntax and depth but building nothing.
+    pub fn skip(&mut self, first: Event<'a>) -> Result<(), ParseError> {
+        if matches!(first, Event::BeginArray | Event::BeginObject) {
+            let outer = self.depth - 1;
+            while self.depth > outer {
+                self.next_event()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The input not yet read.
+    pub fn rest(&self) -> &'a str {
+        &self.text[self.pos..]
+    }
+
+    /// Reads past whatever the caller left unread of the root value, then
+    /// checks that only whitespace follows it.
+    pub fn finish(mut self) -> Result<(), ParseError> {
+        while self.state != State::Done {
+            self.next_event()?;
+        }
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
     fn err(&self, reason: impl Into<String>) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -158,14 +323,18 @@ impl Parser<'_> {
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        let rest = &self.text.as_bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .unwrap_or(rest.len());
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
@@ -177,155 +346,144 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// The state after a complete value at the current depth.
+    #[inline]
+    fn value_done(&mut self) {
+        self.state = if self.depth == 0 {
+            State::Done
+        } else {
+            State::Next
+        };
+    }
+
+    #[inline]
+    fn value_event(&mut self) -> Result<Event<'a>, ParseError> {
+        let event = match self.peek() {
+            Some(b'{') => return self.open(true),
+            Some(b'[') => return self.open(false),
+            Some(b'"') => Event::Str(self.string()?),
+            Some(b't') => self.literal("true", Event::Bool(true))?,
+            Some(b'f') => self.literal("false", Event::Bool(false))?,
+            Some(b'n') => self.literal("null", Event::Null)?,
+            Some(b'-' | b'0'..=b'9') => Event::Num(self.number()?),
+            Some(c) => return Err(self.err(format!("unexpected character '{}'", c as char))),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        self.value_done();
+        Ok(event)
+    }
+
+    fn open(&mut self, object: bool) -> Result<Event<'a>, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.objects = self.objects & !(1 << self.depth) | (object as u64) << self.depth;
+        self.depth += 1;
+        self.pos += 1;
+        if object {
+            self.state = State::ObjectOpen;
+            Ok(Event::BeginObject)
+        } else {
+            self.state = State::ArrayOpen;
+            Ok(Event::BeginArray)
+        }
+    }
+
+    /// Consumes the closing bracket of the innermost container.
+    #[inline]
+    fn close(&mut self) -> Result<Event<'a>, ParseError> {
+        self.depth -= 1;
+        self.pos += 1;
+        self.value_done();
+        Ok(if self.objects >> self.depth & 1 == 1 {
+            Event::EndObject
+        } else {
+            Event::EndArray
+        })
+    }
+
+    fn key(&mut self) -> Result<Event<'a>, ParseError> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.state = State::Value;
+        Ok(Event::Key(key))
+    }
+
+    fn literal(&mut self, word: &str, event: Event<'a>) -> Result<Event<'a>, ParseError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(event)
         } else {
             Err(self.err(format!("expected '{word}'")))
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn nested(
-        &mut self,
-        container: impl FnOnce(&mut Self) -> Result<Value, ParseError>,
-    ) -> Result<Value, ParseError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
-        }
-        self.depth += 1;
-        let value = container(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(members));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// A string token, borrowed when it holds no escape. Each run between
+    /// escapes is found by one byte scan and copied once: `"` and `\` never
+    /// occur inside a multi-byte UTF-8 sequence, so every run ends on a
+    /// character boundary.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.text.as_bytes();
+        let mut owned: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
+            let run = self.pos;
+            let Some(len) = bytes[run..].iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.pos = bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += len;
+            let plain = &self.text[run..self.pos];
+            if bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(match owned {
+                    None => Cow::Borrowed(plain),
+                    Some(mut out) => {
+                        out.push_str(plain);
+                        Cow::Owned(out)
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                });
             }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(plain);
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("bad escape")),
+            }
+            self.pos += 1;
         }
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
+    /// A number token: its first byte (`-` or a digit), then every byte
+    /// of the set `0-9 . e E + -`, converted by `str::parse::<f64>`.
+    #[inline]
+    fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let rest = &self.text.as_bytes()[start + 1..];
+        self.pos += 1 + rest
+            .iter()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .unwrap_or(rest.len());
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
-            .map(Value::Num)
             .map_err(|_| self.err(format!("bad number '{text}'")))
     }
 }
@@ -536,6 +694,62 @@ mod tests {
         assert!(parse(&"[{\"a\":".repeat(100_000)).is_err());
         // Siblings do not accumulate depth.
         assert!(parse(&format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","))).is_ok());
+    }
+
+    #[test]
+    fn reader_borrows_plain_strings_and_skips_values() {
+        let text = r#"{"plain":"abc","esc\u0061ped":"x\ny","skip":[{"a":[1,{}]}],"n":-2.5e1}"#;
+        let mut r = Reader::new(text);
+        assert_eq!(r.next_event(), Ok(Event::BeginObject));
+        assert!(matches!(
+            r.next_event(),
+            Ok(Event::Key(Cow::Borrowed("plain")))
+        ));
+        assert!(matches!(
+            r.next_event(),
+            Ok(Event::Str(Cow::Borrowed("abc")))
+        ));
+        assert_eq!(r.next_event(), Ok(Event::Key("escaped".into())));
+        assert_eq!(r.next_event(), Ok(Event::Str("x\ny".into())));
+        assert_eq!(r.next_event(), Ok(Event::Key("skip".into())));
+        let first = r.next_event().unwrap();
+        r.skip(first).unwrap();
+        assert_eq!(r.next_event(), Ok(Event::Key("n".into())));
+        assert_eq!(r.next_event(), Ok(Event::Num(-25.0)));
+        assert_eq!(r.next_event(), Ok(Event::EndObject));
+        assert_eq!(
+            r.next_event().unwrap_err().reason,
+            "unexpected end of input"
+        );
+        assert_eq!(r.finish(), Ok(()));
+        // `finish` reads past what the caller left, so a truncated
+        // document is still an error.
+        let mut r = Reader::new("[1,");
+        assert_eq!(r.next_event(), Ok(Event::BeginArray));
+        assert_eq!(r.finish().unwrap_err().reason, "unexpected end of input");
+    }
+
+    #[test]
+    fn long_strings_read_in_linear_time() {
+        // 4 MB string values, plain and with an escape in every KB: a
+        // scan that revisits the rest of the input per character (as the
+        // parser before the pull reader did) would take minutes here.
+        let plain = "x".repeat(4 << 20);
+        let block = format!("\\u00e9{}", "y".repeat(1018));
+        let escaped = block.repeat(4 << 10);
+        let decoded = format!("\u{e9}{}", "y".repeat(1018)).repeat(4 << 10);
+        for (raw, want) in [(&plain, &plain), (&escaped, &decoded)] {
+            let line = format!("{{\"line\":\"{raw}\"}}");
+            let start = std::time::Instant::now();
+            let doc = parse(&line).unwrap();
+            let took = start.elapsed();
+            assert_eq!(doc.get("line").and_then(Value::as_str), Some(want.as_str()));
+            assert!(
+                took.as_secs_f64() < 1.0,
+                "{} MB line took {took:?}",
+                line.len() >> 20
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,230 @@
 //! Seeded byte-mutation fuzzing of the one JSON reader and the journal
 //! loader: corruptions of valid checkpoint, replay and wire request lines
 //! must come back as an error, a skipped line or a value — never as a
-//! panic or a stack overflow.
+//! panic or a stack overflow — and the pull reader's tree builder must
+//! agree, value for value and error for error, with the recursive-descent
+//! parser it replaced (kept below as the reference).
 
 use sdem_obs::journal::{Format, Journal};
-use sdem_obs::json::{self, Value};
+use sdem_obs::json::{self, ParseError, Value, MAX_DEPTH};
 use sdem_prng::{Rng, SeedableRng, SplitMix64};
+
+/// The recursive-descent parser `json::parse` was before the pull reader,
+/// verbatim apart from its packaging: the reference for every verdict.
+mod reference {
+    use super::{ParseError, Value, MAX_DEPTH};
+
+    pub fn parse(text: &str) -> Result<Value, ParseError> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        let value = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing characters after document"));
+        }
+        Ok(value)
+    }
+
+    struct Parser<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+        depth: usize,
+    }
+
+    impl Parser<'_> {
+        fn err(&self, reason: impl Into<String>) -> ParseError {
+            ParseError {
+                offset: self.pos,
+                reason: reason.into(),
+            }
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.bytes.get(self.pos).copied()
+        }
+
+        fn skip_ws(&mut self) {
+            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                self.pos += 1;
+            }
+        }
+
+        fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
+            if self.peek() == Some(byte) {
+                self.pos += 1;
+                Ok(())
+            } else {
+                Err(self.err(format!("expected '{}'", byte as char)))
+            }
+        }
+
+        fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
+            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+                self.pos += word.len();
+                Ok(value)
+            } else {
+                Err(self.err(format!("expected '{word}'")))
+            }
+        }
+
+        fn value(&mut self) -> Result<Value, ParseError> {
+            match self.peek() {
+                Some(b'{') => self.nested(Self::object),
+                Some(b'[') => self.nested(Self::array),
+                Some(b'"') => Ok(Value::Str(self.string()?)),
+                Some(b't') => self.literal("true", Value::Bool(true)),
+                Some(b'f') => self.literal("false", Value::Bool(false)),
+                Some(b'n') => self.literal("null", Value::Null),
+                Some(b'-' | b'0'..=b'9') => self.number(),
+                Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
+                None => Err(self.err("unexpected end of input")),
+            }
+        }
+
+        fn nested(
+            &mut self,
+            container: impl FnOnce(&mut Self) -> Result<Value, ParseError>,
+        ) -> Result<Value, ParseError> {
+            if self.depth == MAX_DEPTH {
+                return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+            }
+            self.depth += 1;
+            let value = container(self);
+            self.depth -= 1;
+            value
+        }
+
+        fn object(&mut self) -> Result<Value, ParseError> {
+            self.expect(b'{')?;
+            let mut members = Vec::new();
+            self.skip_ws();
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+                return Ok(Value::Obj(members));
+            }
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                let value = self.value()?;
+                members.push((key, value));
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        return Ok(Value::Obj(members));
+                    }
+                    _ => return Err(self.err("expected ',' or '}'")),
+                }
+            }
+        }
+
+        fn array(&mut self) -> Result<Value, ParseError> {
+            self.expect(b'[')?;
+            let mut items = Vec::new();
+            self.skip_ws();
+            if self.peek() == Some(b']') {
+                self.pos += 1;
+                return Ok(Value::Arr(items));
+            }
+            loop {
+                self.skip_ws();
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
+                        self.pos += 1;
+                        return Ok(Value::Arr(items));
+                    }
+                    _ => return Err(self.err("expected ',' or ']'")),
+                }
+            }
+        }
+
+        fn string(&mut self) -> Result<String, ParseError> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err(self.err("unterminated string")),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        match self.peek() {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'u') => {
+                                let hex = self
+                                    .bytes
+                                    .get(self.pos + 1..self.pos + 5)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                                out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                                self.pos += 4;
+                            }
+                            _ => return Err(self.err("bad escape")),
+                        }
+                        self.pos += 1;
+                    }
+                    Some(_) => {
+                        let rest = &self.bytes[self.pos..];
+                        let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
+                        let c = s.chars().next().unwrap();
+                        out.push(c);
+                        self.pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+
+        fn number(&mut self) -> Result<Value, ParseError> {
+            let start = self.pos;
+            if self.peek() == Some(b'-') {
+                self.pos += 1;
+            }
+            while matches!(
+                self.peek(),
+                Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+            ) {
+                self.pos += 1;
+            }
+            let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+            text.parse::<f64>()
+                .map(Value::Num)
+                .map_err(|_| self.err(format!("bad number '{text}'")))
+        }
+    }
+}
+
+/// Longest mutated line checked against the reference, whose string scan
+/// is quadratic.
+const REFERENCE_LIMIT: usize = 64 * 1024;
+
+/// Asserts `json::parse` and the reference agree on `text`, value for
+/// value (NaN-free: JSON numbers never parse to NaN) or error for error.
+fn assert_agrees(text: &str) -> Result<Value, ParseError> {
+    let got = json::parse(text);
+    assert_eq!(got, reference::parse(text), "line {text:?}");
+    got
+}
 
 /// Valid lines of every format the reader sees.
 const CORPUS: [&str; 6] = [
@@ -19,6 +238,40 @@ const CORPUS: [&str; 6] = [
 
 /// Bytes a mutation inserts, including one that is never valid UTF-8.
 const ALPHABET: &[u8] = b"{}[]\",:\\/0123456789.eE+-ntfu \n\t\xff";
+
+/// Hand-picked edge cases for the reference comparison: escapes (a `\u`
+/// with a sign, a lone surrogate, a short one), number tokens the scan
+/// takes whole, the depth bound and every separator error.
+const EDGES: &[&str] = &[
+    "",
+    "  \t\r\n ",
+    r#""\u00e9\u+0e9\ud800\u0041\/\b\f\n\r\t\"\\""#,
+    r#""\u12""#,
+    r#""\u12"}"#,
+    r#""\u-123""#,
+    r#""\x""#,
+    "\"ab\\",
+    "\"unterminated",
+    "\"caf\u{e9} \u{1F600} \u{0}\"",
+    "[-0, 1e999, -1e999, 01, 1., .5, 1e, -, --1, 1-2, 1e+5, 18446744073709551616]",
+    "[1 2]",
+    "[1,]",
+    "[,1]",
+    "[}",
+    "{]",
+    "{\"a\" 1}",
+    "{\"a\":}",
+    "{\"a\":1,}",
+    "{\"a\":1 \"b\":2}",
+    "{1:2}",
+    "{}extra",
+    "[] []",
+    "tru",
+    "nul",
+    "falsey",
+    "\u{e9}",
+    "{\"a\":[{\"b\":[]},{}],\"a\":null, \"c\" : \"d\" }",
+];
 
 fn below(rng: &mut SplitMix64, n: usize) -> usize {
     (rng.next_u64() % n as u64) as usize
@@ -59,13 +312,36 @@ fn mutated_lines_never_panic_the_reader() {
         let line = CORPUS[case % CORPUS.len()];
         let bytes = mutate(&mut rng, line.as_bytes());
         let text = String::from_utf8_lossy(&bytes);
-        if let Ok(doc) = json::parse(&text) {
+        let result = if text.len() < REFERENCE_LIMIT {
+            assert_agrees(&text)
+        } else {
+            json::parse(&text)
+        };
+        if let Ok(doc) = result {
             parsed += 1;
             let _ = doc.get("line").and_then(Value::as_str);
         }
     }
     // The mutations are mild enough that some survive as valid JSON.
     assert!(parsed > 0, "no mutated line parsed");
+}
+
+#[test]
+fn edge_cases_match_the_reference_parser() {
+    for text in EDGES {
+        assert_agrees(text).ok();
+    }
+    let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+    for depth in [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1] {
+        assert_agrees(&nested(depth)).ok();
+        assert_agrees(&"{\"k\":".repeat(depth)).ok();
+    }
+    // Every prefix of every corpus line: each way a line can end early.
+    for line in CORPUS {
+        for end in (0..=line.len()).filter(|&i| line.is_char_boundary(i)) {
+            assert_agrees(&line[..end]).ok();
+        }
+    }
 }
 
 #[test]

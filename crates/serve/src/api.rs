@@ -34,7 +34,7 @@ use sdem_core::{
     schedule_race_to_idle_in, solve_in, solve_or_fallback_in, Scheme, SdemError, Solution,
     TrialError, SCHEMES,
 };
-use sdem_obs::json::{self, Value};
+use sdem_obs::json::{self, Event, Reader, Value};
 use sdem_power::{CorePower, MemoryPower, Platform};
 use sdem_types::{Cycles, ErrorKind, Task, TaskSet, Time, Watts, Workspace};
 
@@ -190,142 +190,28 @@ impl SolveRequest {
     /// is a `bad-request` [`ApiError`]; nothing non-finite can reach the
     /// solvers through this constructor.
     pub fn parse_line(line: &str) -> Result<Self, ApiError> {
-        let doc = json::parse(line)
-            .map_err(|e| ApiError::bad_request(format!("malformed request JSON: {e}")))?;
-        let version = match doc.get("v") {
-            None => API_VERSION,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| ApiError::bad_request("`v` must be an unsigned integer"))?,
-        };
-        if version != API_VERSION {
-            return Err(ApiError::bad_request(format!(
-                "unsupported protocol version {version} (this build speaks v{API_VERSION})"
-            )));
-        }
-        let id = doc
-            .get("id")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ApiError::bad_request("`id` (unsigned integer) is required"))?;
+        Self::decode(line).map_err(|(error, _)| error)
+    }
 
-        let finite = |field: &'static str, v: f64| -> Result<f64, ApiError> {
-            if v.is_finite() {
-                Ok(v)
-            } else {
-                Err(ApiError::bad_request(format!(
-                    "`{field}` must be finite, got {v}"
-                )))
-            }
-        };
-        let num_or = |field: &'static str, default: f64| -> Result<f64, ApiError> {
-            match doc.get(field) {
-                None => Ok(default),
-                Some(v) => finite(
-                    field,
-                    v.as_f64().ok_or_else(|| {
-                        ApiError::bad_request(format!("`{field}` must be a number"))
-                    })?,
-                ),
-            }
-        };
-
-        let cores = match doc.get("cores") {
-            None => DEFAULT_CORES,
-            Some(v) => v
-                .as_u64()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| ApiError::bad_request("`cores` must be a positive integer"))?
-                as usize,
-        };
-        let scheme_name = match doc.get("scheme") {
-            None => Scheme::Auto
-                .wire_name()
-                .expect("SCHEMES names Auto")
-                .to_string(),
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| ApiError::bad_request("`scheme` must be a string"))?
-                .to_string(),
-        };
-        let scheme = scheme_from_name(&scheme_name, cores)?;
-        let alpha_m_w = num_or("alpha_m_w", DEFAULT_ALPHA_M_W)?;
-        let xi_m_ms = num_or("xi_m_ms", DEFAULT_XI_M_MS)?;
-        let deadline_ms = match doc.get("deadline_ms") {
-            None => None,
-            Some(v) => {
-                let d = finite(
-                    "deadline_ms",
-                    v.as_f64()
-                        .ok_or_else(|| ApiError::bad_request("`deadline_ms` must be a number"))?,
-                )?;
-                if d < 0.0 {
-                    return Err(ApiError::bad_request(format!(
-                        "`deadline_ms` must be non-negative, got {d}"
-                    )));
-                }
-                Some(d)
-            }
-        };
-        let fallback = match doc.get("fallback") {
-            None => false,
-            Some(Value::Bool(b)) => *b,
-            Some(_) => return Err(ApiError::bad_request("`fallback` must be a boolean")),
-        };
-
-        let rows = doc
-            .get("tasks")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| ApiError::bad_request("`tasks` (array of arrays) is required"))?;
-        let mut tasks = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let cells = row.as_arr().filter(|c| c.len() == 4).ok_or_else(|| {
-                ApiError::bad_request(format!(
-                    "`tasks[{i}]` must be a 4-element array [id, release_ms, deadline_ms, work_cycles]"
-                ))
-            })?;
-            let tid = cells[0].as_u64().ok_or_else(|| {
-                ApiError::bad_request(format!(
-                    "`tasks[{i}][0]` (task id) must be an unsigned integer"
-                ))
-            })?;
-            let mut nums = [0.0_f64; 3];
-            for (j, cell) in cells[1..].iter().enumerate() {
-                let v = cell.as_f64().ok_or_else(|| {
-                    ApiError::bad_request(format!("`tasks[{i}][{}]` must be a number", j + 1))
-                })?;
-                if !v.is_finite() {
-                    return Err(ApiError::bad_request(format!(
-                        "`tasks[{i}][{}]` must be finite, got {v}",
-                        j + 1
-                    )));
-                }
-                nums[j] = v;
-            }
-            tasks.push(Task::new(
-                tid as usize,
-                Time::from_millis(nums[0]),
-                Time::from_millis(nums[1]),
-                Cycles::new(nums[2]),
-            ));
-        }
-        let tasks = TaskSet::new(tasks)
-            .map_err(|e| ApiError::bad_request(format!("invalid tasks: {e}")))?;
-
-        // The platform overrides are validated here too, so a bad request
-        // is rejected before it is admitted to the queue.
-        platform_for(alpha_m_w, xi_m_ms)?;
-
-        Ok(Self {
-            id,
-            scheme,
-            scheme_name,
-            cores,
-            alpha_m_w,
-            xi_m_ms,
-            deadline_ms,
-            fallback,
-            tasks,
-        })
+    /// [`Self::parse_line`], also returning the id a rejected line
+    /// carries (so the rejection can echo it): the first top-level `id`
+    /// member of a syntactically valid line, when it is an unsigned
+    /// integer.
+    ///
+    /// The line is read once, straight into the task vector: a JSON
+    /// syntax error anywhere in it comes first, then the field checks in
+    /// a fixed order (v, id, cores, scheme, alpha_m_w, xi_m_ms,
+    /// deadline_ms, fallback, tasks, each row, the task set, the
+    /// platform), whatever order the members came in. Keys match after
+    /// their escapes are resolved; a repeated key's first value counts,
+    /// and the rest, like unknown members, are read only for syntax.
+    pub fn decode(line: &str) -> Result<Self, (ApiError, Option<u64>)> {
+        let members = Members::read(line).map_err(|e| {
+            let error = ApiError::bad_request(format!("malformed request JSON: {e}"));
+            (error, None)
+        })?;
+        let id = members.id.as_ref().and_then(Value::as_u64);
+        members.validate().map_err(|error| (error, id))
     }
 
     /// Encodes the request as one JSONL line (the exact format
@@ -367,6 +253,268 @@ impl SolveRequest {
     pub fn platform(&self) -> Result<Platform, ApiError> {
         platform_for(self.alpha_m_w, self.xi_m_ms)
     }
+}
+
+/// The first value of each member a request line sets, from one pass
+/// over it; `tasks` is decoded row by row as it streams past.
+#[derive(Default)]
+struct Members {
+    v: Option<Value>,
+    id: Option<Value>,
+    cores: Option<Value>,
+    scheme: Option<Value>,
+    alpha_m_w: Option<Value>,
+    xi_m_ms: Option<Value>,
+    deadline_ms: Option<Value>,
+    fallback: Option<Value>,
+    /// The rows, or the first row (or shape) error.
+    tasks: Option<Result<Vec<Task>, ApiError>>,
+}
+
+impl Members {
+    fn read(line: &str) -> Result<Self, json::ParseError> {
+        let mut reader = Reader::new(line);
+        let mut members = Self::default();
+        // A document that is not an object has no members; `finish` reads
+        // past it.
+        if reader.next_event()? == Event::BeginObject {
+            while let Event::Key(key) = reader.next_event()? {
+                let first = reader.next_event()?;
+                let slot = match &*key {
+                    "v" => &mut members.v,
+                    "id" => &mut members.id,
+                    "cores" => &mut members.cores,
+                    "scheme" => &mut members.scheme,
+                    "alpha_m_w" => &mut members.alpha_m_w,
+                    "xi_m_ms" => &mut members.xi_m_ms,
+                    "deadline_ms" => &mut members.deadline_ms,
+                    "fallback" => &mut members.fallback,
+                    "tasks" if members.tasks.is_none() => {
+                        members.tasks = Some(read_rows(&mut reader, first)?);
+                        continue;
+                    }
+                    _ => {
+                        reader.skip(first)?;
+                        continue;
+                    }
+                };
+                if slot.is_none() {
+                    *slot = Some(reader.value(first)?);
+                } else {
+                    reader.skip(first)?;
+                }
+            }
+        }
+        reader.finish()?;
+        Ok(members)
+    }
+
+    fn validate(self) -> Result<SolveRequest, ApiError> {
+        let version = match &self.v {
+            None => API_VERSION,
+            Some(v) => v
+                .as_u64()
+                .ok_or_else(|| ApiError::bad_request("`v` must be an unsigned integer"))?,
+        };
+        if version != API_VERSION {
+            return Err(ApiError::bad_request(format!(
+                "unsupported protocol version {version} (this build speaks v{API_VERSION})"
+            )));
+        }
+        let id = self
+            .id
+            .as_ref()
+            .and_then(Value::as_u64)
+            .ok_or_else(|| ApiError::bad_request("`id` (unsigned integer) is required"))?;
+
+        let finite = |field: &'static str, v: f64| -> Result<f64, ApiError> {
+            if v.is_finite() {
+                Ok(v)
+            } else {
+                Err(ApiError::bad_request(format!(
+                    "`{field}` must be finite, got {v}"
+                )))
+            }
+        };
+        let num_or = |field: &'static str, value: &Option<Value>, default: f64| match value {
+            None => Ok(default),
+            Some(v) => finite(
+                field,
+                v.as_f64()
+                    .ok_or_else(|| ApiError::bad_request(format!("`{field}` must be a number")))?,
+            ),
+        };
+
+        let cores = match &self.cores {
+            None => DEFAULT_CORES,
+            Some(v) => v
+                .as_u64()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| ApiError::bad_request("`cores` must be a positive integer"))?
+                as usize,
+        };
+        let scheme_name = match self.scheme {
+            None => Scheme::Auto
+                .wire_name()
+                .expect("SCHEMES names Auto")
+                .to_string(),
+            Some(Value::Str(name)) => name,
+            Some(_) => return Err(ApiError::bad_request("`scheme` must be a string")),
+        };
+        let scheme = scheme_from_name(&scheme_name, cores)?;
+        let alpha_m_w = num_or("alpha_m_w", &self.alpha_m_w, DEFAULT_ALPHA_M_W)?;
+        let xi_m_ms = num_or("xi_m_ms", &self.xi_m_ms, DEFAULT_XI_M_MS)?;
+        let deadline_ms = match &self.deadline_ms {
+            None => None,
+            Some(v) => {
+                let d = finite(
+                    "deadline_ms",
+                    v.as_f64()
+                        .ok_or_else(|| ApiError::bad_request("`deadline_ms` must be a number"))?,
+                )?;
+                if d < 0.0 {
+                    return Err(ApiError::bad_request(format!(
+                        "`deadline_ms` must be non-negative, got {d}"
+                    )));
+                }
+                Some(d)
+            }
+        };
+        let fallback = match self.fallback {
+            None => false,
+            Some(Value::Bool(b)) => b,
+            Some(_) => return Err(ApiError::bad_request("`fallback` must be a boolean")),
+        };
+
+        let tasks = self
+            .tasks
+            .unwrap_or_else(|| Err(ApiError::bad_request(TASKS_REQUIRED)))?;
+        let tasks = TaskSet::new(tasks)
+            .map_err(|e| ApiError::bad_request(format!("invalid tasks: {e}")))?;
+
+        // The platform overrides are validated here too, so a bad request
+        // is rejected before it is admitted to the queue.
+        platform_for(alpha_m_w, xi_m_ms)?;
+
+        Ok(SolveRequest {
+            id,
+            scheme,
+            scheme_name,
+            cores,
+            alpha_m_w,
+            xi_m_ms,
+            deadline_ms,
+            fallback,
+            tasks,
+        })
+    }
+}
+
+const TASKS_REQUIRED: &str = "`tasks` (array of arrays) is required";
+
+/// Fewest bytes a row takes on the wire, `[0,0,0,0],`.
+const MIN_ROW_BYTES: usize = 10;
+
+/// Reads the `tasks` value that `first` begins: every row straight into a
+/// [`Task`] until the first bad one, whose error is kept; later rows are
+/// read only for their syntax.
+fn read_rows<'a>(
+    reader: &mut Reader<'a>,
+    first: Event<'a>,
+) -> Result<Result<Vec<Task>, ApiError>, json::ParseError> {
+    if first != Event::BeginArray {
+        reader.skip(first)?;
+        return Ok(Err(ApiError::bad_request(TASKS_REQUIRED)));
+    }
+    // Every row opens with `[`, so the brackets left in the line bound
+    // the row count, exactly when only rows follow (a line that ends with
+    // its tasks): the list is allocated once. Each row takes at least
+    // MIN_ROW_BYTES, which bounds the count where brackets follow that
+    // are not rows.
+    let rest = reader.rest();
+    let brackets = rest.bytes().filter(|&b| b == b'[').count();
+    let mut rows = Ok(Vec::with_capacity(brackets.min(rest.len() / MIN_ROW_BYTES)));
+    let mut i = 0;
+    loop {
+        let first = reader.next_event()?;
+        if first == Event::EndArray {
+            if let Ok(tasks) = &mut rows {
+                // A no-op unless brackets followed that were not rows.
+                tasks.shrink_to_fit();
+            }
+            return Ok(rows);
+        }
+        match &mut rows {
+            Ok(tasks) => match read_row(reader, first, i)? {
+                Ok(task) => tasks.push(task),
+                Err(error) => rows = Err(error),
+            },
+            Err(_) => reader.skip(first)?,
+        }
+        i += 1;
+    }
+}
+
+/// Reads row `i`, which `first` begins, and checks it as a
+/// `[id, release_ms, deadline_ms, work_cycles]` task.
+fn read_row<'a>(
+    reader: &mut Reader<'a>,
+    first: Event<'a>,
+    i: usize,
+) -> Result<Result<Task, ApiError>, json::ParseError> {
+    let shape_error = || {
+        ApiError::bad_request(format!(
+            "`tasks[{i}]` must be a 4-element array [id, release_ms, deadline_ms, work_cycles]"
+        ))
+    };
+    if first != Event::BeginArray {
+        reader.skip(first)?;
+        return Ok(Err(shape_error()));
+    }
+    // Each cell is a number or not; no check reads any other kind.
+    let mut cells = [None; 4];
+    let mut len = 0;
+    loop {
+        match reader.next_event()? {
+            Event::EndArray => break,
+            Event::Num(n) if len < cells.len() => cells[len] = Some(n),
+            first => reader.skip(first)?,
+        }
+        len += 1;
+    }
+    if len != cells.len() {
+        return Ok(Err(shape_error()));
+    }
+    Ok(task_from_cells(i, cells))
+}
+
+fn task_from_cells(i: usize, cells: [Option<f64>; 4]) -> Result<Task, ApiError> {
+    let tid = cells[0]
+        .and_then(|n| Value::Num(n).as_u64())
+        .ok_or_else(|| {
+            ApiError::bad_request(format!(
+                "`tasks[{i}][0]` (task id) must be an unsigned integer"
+            ))
+        })?;
+    let mut nums = [0.0_f64; 3];
+    for (j, cell) in cells[1..].iter().enumerate() {
+        let v = cell.ok_or_else(|| {
+            ApiError::bad_request(format!("`tasks[{i}][{}]` must be a number", j + 1))
+        })?;
+        if !v.is_finite() {
+            return Err(ApiError::bad_request(format!(
+                "`tasks[{i}][{}]` must be finite, got {v}",
+                j + 1
+            )));
+        }
+        nums[j] = v;
+    }
+    Ok(Task::new(
+        tid as usize,
+        Time::from_millis(nums[0]),
+        Time::from_millis(nums[1]),
+        Cycles::new(nums[2]),
+    ))
 }
 
 /// A successful solve, as it goes on the wire.
@@ -591,6 +739,39 @@ mod tests {
         ] {
             let err = SolveRequest::parse_line(line).unwrap_err();
             assert_eq!(err.kind, ErrorKind::BadRequest, "line: {line}");
+        }
+    }
+
+    #[test]
+    fn long_strings_read_in_linear_time() {
+        // A 4 MB scheme name, rejected after one linear pass (the reader
+        // before the pull layer rescanned the rest of the line per
+        // character: minutes at this size), and a 4 MB unknown member
+        // with escapes, read past.
+        let name = "s".repeat(4 << 20);
+        let note = "n\\\"".repeat(1 << 20);
+        for (line, want) in [
+            (
+                format!("{{\"id\":1,\"scheme\":\"{name}\",\"tasks\":[[0,0,10,1e6]]}}"),
+                Err(format!(
+                    "unknown scheme `{name}` (expected {})",
+                    scheme_names()
+                )),
+            ),
+            (
+                format!("{{\"id\":1,\"note\":\"{note}\",\"tasks\":[[0,0,10,1e6]]}}"),
+                Ok(1),
+            ),
+        ] {
+            let start = std::time::Instant::now();
+            let got = SolveRequest::parse_line(&line);
+            let took = start.elapsed();
+            assert_eq!(got.map(|r| r.id).map_err(|e| e.detail), want);
+            assert!(
+                took.as_secs_f64() < 1.0,
+                "{} MB line took {took:?}",
+                line.len() >> 20
+            );
         }
     }
 

@@ -53,13 +53,12 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use sdem_obs::json::{self, Value};
 use sdem_obs::Counter;
 use sdem_types::{ErrorKind, Workspace};
 
@@ -72,6 +71,12 @@ use crate::supervisor::{Supervisor, SupervisorConfig, Verdict};
 
 /// Histogram label for end-to-end per-request service time.
 pub const REQUEST_HISTOGRAM: &str = "serve/request_ns";
+
+/// Longest request line the service reads, in bytes, not counting its
+/// newline (1 MiB). A longer line is answered `bad-request` unread, by
+/// [`Service::submit`] and by [`run_session`], which never buffers more
+/// of a line than this.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Milliseconds a chaos latency injection stalls a worker (timing-only:
 /// it must perturb interleavings without changing any output byte).
@@ -289,7 +294,8 @@ impl Service {
 
     /// Submits one request line. Never blocks on the queue: a full queue
     /// answers `overloaded` immediately (explicit backpressure). Blank
-    /// lines are ignored.
+    /// lines are ignored; a line longer than [`MAX_LINE_BYTES`] is
+    /// answered `bad-request` unread.
     pub fn submit(&self, line: &str) {
         self.submit_with(line, false);
     }
@@ -304,11 +310,15 @@ impl Service {
     }
 
     fn submit_with(&self, line: &str, blocking: bool) {
+        if line.len() > MAX_LINE_BYTES {
+            self.reject(&too_long(), None);
+            return;
+        }
         let line = line.trim();
         if line.is_empty() {
             return;
         }
-        match SolveRequest::parse_line(line) {
+        match SolveRequest::decode(line) {
             Ok(req) => {
                 let (seq, verdict) = {
                     let mut state = self.inner.state.lock().unwrap();
@@ -361,24 +371,25 @@ impl Service {
                     None => sdem_obs::registry::incr(Counter::RequestsAdmitted),
                 }
             }
-            Err(error) => {
-                let seq = {
-                    let mut state = self.inner.state.lock().unwrap();
-                    state.submitted += 1;
-                    state.rejected += 1;
-                    let seq = state.next_seq;
-                    state.next_seq += 1;
-                    seq
-                };
-                sdem_obs::registry::incr(Counter::RequestsRejected);
-                // Best-effort id recovery so the client can correlate the
-                // rejection (the strict parse above already failed).
-                let id = json::parse(line)
-                    .ok()
-                    .and_then(|d| d.get("id").and_then(Value::as_u64));
-                self.inner.emit(seq, api::error_line(id, &error));
-            }
+            // The decode recovers the id when it can, so the client can
+            // correlate the rejection.
+            Err((error, id)) => self.reject(&error, id),
         }
+    }
+
+    /// Answers a line with `error` in submission order, without admitting
+    /// it.
+    fn reject(&self, error: &ApiError, id: Option<u64>) {
+        let seq = {
+            let mut state = self.inner.state.lock().unwrap();
+            state.submitted += 1;
+            state.rejected += 1;
+            let seq = state.next_seq;
+            state.next_seq += 1;
+            seq
+        };
+        sdem_obs::registry::incr(Counter::RequestsRejected);
+        self.inner.emit(seq, api::error_line(id, error));
     }
 
     /// Emits a journal-recovered response verbatim: the line gets the
@@ -676,16 +687,68 @@ fn panic_line(id: u64, ws: &mut Workspace, payload: Box<dyn std::any::Any + Send
 
 /// Runs a whole JSONL session: submits every line of `input`, drains, and
 /// returns the totals. The convenience entry the CLI daemon and tests use.
+///
+/// Lines are read as bytes. One longer than [`MAX_LINE_BYTES`] or not
+/// valid UTF-8 is answered `bad-request` in its place in the stream, and
+/// the session goes on; only a read error ends it.
 pub fn run_session(
     cfg: ServiceConfig,
-    input: impl std::io::BufRead,
+    mut input: impl BufRead,
     out: Box<dyn Write + Send>,
-) -> std::io::Result<ServiceStats> {
+) -> io::Result<ServiceStats> {
     let service = Service::start(cfg, out);
-    for line in input.lines() {
-        service.submit(&line?);
+    let mut line = Vec::new();
+    while let Some(over) = read_capped_line(&mut input, &mut line)? {
+        if over {
+            service.reject(&too_long(), None);
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(line) => service.submit(line),
+                Err(_) => service.reject(
+                    &ApiError::bad_request("request line is not valid UTF-8"),
+                    None,
+                ),
+            }
+        }
     }
     Ok(service.finish())
+}
+
+fn too_long() -> ApiError {
+    ApiError::bad_request(format!("request line longer than {MAX_LINE_BYTES} bytes"))
+}
+
+/// Reads the next `\n`-terminated line of `input` into `line`, without
+/// its `\n`. Returns `None` at the end of input, and `Some(true)` for a
+/// line longer than [`MAX_LINE_BYTES`], whose rest is read past: `line`
+/// never holds more than the cap.
+fn read_capped_line(input: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    line.clear();
+    let mut over = false;
+    let mut started = false;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(started.then_some(over));
+        }
+        started = true;
+        let end = chunk.iter().position(|&b| b == b'\n');
+        let take = end.unwrap_or(chunk.len());
+        if line.len() + take > MAX_LINE_BYTES {
+            over = true;
+            line.clear();
+        } else if !over {
+            line.extend_from_slice(&chunk[..take]);
+        }
+        input.consume(take + usize::from(end.is_some()));
+        if end.is_some() {
+            return Ok(Some(over));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -907,6 +970,57 @@ mod tests {
         .unwrap();
         assert_eq!(stats.submitted, 3, "blank line ignored");
         assert_eq!(buf.contents().lines().count(), 3);
+    }
+
+    #[test]
+    fn session_answers_bad_lines_in_order_and_keeps_serving() {
+        // A request padded to exactly the cap is read; one byte more is
+        // not. A small buffer makes every line span many reads.
+        let mut at_cap = req(3, "[[0,0,40,8e6]]");
+        at_cap.push_str(&" ".repeat(MAX_LINE_BYTES - at_cap.len()));
+        let over_cap = format!("{at_cap} ");
+        let mut input = Vec::new();
+        for line in [
+            req(0, "[[0,0,40,8e6]]").as_bytes(),
+            b"{\"id\":9,\"scheme\":\"\xff\"}",
+            req(1, "[[0,0,40,8e6]]").as_bytes(),
+            over_cap.as_bytes(),
+            at_cap.as_bytes(),
+        ] {
+            input.extend_from_slice(line);
+            input.push(b'\n');
+        }
+        input.extend_from_slice(req(2, "[[0,0,40,8e6]]").as_bytes()); // no final newline
+        let buf = SharedBuf::default();
+        let stats = run_session(
+            ServiceConfig::default(),
+            std::io::BufReader::with_capacity(64, &input[..]),
+            Box::new(buf.clone()),
+        )
+        .unwrap();
+        assert_eq!((stats.submitted, stats.rejected), (6, 2));
+        let text = buf.contents();
+        let lines: Vec<&str> = text.lines().collect();
+        let long = format!("request line longer than {MAX_LINE_BYTES} bytes");
+        let expect = [
+            "\"id\":0,\"ok\":true".to_string(),
+            "\"id\":null,\"ok\":false,\"error\":{\"kind\":\"bad-request\",\"detail\":\"request line is not valid UTF-8\"}".to_string(),
+            "\"id\":1,\"ok\":true".to_string(),
+            format!("\"id\":null,\"ok\":false,\"error\":{{\"kind\":\"bad-request\",\"detail\":\"{long}\"}}"),
+            "\"id\":3,\"ok\":true".to_string(),
+            "\"id\":2,\"ok\":true".to_string(),
+        ];
+        assert_eq!(lines.len(), expect.len(), "{text}");
+        for (line, want) in lines.iter().zip(&expect) {
+            assert!(line.contains(want.as_str()), "{line} lacks {want}");
+        }
+
+        // A library caller's over-long line gets the same answer.
+        let buf = SharedBuf::default();
+        let service = Service::start(ServiceConfig::default(), Box::new(buf.clone()));
+        service.submit(&over_cap);
+        assert_eq!(service.finish().rejected, 1);
+        assert!(buf.contents().contains(&long));
     }
 
     #[test]
