@@ -12,9 +12,10 @@
 //! any lazily-allocated globals), then measures the steady state over a
 //! fixed number of trials and reports mean allocations and bytes per
 //! trial. The analytic common-release solvers, the full sweep trial with
-//! the oracle off or armed and the sim-oracle's event engine must reach
-//! **zero** allocations per trial on the warmed path — those invariants
-//! are asserted here, so a regression fails the bench run loudly.
+//! the oracle off or armed, the sim-oracle's event engine and the serve
+//! cache key's hash must reach **zero** allocations per trial on the
+//! warmed path — those invariants are asserted here, so a regression
+//! fails the bench run loudly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,6 +31,7 @@ use sdem_sim::{simulate_event_driven_in, SimOptions};
 use sdem_types::{TaskSet, Time, Workspace};
 use sdem_workload::paper;
 use sdem_workload::synthetic::{sporadic, SyntheticConfig};
+use sdem_workload::trace::{ArrivalTrace, TraceSpec};
 
 /// A [`System`]-backed allocator that counts calls and bytes.
 struct CountingAlloc;
@@ -406,6 +408,48 @@ fn main() {
             "the event engine must be allocation-free on the warmed \
              workspace path (got {} allocs/run)",
             warmed.0
+        );
+    }
+
+    // The serve cache key: the solve cache hashes canonical task sets
+    // only, and `canonical_hash` folds those where they lie. A 16-row
+    // shape of a serve-hot trace (16 periodic systems plus the Poisson
+    // pool), canonicalized, must hash allocation-free (17 allocs and
+    // 1,624 B per call before the in-place fold, which filled a fresh SoA
+    // view and argsort per call).
+    {
+        let spec = TraceSpec {
+            sets: 16,
+            ..TraceSpec::default()
+        };
+        let trace = ArrivalTrace::new(&spec).expect("valid trace spec");
+        let rows = (0..trace.shape_count())
+            .map(|s| trace.shape_rows(s))
+            .find(|rows| rows.len() >= 16)
+            .expect("a serve-hot trace has a shape of 16 rows or more");
+        let set = TaskSet::new(
+            rows[..16]
+                .iter()
+                .map(|r| {
+                    sdem_types::Task::new(
+                        r.id,
+                        Time::from_millis(r.release_ms),
+                        Time::from_millis(r.deadline_ms),
+                        sdem_types::Cycles::new(r.work_cycles),
+                    )
+                })
+                .collect(),
+        )
+        .expect("trace shapes are valid task sets")
+        .canonicalize();
+        let hashed = count_per_iter(ITERS, || {
+            std::hint::black_box(std::hint::black_box(&set).canonical_hash());
+        });
+        report("TaskSet::canonical_hash n=16 canonical (serve-hot)", hashed);
+        assert_eq!(
+            hashed.0, 0.0,
+            "hashing a canonical set must not allocate (got {} allocs/call)",
+            hashed.0
         );
     }
 

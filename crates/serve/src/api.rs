@@ -129,6 +129,9 @@ pub struct SolveRequest {
     pub tasks: TaskSet,
 }
 
+/// The longest scheme name an unknown-scheme error echoes whole.
+const SCHEME_ECHO_BYTES: usize = 64;
+
 /// Maps a wire/CLI scheme name onto the [`Scheme`] enum, reading
 /// [`SCHEMES`].
 ///
@@ -138,13 +141,23 @@ pub struct SolveRequest {
 /// # Errors
 ///
 /// A `bad-request` [`ApiError`] listing [`scheme_names`] for a name the
-/// table does not hold.
+/// table does not hold. The detail echoes a name of up to 64 bytes
+/// whole; a longer one is cut to its first 64 bytes (on a char boundary)
+/// and its byte length is stated, so the error line stays short however
+/// long the name is.
 pub fn scheme_from_name(name: &str, cores: usize) -> Result<Scheme, ApiError> {
     Scheme::from_wire_name(name, cores).ok_or_else(|| {
-        ApiError::bad_request(format!(
-            "unknown scheme `{name}` (expected {})",
-            scheme_names()
-        ))
+        let detail = if name.len() <= SCHEME_ECHO_BYTES {
+            format!("unknown scheme `{name}` (expected {})", scheme_names())
+        } else {
+            format!(
+                "unknown scheme `{}…` ({} bytes; expected {})",
+                &name[..name.floor_char_boundary(SCHEME_ECHO_BYTES)],
+                name.len(),
+                scheme_names()
+            )
+        };
+        ApiError::bad_request(detail)
     })
 }
 
@@ -746,15 +759,17 @@ mod tests {
     fn long_strings_read_in_linear_time() {
         // A 4 MB scheme name, rejected after one linear pass (the reader
         // before the pull layer rescanned the rest of the line per
-        // character: minutes at this size), and a 4 MB unknown member
-        // with escapes, read past.
+        // character: minutes at this size) and echoed cut to 64 bytes,
+        // and a 4 MB unknown member with escapes, read past.
         let name = "s".repeat(4 << 20);
         let note = "n\\\"".repeat(1 << 20);
         for (line, want) in [
             (
                 format!("{{\"id\":1,\"scheme\":\"{name}\",\"tasks\":[[0,0,10,1e6]]}}"),
                 Err(format!(
-                    "unknown scheme `{name}` (expected {})",
+                    "unknown scheme `{}…` ({} bytes; expected {})",
+                    &name[..64],
+                    name.len(),
                     scheme_names()
                 )),
             ),
@@ -773,6 +788,36 @@ mod tests {
                 line.len() >> 20
             );
         }
+    }
+
+    #[test]
+    fn unknown_scheme_echo_is_cut_at_64_bytes_on_a_char_boundary() {
+        let detail = |name: &str| scheme_from_name(name, 4).unwrap_err().detail;
+        let names = scheme_names();
+        let whole = "m".repeat(64);
+        assert_eq!(
+            detail(&whole),
+            format!("unknown scheme `{whole}` (expected {names})")
+        );
+        let long = "m".repeat(65);
+        assert_eq!(
+            detail(&long),
+            format!(
+                "unknown scheme `{}…` (65 bytes; expected {names})",
+                &long[..64]
+            )
+        );
+        // A 2-byte char straddling byte 64 is dropped whole.
+        let wide = format!("{}é{}", "m".repeat(63), "m".repeat(900_000));
+        assert_eq!(
+            detail(&wide),
+            format!(
+                "unknown scheme `{}…` ({} bytes; expected {names})",
+                "m".repeat(63),
+                wide.len()
+            )
+        );
+        assert!(detail(&wide).len() < 1024);
     }
 
     #[test]

@@ -133,7 +133,8 @@ impl SolveCache {
     ///
     /// `canonical` must already be in canonical order (the service
     /// canonicalizes once and reuses the result for both the lookup and
-    /// the solve). Counts a hit or a miss on the obs registry.
+    /// the solve), so its key is hashed in place, allocation-free. Counts
+    /// a hit or a miss on the obs registry.
     pub fn get(&mut self, canonical: &TaskSet, params: &CacheParams) -> Option<CachedSolve> {
         let key = Key {
             task_hash: canonical.canonical_hash(),
@@ -153,7 +154,8 @@ impl SolveCache {
         }
     }
 
-    /// Stores a solve outcome, evicting the oldest entry at capacity.
+    /// Stores a solve outcome for `canonical` tasks (in canonical order,
+    /// as for [`Self::get`]), evicting the oldest entry at capacity.
     pub fn insert(&mut self, canonical: TaskSet, params: CacheParams, value: CachedSolve) {
         if self.capacity == 0 {
             return;

@@ -21,6 +21,7 @@
 //!   equal injected poisons. Any drift is an `internal` error — the
 //!   ledger is exact, not approximate.
 
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -141,6 +142,7 @@ pub fn replay(cfg: &ReplayConfig, out: Box<dyn Write + Send>) -> Result<ReplayRe
         service.emit_recovered(line);
     }
 
+    let mut lines = RequestLines::new(trace.shape_count());
     let mut executed = 0u64;
     let mut halted = false;
     let mut seq = 0u64;
@@ -153,13 +155,7 @@ pub fn replay(cfg: &ReplayConfig, out: Box<dyn Write + Send>) -> Result<ReplayRe
                 break;
             }
             let rows = trace.shape_rows(event.shape);
-            let mut line = request_line(&event, rows);
-            if plan.poison_at(seq) {
-                // A non-finite override the admission boundary must
-                // reject: deterministic bytes, typed `bad-request`.
-                line = line.replacen('{', "{\"alpha_m_w\":1e999,", 1);
-            }
-            service.submit_blocking(&line);
+            service.submit_blocking(lines.render(&event, rows, plan.poison_at(seq)));
             executed += 1;
         }
         seq += 1;
@@ -214,36 +210,102 @@ pub fn replay(cfg: &ReplayConfig, out: Box<dyn Write + Send>) -> Result<ReplayRe
     })
 }
 
-/// Renders one arrival as a wire request line: `id` is the seq, the
-/// scheme is `auto`, and the shape's rows are rotated by the event's
-/// rotation — a permutation the solver canonicalizes away, which is what
-/// keeps repeated shapes cache-hot while still exercising the
-/// canonicalization path.
-fn request_line(event: &ArrivalEvent, rows: &[JobRow]) -> String {
-    let n = rows.len();
-    let mut out = String::with_capacity(64 + 40 * n);
-    out.push_str(&format!(
-        "{{\"v\":{API_VERSION},\"id\":{},\"scheme\":\"auto\",\"tasks\":[",
-        event.seq
-    ));
-    for i in 0..n {
-        let r = &rows[(i + event.rotation) % n];
-        if i > 0 {
-            out.push(',');
+/// Renders arrivals as wire request lines: `id` is the seq, the scheme
+/// is `auto`, and the shape's rows are rotated by the event's rotation —
+/// a permutation the solver canonicalizes away, which is what keeps
+/// repeated shapes cache-hot while still exercising the canonicalization
+/// path.
+///
+/// A trace draws every request from a fixed shape pool, so each shape's
+/// rows are formatted once, the first time it is drawn, and kept with
+/// the byte offset of every row; a line is its header plus those rows
+/// spliced in rotated order, built in one reused buffer. The memo holds
+/// at most one rendering per shape of the pool the trace already keeps.
+struct RequestLines {
+    /// Per shape: its rows as `[id,release,deadline,work]` joined by `,`,
+    /// and the byte offset where each row starts.
+    shapes: Vec<Option<(String, Vec<usize>)>>,
+    line: String,
+}
+
+impl RequestLines {
+    fn new(shapes: usize) -> Self {
+        Self {
+            shapes: vec![None; shapes],
+            line: String::new(),
         }
-        out.push_str(&format!(
-            "[{},{},{},{}]",
-            r.id, r.release_ms, r.deadline_ms, r.work_cycles
-        ));
     }
-    out.push_str("]}");
-    out
+
+    /// The request line for `event`, whose shape has `rows`. A `poison`
+    /// line carries a non-finite override the admission boundary must
+    /// reject: deterministic bytes, typed `bad-request`.
+    fn render(&mut self, event: &ArrivalEvent, rows: &[JobRow], poison: bool) -> &str {
+        let (text, starts) = self.shapes[event.shape].get_or_insert_with(|| {
+            let mut text = String::new();
+            let mut starts = Vec::with_capacity(rows.len());
+            for r in rows {
+                if !text.is_empty() {
+                    text.push(',');
+                }
+                starts.push(text.len());
+                let _ = write!(
+                    text,
+                    "[{},{},{},{}]",
+                    r.id, r.release_ms, r.deadline_ms, r.work_cycles
+                );
+            }
+            (text, starts)
+        });
+        let line = &mut self.line;
+        line.clear();
+        let _ = write!(
+            line,
+            "{{\"v\":{API_VERSION},\"id\":{},\"scheme\":\"auto\",\"tasks\":[",
+            event.seq
+        );
+        // Rows `rotation..n`, then rows `0..rotation` without the comma
+        // that follows them in `text`.
+        let cut = starts[event.rotation % starts.len()];
+        line.push_str(&text[cut..]);
+        if cut > 0 {
+            line.push(',');
+            line.push_str(&text[..cut - 1]);
+        }
+        line.push_str("]}");
+        if poison {
+            *line = line.replacen('{', "{\"alpha_m_w\":1e999,", 1);
+        }
+        line
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::SolveRequest;
+
+    /// The renderer the replay used before the shape memo, one `format!`
+    /// per row: the reference its spliced lines are pinned against.
+    fn request_line(event: &ArrivalEvent, rows: &[JobRow]) -> String {
+        let n = rows.len();
+        let mut out = String::with_capacity(64 + 40 * n);
+        out.push_str(&format!(
+            "{{\"v\":{API_VERSION},\"id\":{},\"scheme\":\"auto\",\"tasks\":[",
+            event.seq
+        ));
+        for i in 0..n {
+            let r = &rows[(i + event.rotation) % n];
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "[{},{},{},{}]",
+                r.id, r.release_ms, r.deadline_ms, r.work_cycles
+            ));
+        }
+        out.push_str("]}");
+        out
+    }
 
     #[test]
     fn rendered_request_lines_parse_and_rotate() {
@@ -261,29 +323,133 @@ mod tests {
                 work_cycles: 1.2e7,
             },
         ];
-        let plain = request_line(
-            &ArrivalEvent {
-                seq: 3,
-                at_ms: 0.0,
-                shape: 0,
-                rotation: 0,
-            },
-            &rows,
-        );
-        let rotated = request_line(
-            &ArrivalEvent {
-                seq: 3,
-                at_ms: 0.0,
-                shape: 0,
-                rotation: 1,
-            },
-            &rows,
-        );
+        let event = |rotation| ArrivalEvent {
+            seq: 3,
+            at_ms: 0.0,
+            shape: 0,
+            rotation,
+        };
+        let mut lines = RequestLines::new(1);
+        let plain = lines.render(&event(0), &rows, false).to_string();
+        let rotated = lines.render(&event(1), &rows, false).to_string();
+        assert_eq!(plain, request_line(&event(0), &rows));
+        assert_eq!(rotated, request_line(&event(1), &rows));
         assert_ne!(plain, rotated, "rotation must permute the rows");
         let a = SolveRequest::parse_line(&plain).unwrap();
         let b = SolveRequest::parse_line(&rotated).unwrap();
         assert_eq!(a.id, 3);
         assert_eq!(a.tasks.canonicalize(), b.tasks.canonicalize());
+
+        // Every shape at every rotation of a seeded trace, then the
+        // trace's own events with a chaos plan's poison seqs on a fresh
+        // memo (filled as the replay fills it, at each shape's first
+        // draw): the spliced line equals the reference byte for byte.
+        let spec = TraceSpec {
+            seed: 0x5EED_11E5,
+            sets: 16,
+            ..TraceSpec::default()
+        };
+        let mut trace = ArrivalTrace::new(&spec).unwrap();
+        let mut lines = RequestLines::new(trace.shape_count());
+        let mut checked = 0u64;
+        for shape in 0..trace.shape_count() {
+            let rows = trace.shape_rows(shape);
+            for rotation in 0..rows.len() {
+                let event = ArrivalEvent {
+                    seq: u64::MAX - checked,
+                    at_ms: 0.0,
+                    shape,
+                    rotation,
+                };
+                let want = request_line(&event, rows);
+                assert_eq!(lines.render(&event, rows, false), want);
+                checked += 1;
+            }
+        }
+        assert!(checked > 16 * 4, "{checked} shape rotations");
+
+        let events = 6000;
+        let chaos = ChaosSpec {
+            poison: 60,
+            ..ChaosSpec::default()
+        };
+        let plan = ChaosPlan::materialize(&chaos, events).unwrap();
+        let mut lines = RequestLines::new(trace.shape_count());
+        let mut poisoned = 0;
+        for _ in 0..events {
+            let event = trace.next().unwrap();
+            let rows = trace.shape_rows(event.shape);
+            let poison = plan.poison_at(event.seq);
+            let mut want = request_line(&event, rows);
+            if poison {
+                want = want.replacen('{', "{\"alpha_m_w\":1e999,", 1);
+                poisoned += 1;
+            }
+            assert_eq!(lines.render(&event, rows, poison), want);
+        }
+        assert_eq!(poisoned, 60);
+    }
+
+    /// Per-line render cost of the reference `format!` renderer against
+    /// the splice, over the same eight serve-hot-shaped traces (16
+    /// periodic systems plus the Poisson pool, 6,000 events each), in
+    /// alternating rounds; the splice starts each trace on a fresh memo,
+    /// as a replay does. Timing only, so it runs on request:
+    /// `cargo test --release -p sdem-serve --lib render_cost -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing microbench"]
+    fn render_cost_per_line() {
+        use std::time::Instant;
+        let traces: Vec<(ArrivalTrace, Vec<ArrivalEvent>)> = (0..8)
+            .map(|t| {
+                let spec = TraceSpec {
+                    seed: 0x407_7ACE + t,
+                    sets: 16,
+                    ..TraceSpec::default()
+                };
+                let mut trace = ArrivalTrace::new(&spec).unwrap();
+                let events = (0..6000).map(|_| trace.next().unwrap()).collect();
+                (trace, events)
+            })
+            .collect();
+        let lines = traces.iter().map(|(_, e)| e.len()).sum::<usize>();
+        let round = |splice: bool| -> (f64, usize) {
+            let mut bytes = 0;
+            let start = Instant::now();
+            for (trace, events) in &traces {
+                let mut memo = RequestLines::new(trace.shape_count());
+                for event in events {
+                    let rows = trace.shape_rows(event.shape);
+                    bytes += if splice {
+                        memo.render(event, rows, false).len()
+                    } else {
+                        request_line(event, rows).len()
+                    };
+                }
+            }
+            let ns = start.elapsed().as_nanos() as f64 / lines as f64;
+            (ns, std::hint::black_box(bytes))
+        };
+        let (mut format, mut splice) = (Vec::new(), Vec::new());
+        for _ in 0..9 {
+            let (f, fb) = round(false);
+            let (s, sb) = round(true);
+            assert_eq!(fb, sb);
+            format.push(f);
+            splice.push(s);
+        }
+        let median = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let (format, splice) = (median(&mut format), median(&mut splice));
+        let (_, bytes) = round(true);
+        println!(
+            "render per line over {lines} lines of {} bytes mean: format! {format:.0} ns, \
+             splice {splice:.0} ns ({:.1}x)",
+            bytes / lines,
+            format / splice
+        );
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! The solve cache keys on [`TaskSet::canonical_hash`], and cached entries
 //! survive across code versions in spirit (the daemon's warm cache must
-//! not silently re-key when internals change). PR 7 moved the hash onto
-//! the structure-of-arrays columns ([`sdem_types::TaskSoa::hash_in_order`]);
-//! this suite re-implements the original per-`&Task` FNV-1a fold verbatim
-//! and checks the production hash matches it bit-for-bit on hostile
-//! inputs: `-0.0` releases, denormals, duplicated fields, shuffled orders.
+//! not silently re-key when internals change). This suite re-implements
+//! the original per-`&Task` FNV-1a fold verbatim and checks the
+//! production hash matches it bit-for-bit on hostile inputs: `-0.0`
+//! releases, denormals, duplicated fields, shuffled orders.
 
 use sdem_prng::{ChaCha8Rng, Rng, SeedableRng};
-use sdem_types::{Cycles, Task, TaskSet, Time, Workspace};
+use sdem_types::{Cycles, Task, TaskSet, Time};
 
 /// The pre-SoA reference: collect `&Task`s, sort by the canonical total
 /// order (release, deadline, work, id), FNV-1a over the length and each
@@ -85,17 +84,16 @@ fn soa_hash_matches_historical_per_task_hash() {
 #[test]
 fn hash_is_order_invariant_and_warm_workspace_identical() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x9A5_001);
-    let mut ws = Workspace::new();
     for _ in 0..50 {
         let set = random_set(&mut rng);
         let cold = set.canonical_hash();
-        // The pooled entry point the daemon's warm workers use.
-        assert_eq!(set.canonical_hash_in(&mut ws), cold);
+        // The canonical set the daemon's cache hashes, folded in place.
+        assert_eq!(set.canonicalize().canonical_hash(), cold);
         // Reversing the task order must not move the key.
         let mut reversed: Vec<Task> = set.iter().copied().collect();
         reversed.reverse();
         let reversed = TaskSet::new(reversed).expect("valid set");
-        assert_eq!(reversed.canonical_hash_in(&mut ws), cold);
+        assert_eq!(reversed.canonical_hash(), cold);
     }
 }
 

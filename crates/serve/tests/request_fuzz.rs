@@ -11,7 +11,7 @@
 use sdem_obs::json::{self, Value, MAX_DEPTH};
 use sdem_prng::{Rng, SeedableRng, SplitMix64};
 use sdem_serve::api::{
-    platform_for, scheme_from_name, ApiError, SolveRequest, API_VERSION, DEFAULT_ALPHA_M_W,
+    platform_for, scheme_names, ApiError, SolveRequest, API_VERSION, DEFAULT_ALPHA_M_W,
     DEFAULT_CORES, DEFAULT_XI_M_MS,
 };
 use sdem_types::{Cycles, Task, TaskSet, Time};
@@ -30,6 +30,25 @@ mod reference {
                 .and_then(|d| d.get("id").and_then(Value::as_u64));
             (e, id)
         })
+    }
+
+    /// The unknown-scheme detail: a name of at most 64 bytes whole, a
+    /// longer one cut to its first 64 bytes on a char boundary, with its
+    /// byte length.
+    fn unknown_scheme(name: &str) -> String {
+        let names = scheme_names();
+        if name.len() <= 64 {
+            return format!("unknown scheme `{name}` (expected {names})");
+        }
+        let cut = (0..=64)
+            .rev()
+            .find(|&i| name.is_char_boundary(i))
+            .unwrap_or(0);
+        format!(
+            "unknown scheme `{}…` ({} bytes; expected {names})",
+            &name[..cut],
+            name.len()
+        )
     }
 
     fn parse_line(line: &str) -> Result<SolveRequest, ApiError> {
@@ -90,7 +109,8 @@ mod reference {
                 .ok_or_else(|| ApiError::bad_request("`scheme` must be a string"))?
                 .to_string(),
         };
-        let scheme = scheme_from_name(&scheme_name, cores)?;
+        let scheme = Scheme::from_wire_name(&scheme_name, cores)
+            .ok_or_else(|| ApiError::bad_request(unknown_scheme(&scheme_name)))?;
         let alpha_m_w = num_or("alpha_m_w", DEFAULT_ALPHA_M_W)?;
         let xi_m_ms = num_or("xi_m_ms", DEFAULT_XI_M_MS)?;
         let deadline_ms = match doc.get("deadline_ms") {
@@ -226,6 +246,17 @@ const SCHEME_NAMES: &[&str] = &[
     "yds",
     "magic",
     "Auto",
+    // Echoed whole, and cut before the `é` that straddles byte 64.
+    concat!(
+        "mmmmmmmmmmmmmmmmmmmmmmmmmmmmmmmm",
+        "mmmmmmmmmmmmmmmmmmmmmmmmmmmmmmmm"
+    ),
+    concat!(
+        "mmmmmmmmmmmmmmmmmmmmmmmmmmmmmmmm",
+        "mmmmmmmmmmmmmmmmmmmmmmmmmmmmmmm",
+        "é",
+        "mm"
+    ),
 ];
 
 fn any_value(rng: &mut SplitMix64) -> String {

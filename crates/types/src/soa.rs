@@ -115,22 +115,6 @@ impl TaskSoa {
             .all(|&r| (r - r0).abs() <= f64::EPSILON)
     }
 
-    /// Fills `out` with `0..len` sorted by the canonical total order
-    /// (release, deadline, work, id) read from the columns — the argsort
-    /// behind [`TaskSet::canonical_hash`]. The id tiebreak makes the
-    /// comparator total, so the unstable sort is deterministic.
-    pub fn canonical_order_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(0..self.len());
-        out.sort_unstable_by(|&a, &b| {
-            self.releases[a]
-                .total_cmp(&self.releases[b])
-                .then(self.deadlines[a].total_cmp(&self.deadlines[b]))
-                .then(self.works[a].total_cmp(&self.works[b]))
-                .then(self.ids[a].cmp(&self.ids[b]))
-        });
-    }
-
     /// Fills `out` with `0..len` sorted by (release, deadline, id) — the
     /// arrival order of [`TaskSet::sorted_by_release`], as an argsort over
     /// the columns. Same total comparator, so the orders are identical.
@@ -143,28 +127,6 @@ impl TaskSoa {
                 .then(self.deadlines[a].total_cmp(&self.deadlines[b]))
                 .then(self.ids[a].cmp(&self.ids[b]))
         });
-    }
-
-    /// FNV-1a 64-bit over the columns in `order`, eating exactly the byte
-    /// sequence of the historical per-`Task` hash: the set length, then per
-    /// task its id, release bits, deadline bits and work bits. See
-    /// [`TaskSet::canonical_hash`] for the contract this pins.
-    pub fn hash_in_order(&self, order: &[usize]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(self.len() as u64);
-        for &i in order {
-            eat(self.ids[i] as u64);
-            eat(self.releases[i].to_bits());
-            eat(self.deadlines[i].to_bits());
-            eat(self.works[i].to_bits());
-        }
-        h
     }
 }
 
@@ -208,21 +170,6 @@ mod tests {
             s.fill_soa(&mut soa);
             assert_eq!(soa.is_common_release(), s.is_common_release());
         }
-    }
-
-    #[test]
-    fn canonical_order_breaks_all_ties() {
-        let s = set(&[
-            (3, 0.0, 10.0, 2.0),
-            (1, 0.0, 10.0, 2.0),
-            (2, 0.0, 10.0, 1.0),
-        ]);
-        let mut soa = TaskSoa::default();
-        s.fill_soa(&mut soa);
-        let mut order = Vec::new();
-        soa.canonical_order_into(&mut order);
-        let ids: Vec<usize> = order.iter().map(|&i| soa.ids[i]).collect();
-        assert_eq!(ids, vec![2, 1, 3]);
     }
 
     #[test]

@@ -432,25 +432,32 @@ impl TaskSet {
     /// unlikely FNV collision; cache users must still compare canonicalized
     /// sets on hit). `-0.0` and `+0.0` hash differently by design: the
     /// solvers see the bit patterns, so the cache must too.
+    ///
+    /// A set already in canonical order (the solve cache only ever hashes
+    /// such sets) is folded where it lies, after `n − 1` order checks:
+    /// no allocation, no sort. Any other set hashes its
+    /// [`Self::canonicalize`] copy. The byte sequence (length, then per
+    /// task id, release bits, deadline bits, work bits) is pinned against
+    /// the historical per-[`Task`] implementation by a dedicated test in
+    /// `sdem-serve`.
     pub fn canonical_hash(&self) -> u64 {
-        self.canonical_hash_in(&mut Workspace::new())
-    }
-
-    /// Pooled [`Self::canonical_hash`]: materializes the SoA view and the
-    /// canonical argsort on workspace scratch, then folds the columns
-    /// through FNV-1a in the same field-bit order as always (length, then
-    /// per task id, release bits, deadline bits, work bits), so a warm
-    /// serve worker hashes every request allocation-free. The value is
-    /// pinned against the historical per-[`Task`] implementation by a
-    /// dedicated test in `sdem-serve`.
-    pub fn canonical_hash_in(&self, ws: &mut Workspace) -> u64 {
-        let mut soa = ws.take_soa();
-        let mut order = ws.take_usizes();
-        self.fill_soa(&mut soa);
-        soa.canonical_order_into(&mut order);
-        let h = soa.hash_in_order(&order);
-        ws.recycle_usizes(order);
-        ws.recycle_soa(soa);
+        if !self.is_canonical() {
+            return self.canonicalize().canonical_hash();
+        }
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(self.len() as u64);
+        for t in &self.tasks {
+            eat(t.id().0 as u64);
+            eat(t.release().as_secs().to_bits());
+            eat(t.deadline().as_secs().to_bits());
+            eat(t.work().value().to_bits());
+        }
         h
     }
 
@@ -754,17 +761,18 @@ mod tests {
     }
 
     #[test]
-    fn canonical_hash_in_matches_allocating_hash() {
+    fn canonical_hash_in_place_matches_the_sorted_copy() {
+        // The stored order is not canonical, so the first hash sorts a
+        // copy; the canonical copy is folded where it lies.
         let set = TaskSet::new(vec![
             task(2, 5.0, 60.0, 2.0e6),
             task(0, 0.0, 40.0, 3.0e6),
             task(1, 0.0, 40.0, 4.0e6),
         ])
         .unwrap();
-        let mut ws = Workspace::new();
-        assert_eq!(set.canonical_hash_in(&mut ws), set.canonical_hash());
-        // Warm reuse gives the same value.
-        assert_eq!(set.canonical_hash_in(&mut ws), set.canonical_hash());
+        let canonical = set.canonicalize();
+        assert!(!set.is_canonical() && canonical.is_canonical());
+        assert_eq!(canonical.canonical_hash(), set.canonical_hash());
     }
 
     #[test]
