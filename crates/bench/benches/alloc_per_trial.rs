@@ -346,9 +346,10 @@ fn main() {
     );
 
     // The same trial with the sim-oracle armed: the analytic-vs-meter check
-    // copies the SDEM-ON schedule into pooled buffers and meters it on the
-    // trial's workspace, and the three event-engine runs are pooled too
-    // (the engine is also asserted on its own below).
+    // prices the SDEM-ON schedule by reference on the trial's workspace and
+    // compares it with the report already metered, and the three
+    // event-engine runs are pooled too (the engine is also asserted on its
+    // own below).
     let oracle = |ws: &mut Workspace| {
         run_trial_checked_in(
             &sporadic_set,
@@ -474,7 +475,7 @@ fn main() {
             &platform,
             paper::NUM_CORES,
             &ctx,
-            false,
+            OracleCheck::Off,
             FaultInjection::default(),
             || format!("--seed {:#x}", ctx.seed(0)),
             &mut ws,

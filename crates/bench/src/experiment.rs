@@ -11,7 +11,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use sdem_baselines::mbkp::{self, Assignment};
 use sdem_core::online::schedule_online_in;
 pub use sdem_core::TrialError;
-use sdem_core::{OracleError, OracleOptions, Solution};
+use sdem_core::{relative_divergence, Solution};
 use sdem_exec::{payload_text, TrialCtx, TrialFailure, FATAL_PANIC_PREFIX};
 use sdem_power::Platform;
 use sdem_sim::{
@@ -87,10 +87,13 @@ impl TrialResult {
     }
 }
 
-/// How a trial treats the sim-oracle cross-check.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// How a trial treats the sim-oracle cross-check: the one oracle value
+/// the CLI builds from `--oracle`, `--oracle-tol` and
+/// `--oracle-keep-going` and hands to every trial.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum OracleCheck {
     /// No cross-check.
+    #[default]
     Off,
     /// Cross-check at the given relative tolerance; divergence panics with
     /// the [`FATAL_PANIC_PREFIX`] so even a panic-containing sweep worker
@@ -104,20 +107,42 @@ pub enum OracleCheck {
 }
 
 impl OracleCheck {
-    fn tolerance(self) -> Option<f64> {
+    /// The relative tolerance of an armed check, or `None` when off.
+    pub fn tolerance(self) -> Option<f64> {
         match self {
             Self::Off => None,
             Self::FailFast(t) | Self::Quarantine(t) => Some(t),
         }
     }
 
-    /// Raises `err` according to the mode: fail-fast panics (with the
-    /// fatal prefix), quarantine returns it.
-    fn raise(self, err: TrialError) -> TrialError {
+    /// One comparison: `predicted` against `metered` through
+    /// [`relative_divergence`] at `tol`. On divergence `name` names the
+    /// check — called only then, so a passing check allocates nothing —
+    /// and the [`TrialError::OracleDivergence`] is raised according to
+    /// the mode: fail-fast panics (with the fatal prefix), quarantine
+    /// returns it.
+    fn check(
+        self,
+        tol: f64,
+        predicted: Joules,
+        metered: Joules,
+        name: impl FnOnce() -> String,
+    ) -> Result<(), TrialError> {
+        let relative = relative_divergence(predicted, metered);
+        if relative <= tol {
+            return Ok(());
+        }
+        let err = TrialError::OracleDivergence {
+            check: name(),
+            predicted: predicted.value(),
+            metered: metered.value(),
+            relative,
+            tolerance: tol,
+        };
         if let Self::FailFast(_) = self {
             panic!("{FATAL_PANIC_PREFIX}{err}");
         }
-        err
+        Err(err)
     }
 }
 
@@ -207,37 +232,19 @@ pub fn run_trial_checked_in(
     drop(_span);
 
     if let Some(tol) = oracle.tolerance() {
-        // Analytic accounting vs the interval meter, through the canonical
-        // Solution API.
-        let analytic = Solution::from_schedule_in(ws.clone_schedule(&sdem_schedule), platform, ws);
-        let verdict = analytic.verify_against_meter_in(
-            tasks,
-            platform,
-            OracleOptions::with_sim(profit).with_tolerance(tol),
-            ws,
-        );
-        sdem_core::recycle_report(analytic, ws);
-        if let Err(e) = verdict {
-            let err = match e {
-                OracleError::Schedule(se) => TrialError::Simulation(se),
-                OracleError::Mismatch {
-                    predicted,
-                    metered,
-                    relative,
-                    tolerance,
-                } => TrialError::OracleDivergence {
-                    check: "SDEM-ON analytic vs meter".to_string(),
-                    predicted: predicted.value(),
-                    metered: metered.value(),
-                    relative,
-                    tolerance,
-                },
-                // OracleError is non_exhaustive; nothing else exists today.
-                other => TrialError::SolverPanic {
-                    payload: format!("unknown oracle error: {other}"),
-                },
-            };
-            return Err(oracle.raise(err));
+        // Analytic accounting vs the interval meter: the closed form priced
+        // on the SDEM-ON schedule against the `profit` report metered above
+        // (the same schedule and options, so a second meter pass would
+        // return the same bits). A divergence is counted before it is
+        // raised.
+        sdem_obs::registry::incr(sdem_obs::Counter::OracleChecks);
+        {
+            let _span = sdem_obs::trace::span("oracle/verify");
+            let (predicted, _) = Solution::price_in(&sdem_schedule, platform, ws);
+            oracle.check(tol, predicted, sdem_on.total(), || {
+                sdem_obs::registry::incr(sdem_obs::Counter::OracleFailures);
+                "SDEM-ON analytic vs meter".to_string()
+            })?;
         }
         // Interval meter vs the event-driven engine on both schedules.
         for (name, schedule, opts, metered) in [
@@ -246,23 +253,9 @@ pub fn run_trial_checked_in(
             ("MBKPS/profitable", &mbkp_schedule, profit, &mbkps_report),
         ] {
             let engine = simulate_event_driven_in(schedule, tasks, platform, opts, ws)?;
-            let (a, b) = (engine.total().value(), metered.total().value());
-            let scale = a.abs().max(b.abs());
-            let relative = if scale == 0.0 {
-                0.0
-            } else {
-                (a - b).abs() / scale
-            };
-            if relative > tol {
-                let err = TrialError::OracleDivergence {
-                    check: format!("{name} event engine vs meter"),
-                    predicted: a,
-                    metered: b,
-                    relative,
-                    tolerance: tol,
-                };
-                return Err(oracle.raise(err));
-            }
+            oracle.check(tol, engine.total(), metered.total(), || {
+                format!("{name} event engine vs meter")
+            })?;
         }
     }
 
@@ -368,8 +361,8 @@ impl FaultInjection {
 /// oracle divergence in keep-going mode, or an exhausted retry budget —
 /// into a structured [`TrialFailure`] for the quarantine journal.
 ///
-/// With an oracle tolerance on the sweep (`ctx.oracle_tolerance()`),
-/// every attempt is cross-checked; see [`run_trial_checked_in`].
+/// With an armed `oracle`, every attempt is cross-checked; see
+/// [`run_trial_checked_in`].
 ///
 /// `config` builds an opaque reproduction string (typically the
 /// equivalent `sdem repro` flags) stored verbatim in the failure record;
@@ -380,7 +373,7 @@ impl FaultInjection {
 /// # Panics
 ///
 /// Re-raises panics carrying the [`FATAL_PANIC_PREFIX`] — in particular
-/// oracle divergence when `keep_going_oracle` is false — so genuine
+/// oracle divergence under [`OracleCheck::FailFast`] — so genuine
 /// correctness bugs still abort the sweep.
 ///
 /// # Errors
@@ -392,16 +385,11 @@ pub fn run_trial_quarantined_in(
     platform: &Platform,
     cores: usize,
     ctx: &TrialCtx,
-    keep_going_oracle: bool,
+    oracle: OracleCheck,
     inject: FaultInjection,
     config: impl Fn() -> String,
     ws: &mut Workspace,
 ) -> Result<TrialResult, TrialFailure> {
-    let oracle = match ctx.oracle_tolerance() {
-        None => OracleCheck::Off,
-        Some(t) if keep_going_oracle => OracleCheck::Quarantine(t),
-        Some(t) => OracleCheck::FailFast(t),
-    };
     let injected = inject.kind_for(ctx.trial_index());
     let quarantine = |e: &TrialError, seed: u64| {
         TrialFailure::new(e.kind(), e.to_string())
@@ -544,6 +532,7 @@ mod tests {
         cfg: &SyntheticConfig,
         trials: usize,
         grid_seed: u64,
+        oracle: OracleCheck,
     ) -> Vec<TrialResult> {
         let platform = Platform::paper_defaults();
         let (inject, tasks) = (FaultInjection::default(), |s| sporadic(cfg, s));
@@ -553,7 +542,7 @@ mod tests {
             grid_seed,
             Workspace::new,
             |_, ctx, ws| {
-                run_trial_quarantined_in(tasks, &platform, 8, ctx, false, inject, String::new, ws)
+                run_trial_quarantined_in(tasks, &platform, 8, ctx, oracle, inject, String::new, ws)
             },
         );
         let results = outcome.expect("sweep").per_point.concat();
@@ -564,7 +553,7 @@ mod tests {
     #[test]
     fn trial_produces_sane_orderings() {
         let cfg = SyntheticConfig::paper(24, Time::from_millis(400.0));
-        let results = replicates(&SweepRunner::new(), &cfg, 3, 100);
+        let results = replicates(&SweepRunner::new(), &cfg, 3, 100, OracleCheck::Off);
         for r in &results {
             // Sleeping never *increases* the pure memory bill relative to
             // never-sleeping when the policy is profitable.
@@ -590,8 +579,9 @@ mod tests {
     fn oracle_sweep_agrees_at_any_thread_count() {
         let cfg = SyntheticConfig::paper(12, Time::from_millis(600.0));
         let run = |threads: usize| {
-            let runner = SweepRunner::new().with_threads(threads).with_oracle(true);
-            replicates(&runner, &cfg, 3, 42)
+            let runner = SweepRunner::new().with_threads(threads);
+            let oracle = OracleCheck::FailFast(sdem_core::DEFAULT_ORACLE_TOLERANCE);
+            replicates(&runner, &cfg, 3, 42, oracle)
         };
         // The oracle passes (no panic) and stays thread-count invariant.
         let serial = run(1);
@@ -677,7 +667,7 @@ mod tests {
             &platform,
             8,
             &ctx,
-            false,
+            OracleCheck::Off,
             inject,
             || "--demo".to_string(),
             &mut ws,
@@ -695,7 +685,7 @@ mod tests {
             &platform,
             8,
             &ctx,
-            false,
+            OracleCheck::Off,
             inject,
             || "--demo".to_string(),
             &mut ws,
@@ -712,7 +702,7 @@ mod tests {
             &platform,
             8,
             &ctx,
-            false,
+            OracleCheck::Off,
             inject,
             || "--demo".to_string(),
             &mut ws,
@@ -747,7 +737,7 @@ mod tests {
     #[test]
     fn mean_helper() {
         let cfg = SyntheticConfig::paper(12, Time::from_millis(600.0));
-        let results = replicates(&SweepRunner::new(), &cfg, 2, 7);
+        let results = replicates(&SweepRunner::new(), &cfg, 2, 7, OracleCheck::Off);
         let m = mean(&results, |r| r.sdem_system_saving_vs_mbkp());
         assert!(m.is_finite());
     }

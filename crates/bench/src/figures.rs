@@ -19,7 +19,7 @@ use sdem_workload::synthetic::{sporadic, SyntheticConfig};
 
 use crate::experiment::{
     decode_trial_result, encode_trial_result, mean, run_trial_quarantined_in, FaultInjection,
-    TrialResult,
+    OracleCheck, TrialResult,
 };
 
 /// Grid seed of the Fig. 6 sweep.
@@ -124,9 +124,10 @@ pub struct Fig7Cell {
 /// Fault-handling options of the figure sweeps.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RobustOptions {
-    /// Quarantine oracle divergences instead of failing fast. Only
-    /// meaningful when the runner has an oracle tolerance configured.
-    pub keep_going_oracle: bool,
+    /// The sim-oracle every trial runs (off by default); with
+    /// [`OracleCheck::Quarantine`] a divergence is quarantined instead of
+    /// aborting the sweep.
+    pub oracle: OracleCheck,
     /// Deterministic fault injection for robustness smokes.
     pub inject: FaultInjection,
 }
@@ -243,7 +244,7 @@ pub fn fig6(
                 &platform,
                 paper::NUM_CORES,
                 ctx,
-                options.keep_going_oracle,
+                options.oracle,
                 options.inject,
                 || format!("--kind fig6 --instances {instances_per_stream} --u {u}"),
                 ws,
@@ -345,7 +346,7 @@ fn fig7(
                 &platform,
                 paper::NUM_CORES,
                 ctx,
-                options.keep_going_oracle,
+                options.oracle,
                 options.inject,
                 || {
                     format!(
@@ -598,8 +599,8 @@ mod tests {
     #[test]
     fn fig6_quarantines_injected_faults_thread_invariantly() {
         let options = RobustOptions {
-            keep_going_oracle: false,
             inject: FaultInjection { panics: 2, nans: 1 },
+            ..Default::default()
         };
         let run = |threads: usize| {
             let runner = SweepRunner::new().with_threads(threads);

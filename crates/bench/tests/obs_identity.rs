@@ -9,22 +9,46 @@
 //!   not to a tolerance;
 //! * the gauges and the integer energy/sleep counters are identical for
 //!   any worker-thread count (latency histograms measure wall time, so
-//!   only their sample *counts* are compared).
+//!   only their sample *counts* are compared);
+//! * arming the sim-oracle changes neither the cells nor any counter but
+//!   `oracle_checks`, one per trial: the oracle compares the reports the
+//!   trial already holds and meters nothing twice.
 //!
 //! The registry and trace sink are process-global, so these assertions
 //! live in one serialized test: integration tests get their own process,
 //! and nothing else in this binary touches `sdem-obs`.
 
 use sdem_bench::experiment::{run_trial_checked, OracleCheck};
-use sdem_bench::figures::{self, Fig7Cell};
+use sdem_bench::figures::{self, Fig7Cell, RobustOptions};
+use sdem_core::DEFAULT_ORACLE_TOLERANCE;
 use sdem_exec::SweepRunner;
 use sdem_types::Time;
 use sdem_workload::synthetic::{sporadic, SyntheticConfig};
 
 fn fig7a(threads: usize) -> Vec<Fig7Cell> {
+    fig7a_with(threads, RobustOptions::default())
+}
+
+fn fig7a_with(threads: usize, options: RobustOptions) -> Vec<Fig7Cell> {
     let runner = SweepRunner::new().with_threads(threads);
-    let sweep = figures::fig7a(12, 2, &runner, Default::default(), None);
+    let sweep = figures::fig7a(12, 2, &runner, options, None);
     sweep.expect("sweep").expect_clean().0
+}
+
+/// Asserts two sweeps' cells are bit-identical.
+fn assert_same_cells(a: &[Fig7Cell], b: &[Fig7Cell], what: &str) {
+    assert_eq!(a.len(), b.len());
+    for (a, b) in a.iter().zip(b) {
+        assert_eq!(a.param.to_bits(), b.param.to_bits());
+        assert_eq!(a.x_ms.to_bits(), b.x_ms.to_bits());
+        assert_eq!(
+            a.improvement.to_bits(),
+            b.improvement.to_bits(),
+            "{what} changed the result at (α_m={}, x={})",
+            a.param,
+            a.x_ms
+        );
+    }
 }
 
 #[test]
@@ -42,18 +66,7 @@ fn observability_is_bit_transparent_and_gauges_match_untraced_fold() {
     let two_threads = sdem_obs::registry::snapshot();
     let events = sdem_obs::trace::drain();
 
-    assert_eq!(plain.len(), metered.len());
-    for (a, b) in plain.iter().zip(&metered) {
-        assert_eq!(a.param.to_bits(), b.param.to_bits());
-        assert_eq!(a.x_ms.to_bits(), b.x_ms.to_bits());
-        assert_eq!(
-            a.improvement.to_bits(),
-            b.improvement.to_bits(),
-            "instrumentation changed the result at (α_m={}, x={})",
-            a.param,
-            a.x_ms
-        );
-    }
+    assert_same_cells(&plain, &metered, "instrumentation");
     assert!(!events.is_empty(), "trace sink captured no spans");
     assert!(!two_threads.histograms.is_empty(), "no latency histograms");
 
@@ -78,6 +91,39 @@ fn observability_is_bit_transparent_and_gauges_match_untraced_fold() {
     for ((la, a), (lb, b)) in one_thread.histograms.iter().zip(&two_threads.histograms) {
         assert_eq!(la, lb);
         assert_eq!(a.count(), b.count(), "histogram {la} lost samples");
+    }
+
+    // --- Same sweep, oracle armed: only `oracle_checks` moves ----------
+    sdem_obs::registry::reset();
+    sdem_obs::registry::set_enabled(true);
+    let oracle = OracleCheck::FailFast(DEFAULT_ORACLE_TOLERANCE);
+    let armed = fig7a_with(
+        2,
+        RobustOptions {
+            oracle,
+            ..Default::default()
+        },
+    );
+    sdem_obs::registry::set_enabled(false);
+    let armed_counters = sdem_obs::registry::snapshot().counters;
+
+    assert_same_cells(&plain, &armed, "arming the oracle");
+    let trials_run = two_threads
+        .counters
+        .iter()
+        .find(|(name, _)| *name == "trials_run")
+        .expect("trials_run counter")
+        .1;
+    assert_eq!(trials_run, 128, "64 cells × 2 trials");
+    assert_eq!(armed_counters.len(), two_threads.counters.len());
+    for ((name, armed), (other, unarmed)) in armed_counters.iter().zip(&two_threads.counters) {
+        assert_eq!(name, other);
+        if *name == "oracle_checks" {
+            assert_eq!(*unarmed, 0);
+            assert_eq!(*armed, trials_run, "one oracle check per trial");
+        } else {
+            assert_eq!(armed, unarmed, "arming the oracle moved counter {name}");
+        }
     }
 
     // --- Gauges equal an independent fold over the raw reports -------

@@ -9,7 +9,7 @@ use sdem_bench::experiment::{
 };
 use sdem_bench::figures::{self, RobustOptions};
 use sdem_core::dag::DagAssignment;
-use sdem_core::{solve, OracleOptions, Scheme};
+use sdem_core::{solve, OracleOptions, Scheme, DEFAULT_ORACLE_TOLERANCE};
 use sdem_exec::{CheckpointJournal, SweepRunner};
 use sdem_power::Platform;
 use sdem_serve::{api, ChaosSpec, ReplayConfig, ServiceConfig, SupervisorConfig};
@@ -64,7 +64,7 @@ USAGE:
   sdem-cli experiment [--kind synthetic|dspstone] [--tasks N] [--x-ms X]
                     [--u U] [--instances N] [--cores N] [--trials N]
                     [--threads N] [--seed S] [--alpha-m W] [--xi-m MS]
-                    [--oracle] [--oracle-tol REL]
+                    [--oracle] [--oracle-tol REL] [--oracle-keep-going]
                     one grid point, parallel replicates, summary savings
   sdem-cli dag generate [--count N] [--nodes N] [--frame-ms MS] [--seed S]
                     [--out FILE]
@@ -481,6 +481,7 @@ fn dag_generate(args: &Args) -> Result<(), CliError> {
 }
 
 fn dag_solve(args: &Args) -> Result<(), CliError> {
+    let oracle = oracle_from(args)?;
     let path = args
         .get("input")
         .ok_or_else(|| "`--input FILE` is required".to_string())?;
@@ -526,8 +527,7 @@ fn dag_solve(args: &Args) -> Result<(), CliError> {
         report.cores_used,
         report.clusters
     );
-    if args.has_flag("oracle") || args.get("oracle-tol").is_some() {
-        let tol = args.get_f64("oracle-tol", sdem_exec::DEFAULT_ORACLE_TOLERANCE)?;
+    if let Some(tol) = oracle.tolerance() {
         let options = OracleOptions::default().with_tolerance(tol);
         let metered = report
             .verify_against_meter(&platform, options)
@@ -573,17 +573,27 @@ fn dag_sweep(args: &Args) -> Result<(), CliError> {
 }
 
 fn runner_from(args: &Args) -> Result<SweepRunner, String> {
-    let mut runner = SweepRunner::new().with_threads(args.get_usize("threads", 0)?);
-    let tol = args.get_f64("oracle-tol", sdem_exec::DEFAULT_ORACLE_TOLERANCE)?;
-    if args.has_flag("oracle") || args.get("oracle-tol").is_some() {
-        if !tol.is_finite() || tol < 0.0 {
-            return Err(format!(
-                "option `--oracle-tol` expects a non-negative number, got `{tol}`"
-            ));
-        }
-        runner = runner.with_oracle_tolerance(tol);
+    Ok(SweepRunner::new().with_threads(args.get_usize("threads", 0)?))
+}
+
+/// The one parser of `--oracle`, `--oracle-tol REL` and
+/// `--oracle-keep-going`; a tolerance that is not finite and
+/// non-negative is a usage error.
+fn oracle_from(args: &Args) -> Result<OracleCheck, CliError> {
+    if !args.has_flag("oracle") && args.get("oracle-tol").is_none() {
+        return Ok(OracleCheck::Off);
     }
-    Ok(runner)
+    let tol = args.get_f64("oracle-tol", DEFAULT_ORACLE_TOLERANCE)?;
+    if !tol.is_finite() || tol < 0.0 {
+        return Err(
+            format!("option `--oracle-tol` expects a non-negative number, got `{tol}`").into(),
+        );
+    }
+    Ok(if args.has_flag("oracle-keep-going") {
+        OracleCheck::Quarantine(tol)
+    } else {
+        OracleCheck::FailFast(tol)
+    })
 }
 
 fn fig6_table(rows: &[figures::Fig6Row]) -> String {
@@ -620,8 +630,15 @@ fn sweep(args: &Args) -> Result<(), CliError> {
     let outcome = sweep_dispatch(args);
     // Quiesce before exporting so the snapshot/drain see a stable world,
     // and so a failed sweep never leaves global instrumentation armed.
-    sdem_obs::registry::set_enabled(false);
-    sdem_obs::trace::set_enabled(false);
+    // Only what this call armed is disarmed: the switches are
+    // process-global, and another sweep in the same process may be
+    // recording.
+    if metrics.is_some() {
+        sdem_obs::registry::set_enabled(false);
+    }
+    if trace_out.is_some() {
+        sdem_obs::trace::set_enabled(false);
+    }
     outcome?;
     if let Some(path) = metrics {
         let json = sdem_obs::registry::snapshot().to_json();
@@ -649,7 +666,7 @@ fn sweep_dispatch(args: &Args) -> Result<(), CliError> {
         runner = runner.with_trial_budget(halt_after);
     }
     let options = RobustOptions {
-        keep_going_oracle: args.has_flag("oracle-keep-going"),
+        oracle: oracle_from(args)?,
         inject: match args.get("inject") {
             Some(spec) => FaultInjection::parse(spec)?,
             None => FaultInjection::default(),
@@ -833,6 +850,11 @@ fn repro(args: &Args) -> Result<(), CliError> {
     let kind = args.get_or("kind", "synthetic");
     let cores = args.get_usize("cores", 8)?;
     let platform = platform_from(args)?;
+    // Replay reports divergence as a structured error, never a panic.
+    let oracle = match oracle_from(args)?.tolerance() {
+        Some(tol) => OracleCheck::Quarantine(tol),
+        None => OracleCheck::Off,
+    };
     let tasks = match kind {
         "synthetic" => synthetic::sporadic(
             &SyntheticConfig::paper(
@@ -855,19 +877,6 @@ fn repro(args: &Args) -> Result<(), CliError> {
             seed,
         ),
         other => return Err(format!("unknown workload kind `{other}`").into()),
-    };
-    let oracle = if args.has_flag("oracle") || args.get("oracle-tol").is_some() {
-        let tol = args.get_f64("oracle-tol", sdem_exec::DEFAULT_ORACLE_TOLERANCE)?;
-        if !tol.is_finite() || tol < 0.0 {
-            return Err(format!(
-                "option `--oracle-tol` expects a non-negative number, got `{tol}`"
-            )
-            .into());
-        }
-        // Replay reports divergence as a structured error, never a panic.
-        OracleCheck::Quarantine(tol)
-    } else {
-        OracleCheck::Off
     };
 
     println!(
@@ -1030,6 +1039,7 @@ fn experiment(args: &Args) -> Result<(), CliError> {
     let seed = args.get_u64("seed", 0x5DE0)?;
     let platform = platform_from(args)?;
     let runner = runner_from(args)?;
+    let oracle = oracle_from(args)?;
 
     let tasks_n = args.get_usize("tasks", 40)?;
     let x_ms = args.get_f64("x-ms", 400.0)?;
@@ -1063,7 +1073,7 @@ fn experiment(args: &Args) -> Result<(), CliError> {
                 &platform,
                 cores,
                 ctx,
-                false,
+                oracle,
                 FaultInjection::default(),
                 || repro.clone(),
                 ws,
@@ -1359,6 +1369,21 @@ mod tests {
             "-1.0",
         ]))
         .is_err());
+        // At zero tolerance round-off diverges: fail-fast kills the
+        // replicates, --oracle-keep-going quarantines them instead.
+        let zero = [
+            "experiment",
+            "--trials",
+            "4",
+            "--tasks",
+            "12",
+            "--oracle-tol",
+            "0",
+        ];
+        let fatal = run(&sv(&zero)).unwrap_err();
+        assert_eq!(fatal.kind, ErrorKind::WorkerPanic);
+        let kept = run(&sv(&[&zero[..], &["--oracle-keep-going"]].concat()));
+        assert!(kept.map_or_else(|e| e.kind != ErrorKind::WorkerPanic, |()| true));
     }
 
     #[test]

@@ -304,4 +304,32 @@ fn exit_codes_follow_the_error_taxonomy() {
         .status()
         .unwrap();
     assert_eq!(status.code(), Some(15), "checkpoint-error must exit 15");
+
+    // A negative or non-finite `--oracle-tol` is a usage error on every
+    // command that reads it, raised before any work: exit 2, no stdout.
+    let suite = dir.join("suite.yaml");
+    let sp = suite.to_str().unwrap();
+    let status = Command::new(BIN)
+        .args([
+            "dag", "generate", "--count", "2", "--nodes", "5", "--out", sp,
+        ])
+        .stderr(Stdio::null())
+        .status()
+        .unwrap();
+    assert!(status.success());
+    for args in [
+        &["dag", "solve", "--input", sp, "--oracle-tol", "-1"][..],
+        &["sweep", "--oracle-tol", "nan"],
+        &["experiment", "--oracle-tol", "-1"],
+        &["repro", "--seed", "1", "--oracle-tol", "-1"],
+    ] {
+        let out = Command::new(BIN)
+            .args(args)
+            .stderr(Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2 (usage)");
+        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+    }
+    std::fs::remove_file(&suite).ok();
 }

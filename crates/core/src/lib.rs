@@ -64,6 +64,6 @@ pub use fault::{
     schedule_race_to_idle, schedule_race_to_idle_in, solve_or_fallback, solve_or_fallback_in,
     solve_or_fallback_with, TrialError,
 };
-pub use oracle::{OracleError, OracleOptions, DEFAULT_ORACLE_TOLERANCE};
+pub use oracle::{relative_divergence, OracleError, OracleOptions, DEFAULT_ORACLE_TOLERANCE};
 pub use scheduler::{solve, solve_in, Scheduler, Scheme, SchemeEntry, SCHEMES};
 pub use solution::{recycle_report, SdemError, Solution};

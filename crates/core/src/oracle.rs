@@ -37,8 +37,8 @@
 use core::fmt;
 
 use sdem_power::Platform;
-use sdem_sim::{simulate_with_options_in, SimOptions};
-use sdem_types::{Joules, ScheduleError, TaskSet, Workspace};
+use sdem_sim::{simulate_with_options, SimOptions};
+use sdem_types::{Joules, ScheduleError, TaskSet};
 
 use crate::Solution;
 
@@ -145,8 +145,9 @@ impl From<ScheduleError> for OracleError {
 
 /// Relative divergence of two energies, scaled by the larger magnitude
 /// (zero when both are zero, infinite when either is not finite — an
-/// infinite or NaN energy never agrees with anything).
-pub(crate) fn relative_divergence(a: Joules, b: Joules) -> f64 {
+/// infinite or NaN energy never agrees with anything). Every sim-oracle
+/// comparison measures divergence with this function.
+pub fn relative_divergence(a: Joules, b: Joules) -> f64 {
     if !(a.value().is_finite() && b.value().is_finite()) {
         return f64::INFINITY;
     }
@@ -175,25 +176,9 @@ impl Solution {
         platform: &Platform,
         options: OracleOptions,
     ) -> Result<Joules, OracleError> {
-        self.verify_against_meter_in(tasks, platform, options, &mut Workspace::new())
-    }
-
-    /// [`Self::verify_against_meter`], metering on the pooled buffers of
-    /// `ws` (allocation-free once the workspace is warm).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::verify_against_meter`].
-    pub fn verify_against_meter_in(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        options: OracleOptions,
-        ws: &mut Workspace,
-    ) -> Result<Joules, OracleError> {
         sdem_obs::registry::incr(sdem_obs::Counter::OracleChecks);
         let _span = sdem_obs::trace::span("oracle/verify");
-        let report = simulate_with_options_in(self.schedule(), tasks, platform, options.sim, ws)?;
+        let report = simulate_with_options(self.schedule(), tasks, platform, options.sim)?;
         let metered = report.total();
         let relative = relative_divergence(self.predicted_energy(), metered);
         if relative > options.rel_tol {

@@ -89,6 +89,17 @@ impl Solution {
     /// In-place [`Self::from_schedule`]: the per-core busy/gap interval
     /// buffers are drawn from `ws` instead of freshly allocated.
     pub fn from_schedule_in(schedule: Schedule, platform: &Platform, ws: &mut Workspace) -> Self {
+        let (energy, sleep) = Self::price_in(&schedule, platform, ws);
+        Self::new(schedule, energy, sleep)
+    }
+
+    /// The `(predicted energy, memory sleep)` [`Self::from_schedule_in`]
+    /// attaches to `schedule`, priced by reference (no copy of the schedule).
+    pub fn price_in(
+        schedule: &Schedule,
+        platform: &Platform,
+        ws: &mut Workspace,
+    ) -> (Joules, Time) {
         let core = platform.core();
         let memory = platform.memory();
         let per_cycle = memory.access_energy_per_cycle();
@@ -130,8 +141,7 @@ impl Solution {
         ws.recycle_intervals(busy);
         ws.recycle_intervals(gaps);
         ws.recycle_core_ids(cores);
-
-        Self::new(schedule, energy, sleep)
+        (energy, sleep)
     }
 }
 

@@ -62,14 +62,9 @@ pub use fault::{payload_text, QuarantineRecord, SweepError, TrialFailure, FATAL_
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sdem_prng::SplitMix64;
-
-/// Relative tolerance [`SweepRunner::with_oracle`] configures when none is
-/// given explicitly.
-pub const DEFAULT_ORACLE_TOLERANCE: f64 = 1e-6;
 
 /// Per-worker observability accumulator: plain (non-atomic) latency
 /// histograms plus trial tallies, owned by exactly one worker while the
@@ -127,38 +122,17 @@ pub struct TrialCtx {
     point: usize,
     replicate: usize,
     trial_index: usize,
-    /// Sim-oracle tolerance as IEEE-754 bits (`None` = oracle off); bits
-    /// rather than `f64` so the context stays `Copy + Eq`.
-    oracle_tol_bits: Option<u64>,
 }
 
 impl TrialCtx {
-    /// Builds the context for one `(point, replicate)` cell (oracle off).
+    /// Builds the context for one `(point, replicate)` cell.
     pub fn new(grid_seed: u64, point: usize, replicate: usize, replications: usize) -> Self {
         Self {
             grid_seed,
             point,
             replicate,
             trial_index: point * replications + replicate,
-            oracle_tol_bits: None,
         }
-    }
-
-    /// Returns a copy asking the trial to cross-check analytic energies
-    /// against the simulator within the given relative tolerance.
-    #[must_use]
-    pub fn with_oracle_tolerance(mut self, rel_tol: f64) -> Self {
-        self.oracle_tol_bits = Some(rel_tol.to_bits());
-        self
-    }
-
-    /// The sim-oracle tolerance the sweep was configured with, or `None`
-    /// when the oracle is off. Trial closures that compute both an analytic
-    /// and a metered energy should compare them within this tolerance and
-    /// fail loudly on divergence.
-    #[inline]
-    pub fn oracle_tolerance(&self) -> Option<f64> {
-        self.oracle_tol_bits.map(f64::from_bits)
     }
 
     /// Index of the grid point this trial belongs to.
@@ -190,15 +164,6 @@ impl TrialCtx {
     pub fn seeds(&self) -> impl Iterator<Item = u64> + '_ {
         (0u64..).map(|a| self.seed(a))
     }
-}
-
-/// A progress snapshot delivered to the observer callback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepProgress {
-    /// Trials finished so far (success or failure).
-    pub completed: usize,
-    /// Total trials in the grid.
-    pub total: usize,
 }
 
 /// Wall-clock and throughput statistics of one sweep.
@@ -285,8 +250,6 @@ impl<T> QuarantinedOutcome<T> {
     }
 }
 
-type ProgressFn = dyn Fn(SweepProgress) + Send + Sync;
-
 /// How one trial ended inside the engine.
 pub(crate) enum Slot<T> {
     /// The trial produced a result.
@@ -356,24 +319,11 @@ fn record_from(
 }
 
 /// The parallel sweep engine. Construct, optionally bound the thread
-/// count or attach a progress observer, then [`run`](Self::run) a grid.
-#[derive(Clone, Default)]
+/// count or the trial budget, then [`run`](Self::run) a grid.
+#[derive(Debug, Clone, Default)]
 pub struct SweepRunner {
     threads: Option<NonZeroUsize>,
-    progress: Option<Arc<ProgressFn>>,
-    oracle_tol_bits: Option<u64>,
     trial_budget: Option<NonZeroUsize>,
-}
-
-impl std::fmt::Debug for SweepRunner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepRunner")
-            .field("threads", &self.threads)
-            .field("progress", &self.progress.is_some())
-            .field("oracle_tolerance", &self.oracle_tolerance())
-            .field("trial_budget", &self.trial_budget)
-            .finish()
-    }
 }
 
 impl SweepRunner {
@@ -387,46 +337,6 @@ impl SweepRunner {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = NonZeroUsize::new(threads);
         self
-    }
-
-    /// Attaches a progress observer, called once per finished trial from
-    /// worker threads (keep it cheap and thread-safe).
-    #[must_use]
-    pub fn with_progress(
-        mut self,
-        observer: impl Fn(SweepProgress) + Send + Sync + 'static,
-    ) -> Self {
-        self.progress = Some(Arc::new(observer));
-        self
-    }
-
-    /// Enables (with [`DEFAULT_ORACLE_TOLERANCE`]) or disables the
-    /// sim-oracle cross-check every trial's [`TrialCtx`] advertises.
-    #[must_use]
-    pub fn with_oracle(mut self, enabled: bool) -> Self {
-        self.oracle_tol_bits = enabled.then_some(DEFAULT_ORACLE_TOLERANCE.to_bits());
-        self
-    }
-
-    /// Enables the sim-oracle with an explicit relative tolerance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rel_tol` is negative or non-finite.
-    #[must_use]
-    pub fn with_oracle_tolerance(mut self, rel_tol: f64) -> Self {
-        assert!(
-            rel_tol.is_finite() && rel_tol >= 0.0,
-            "oracle tolerance must be finite and non-negative"
-        );
-        self.oracle_tol_bits = Some(rel_tol.to_bits());
-        self
-    }
-
-    /// The configured oracle tolerance, or `None` when the oracle is off.
-    #[inline]
-    pub fn oracle_tolerance(&self) -> Option<f64> {
-        self.oracle_tol_bits.map(f64::from_bits)
     }
 
     /// Caps the number of trials a quarantined or checkpointed sweep
@@ -453,17 +363,6 @@ impl SweepRunner {
             })
             .unwrap_or(1);
         hw.min(total.max(1))
-    }
-
-    /// The [`TrialCtx`] of flat trial `flat`, carrying this runner's
-    /// oracle configuration.
-    fn ctx_for(&self, grid_seed: u64, replications: usize, flat: usize) -> TrialCtx {
-        let reps = replications.max(1);
-        let mut ctx = TrialCtx::new(grid_seed, flat / reps, flat % reps, replications);
-        if let Some(bits) = self.oracle_tol_bits {
-            ctx = ctx.with_oracle_tolerance(f64::from_bits(bits));
-        }
-        ctx
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -528,16 +427,6 @@ impl SweepRunner {
         let done = done;
 
         let budget = AtomicUsize::new(cfg.budget.unwrap_or(usize::MAX));
-        let completed = AtomicUsize::new(0);
-        let observe = |completed: &AtomicUsize| {
-            if let Some(cb) = &self.progress {
-                let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                cb(SweepProgress {
-                    completed: done,
-                    total,
-                });
-            }
-        };
 
         let next = |cursor: &AtomicUsize| -> Option<usize> {
             loop {
@@ -562,8 +451,9 @@ impl SweepRunner {
         // histograms are kept only when observability is on at start.
         let obs_on = sdem_obs::registry::enabled();
 
+        let reps = replications.max(1);
         let run_one = |i: usize, state: &mut S, obs: &mut WorkerObs| -> (usize, Slot<T>) {
-            let ctx = self.ctx_for(grid_seed, replications, i);
+            let ctx = TrialCtx::new(grid_seed, i / reps, i % reps, replications);
             let trial_clock = if obs_on { Some(Instant::now()) } else { None };
             let _span = sdem_obs::trace::span("exec/trial");
             let slot = if cfg.contain_panics {
@@ -604,7 +494,6 @@ impl SweepRunner {
                     obs.sink_ns.record(start.elapsed().as_nanos() as u64);
                 }
             }
-            observe(&completed);
             (i, slot)
         };
 
@@ -1032,6 +921,8 @@ mod tests {
                     .with_threads(threads)
                     .run(&points, 5, 99, measurement);
             assert_eq!(baseline.per_point, parallel.per_point, "{threads} threads");
+            assert_eq!(parallel.stats.trials, 35);
+            assert!(parallel.stats.trials_per_sec > 0.0);
         }
     }
 
@@ -1098,22 +989,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_reaches_total() {
-        let seen = Arc::new(AtomicUsize::new(0));
-        let seen2 = Arc::clone(&seen);
-        let outcome = SweepRunner::new()
-            .with_threads(3)
-            .with_progress(move |p| {
-                seen2.fetch_max(p.completed, Ordering::Relaxed);
-                assert!(p.completed <= p.total);
-            })
-            .run(&[1, 2, 3, 4], 3, 5, |&p, _| Some(p));
-        assert_eq!(seen.load(Ordering::Relaxed), 12);
-        assert_eq!(outcome.stats.trials, 12);
-        assert!(outcome.stats.trials_per_sec > 0.0);
-    }
-
-    #[test]
     fn empty_grid_is_fine() {
         let outcome = SweepRunner::new().run(&[] as &[f64], 3, 0, |_, _| Some(0.0));
         assert!(outcome.per_point.is_empty());
@@ -1121,41 +996,6 @@ mod tests {
         let outcome = SweepRunner::new().run(&[1.0], 0, 0, |_, _| Some(0.0));
         assert_eq!(outcome.per_point.len(), 1);
         assert!(outcome.per_point[0].is_empty());
-    }
-
-    #[test]
-    fn oracle_tolerance_reaches_every_trial() {
-        // Off by default.
-        let outcome = SweepRunner::new().run(&[0u8], 2, 0, |_, ctx| ctx.oracle_tolerance());
-        assert_eq!(outcome.per_point[0], Vec::<f64>::new());
-        assert_eq!(outcome.stats.failures, 2);
-
-        // with_oracle(true) advertises the default tolerance to all trials.
-        let outcome =
-            SweepRunner::new()
-                .with_oracle(true)
-                .with_threads(2)
-                .run(&[0u8, 1], 3, 0, |_, ctx| ctx.oracle_tolerance());
-        for point in &outcome.per_point {
-            assert_eq!(point.as_slice(), &[DEFAULT_ORACLE_TOLERANCE; 3]);
-        }
-
-        // Explicit tolerance survives the bit round-trip exactly; turning
-        // the oracle back off clears it.
-        let runner = SweepRunner::new().with_oracle_tolerance(3.5e-9);
-        assert_eq!(runner.oracle_tolerance(), Some(3.5e-9));
-        assert_eq!(runner.with_oracle(false).oracle_tolerance(), None);
-    }
-
-    #[test]
-    fn oracle_contexts_stay_copy_and_eq() {
-        let a = TrialCtx::new(1, 0, 0, 4).with_oracle_tolerance(1e-6);
-        let b = TrialCtx::new(1, 0, 0, 4).with_oracle_tolerance(1e-6);
-        assert_eq!(a, b);
-        assert_ne!(a, TrialCtx::new(1, 0, 0, 4));
-        assert_eq!(a.oracle_tolerance(), Some(1e-6));
-        // Seeds are unaffected by the oracle flag.
-        assert_eq!(a.seed(0), TrialCtx::new(1, 0, 0, 4).seed(0));
     }
 
     #[test]

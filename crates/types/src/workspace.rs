@@ -211,19 +211,6 @@ impl Workspace {
         self.interval_lists.push(list);
     }
 
-    /// Copies `schedule` into pooled buffers: `schedule.clone()` without
-    /// allocating once the pools are warm, and a copy that
-    /// [`Self::recycle_schedule`] hands back without growing them.
-    pub fn clone_schedule(&mut self, schedule: &Schedule) -> Schedule {
-        let mut placements = self.take_placements();
-        for placement in schedule.placements() {
-            let mut segments = self.take_segments();
-            segments.extend_from_slice(placement.segments());
-            placements.push(Placement::new(placement.task(), placement.core(), segments));
-        }
-        Schedule::new(placements)
-    }
-
     /// Tears a finished [`Schedule`] back down into the pools: every
     /// placement's segment buffer and the placement buffer itself are
     /// recycled, so the next trial builds its schedule allocation-free.
