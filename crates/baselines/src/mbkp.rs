@@ -36,32 +36,34 @@ pub enum Assignment {
 pub fn assign(tasks: &TaskSet, cores: usize, policy: Assignment) -> Vec<(TaskId, CoreId)> {
     assert!(cores > 0, "cores must be positive");
     let mut ws = Workspace::new();
-    let mut ids = Vec::new();
-    let mut assigned = Vec::new();
-    assign_into(tasks, cores, policy, &mut ws, &mut ids, &mut assigned);
-    ids.into_iter()
-        .zip(assigned)
-        .map(|(id, core)| (TaskId(id), CoreId(core)))
+    let mut arrivals = Vec::new();
+    let mut core_of = Vec::new();
+    assign_into(tasks, cores, policy, &mut ws, &mut arrivals, &mut core_of);
+    arrivals
+        .into_iter()
+        .map(|i| (tasks.tasks()[i].id(), CoreId(core_of[i])))
         .collect()
 }
 
-/// Pooled assignment: fills the parallel `ids`/`assigned` vectors (task id,
-/// core index) in arrival order, drawing scratch from `ws`.
+/// Pooled assignment: fills `arrivals` with the task-set indices in
+/// arrival order and `core_of` with each task's core, by task-set index,
+/// drawing scratch from `ws`.
 fn assign_into(
     tasks: &TaskSet,
     cores: usize,
     policy: Assignment,
     ws: &mut Workspace,
-    ids: &mut Vec<usize>,
-    assigned: &mut Vec<usize>,
+    arrivals: &mut Vec<usize>,
+    core_of: &mut Vec<usize>,
 ) {
-    ids.clear();
-    assigned.clear();
-    let mut arrivals = ws.take_tasks();
-    tasks.sorted_by_release_into(&mut arrivals);
+    let mut soa = ws.take_soa();
+    tasks.fill_soa(&mut soa);
+    soa.arrival_order_into(arrivals);
+    core_of.clear();
+    core_of.resize(soa.len(), 0);
     let mut loads = ws.take_f64s();
     loads.resize(cores, 0.0);
-    for (k, t) in arrivals.iter().enumerate() {
+    for (k, &i) in arrivals.iter().enumerate() {
         let core = match policy {
             Assignment::RoundRobin => k % cores,
             Assignment::LeastLoaded => loads
@@ -71,12 +73,11 @@ fn assign_into(
                 .map(|(i, _)| i)
                 .expect("cores > 0"),
         };
-        loads[core] += t.work().value();
-        ids.push(t.id().0);
-        assigned.push(core);
+        loads[core] += soa.works[i];
+        core_of[i] = core;
     }
+    ws.recycle_soa(soa);
     ws.recycle_f64s(loads);
-    ws.recycle_tasks(arrivals);
 }
 
 /// Online MBKP: arrival-order assignment + per-core Optimal Available.
@@ -166,70 +167,46 @@ fn schedule_with_in(
     if cores == 0 {
         return Err(BaselineError::NoCores);
     }
-    let mut assigned_ids = ws.take_usizes();
-    let mut assigned_cores = ws.take_usizes();
-    assign_into(
-        tasks,
-        cores,
-        policy,
-        ws,
-        &mut assigned_ids,
-        &mut assigned_cores,
-    );
+    let mut arrivals = ws.take_usizes();
+    let mut core_of = ws.take_usizes();
+    assign_into(tasks, cores, policy, ws, &mut arrivals, &mut core_of);
 
     let s_up = platform.core().max_speed().as_hz();
     let mut all_runs = ws.take_rows();
     let mut jobs = ws.take_rows();
     let mut runs = ws.take_rows();
     let mut failed: Option<TaskId> = None;
-    {
-        let core_of = |id: TaskId| -> CoreId {
-            let k = assigned_ids
+    for c in 0..cores {
+        // Per-core job lists in *task-set construction order* — the
+        // order the per-core policies tie-break on.
+        jobs.clear();
+        jobs.extend(
+            tasks
                 .iter()
-                .position(|&x| x == id.0)
-                .expect("every task is assigned");
-            CoreId(assigned_cores[k])
-        };
-        'cores: for c in 0..cores {
-            // Per-core job lists in *task-set construction order* — the
-            // order the per-core policies tie-break on.
-            jobs.clear();
-            jobs.extend(
-                tasks
-                    .iter()
-                    .filter(|t| core_of(t.id()) == CoreId(c))
-                    .map(to_job),
-            );
-            if jobs.is_empty() {
-                continue;
-            }
-            per_core(&jobs, ws, &mut runs);
-            clamp_to_min_speed(&mut runs, platform);
-            if let Some(r) = runs.iter().find(|r| r.3 > s_up * (1.0 + 1e-9)) {
-                failed = Some(r.0);
-                break 'cores;
-            }
-            all_runs.extend_from_slice(&runs);
+                .zip(&core_of)
+                .filter(|&(_, &k)| k == c)
+                .map(|(t, _)| to_job(t)),
+        );
+        if jobs.is_empty() {
+            continue;
         }
+        per_core(&jobs, ws, &mut runs);
+        clamp_to_min_speed(&mut runs, platform);
+        if let Some(r) = runs.iter().find(|r| r.3 > s_up * (1.0 + 1e-9)) {
+            failed = Some(r.0);
+            break;
+        }
+        all_runs.extend_from_slice(&runs);
     }
     let result = match failed {
         Some(id) => Err(BaselineError::Infeasible(id)),
-        None => {
-            let core_of = |id: TaskId| -> CoreId {
-                let k = assigned_ids
-                    .iter()
-                    .position(|&x| x == id.0)
-                    .expect("every task is assigned");
-                CoreId(assigned_cores[k])
-            };
-            Ok(assemble_in(tasks, &all_runs, core_of, ws))
-        }
+        None => Ok(assemble_in(tasks, &all_runs, |i| CoreId(core_of[i]), ws)),
     };
     ws.recycle_rows(runs);
     ws.recycle_rows(jobs);
     ws.recycle_rows(all_runs);
-    ws.recycle_usizes(assigned_cores);
-    ws.recycle_usizes(assigned_ids);
+    ws.recycle_usizes(core_of);
+    ws.recycle_usizes(arrivals);
     result
 }
 

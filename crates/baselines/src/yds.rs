@@ -12,7 +12,7 @@
 //! of `[a, b]` minus the already-frozen time inside it.
 
 use sdem_power::Platform;
-use sdem_types::{CoreId, Placement, Schedule, Task, TaskId, TaskSet, Workspace};
+use sdem_types::{CoreId, Placement, Schedule, Task, TaskSet, Workspace};
 
 use crate::job::{
     edf_at_speed_in, freeze, push_run_segment, sort_runs_by_start, subtract_into, subtract_len,
@@ -182,26 +182,33 @@ pub(crate) fn to_job(t: &Task) -> Job {
 }
 
 /// Builds a schedule from runs, including empty placements for zero-work
-/// (or never-run) tasks. Placement and segment buffers come from `ws`;
-/// the per-task segment lists are assembled directly from each task's run
-/// subsequence (same chronological order and merge rule as the historical
-/// group-then-clone path, minus the grouping table).
+/// (or never-run) tasks; `core_of` maps a task-set index to its core.
+/// One argsort on (task id, run index) groups the runs by task, so each
+/// task's segments are merged from its runs in run order. Placement and
+/// segment buffers come from `ws`.
 pub(crate) fn assemble_in(
     tasks: &TaskSet,
     runs: &[Run],
-    core_of: impl Fn(TaskId) -> CoreId,
+    core_of: impl Fn(usize) -> CoreId,
     ws: &mut Workspace,
 ) -> Schedule {
+    let mut by_task = ws.take_usizes();
+    by_task.extend(0..runs.len());
+    by_task.sort_unstable_by_key(|&k| (runs[k].0, k));
     let mut placements = ws.take_placements();
-    for t in tasks.iter() {
+    for (i, t) in tasks.iter().enumerate() {
         let mut segs = ws.take_segments();
-        for &(id, a, b, s) in runs {
-            if id == t.id() {
-                push_run_segment(&mut segs, a, b, s);
-            }
+        let first = by_task.partition_point(|&k| runs[k].0 < t.id());
+        let own = by_task[first..]
+            .iter()
+            .take_while(|&&k| runs[k].0 == t.id());
+        for &k in own {
+            let (_, a, b, s) = runs[k];
+            push_run_segment(&mut segs, a, b, s);
         }
-        placements.push(Placement::new(t.id(), core_of(t.id()), segs));
+        placements.push(Placement::new(t.id(), core_of(i), segs));
     }
+    ws.recycle_usizes(by_task);
     Schedule::new(placements)
 }
 
@@ -210,7 +217,7 @@ mod tests {
     use super::*;
     use sdem_power::{CorePower, MemoryPower};
     use sdem_sim::{simulate, SleepPolicy};
-    use sdem_types::{Cycles, Time, Watts};
+    use sdem_types::{Cycles, TaskId, Time, Watts};
 
     fn sec(v: f64) -> Time {
         Time::from_secs(v)

@@ -1087,6 +1087,17 @@ fn experiment(args: &Args) -> Result<(), CliError> {
     }
     let results = &outcome.per_point[0];
     if results.is_empty() {
+        // Every trial was quarantined: exit with the first record's kind.
+        if let Some(first) = outcome.quarantine.first() {
+            return Err(CliError::new(
+                ErrorKind::from_code(&first.kind).unwrap_or(ErrorKind::Internal),
+                format!(
+                    "all {} trials quarantined (first: {})",
+                    outcome.quarantine.len(),
+                    first.kind
+                ),
+            ));
+        }
         return Err("no feasible seeds for this configuration".into());
     }
     println!(

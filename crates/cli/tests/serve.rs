@@ -332,4 +332,24 @@ fn exit_codes_follow_the_error_taxonomy() {
         assert!(out.stdout.is_empty(), "{args:?} printed before failing");
     }
     std::fs::remove_file(&suite).ok();
+
+    // An experiment whose every trial is quarantined exits with the first
+    // record's kind (a zero tolerance quarantines all four trials for
+    // oracle divergence: 9), not as a usage error, and prints no table.
+    let out = Command::new(BIN)
+        .args([
+            "experiment",
+            "--trials",
+            "4",
+            "--tasks",
+            "12",
+            "--oracle-tol",
+            "0",
+            "--oracle-keep-going",
+        ])
+        .stderr(Stdio::null())
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(9), "all-quarantined must exit 9");
+    assert!(out.stdout.is_empty(), "all-quarantined printed a table");
 }

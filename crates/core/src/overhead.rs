@@ -222,12 +222,13 @@ pub fn schedule_common_release_in(
     let interval = (tasks.latest_deadline() - r0).as_secs();
 
     // Constrained critical speed per task (§7), then completion order.
+    let (s_m, window) = (core.critical_speed_unclamped(), Time::from_secs(interval));
     let mut order = ws.take_keyed();
     completion_order_into(
         &inst,
         |idx| {
             let t = &inst.tasks[idx];
-            core.constrained_critical_speed(t.work(), t.filled_speed(), Time::from_secs(interval))
+            core.constrained_critical_speed_at(s_m, t.work(), t.filled_speed(), window)
         },
         &mut order,
     );
@@ -237,27 +238,25 @@ pub fn schedule_common_release_in(
     works.extend(order.iter().map(|&(_, idx)| inst.tasks[idx].work().value()));
     let n = sorted_c.len();
     let lambda = core.lambda();
+    // Δ-independent per-task factors, computed once for the whole candidate
+    // enumeration (see `OverheadCases::energy`). Only prefix tasks
+    // (k < cut ≤ n − 1) read `run_pow`/`run_gap`, so the last task has
+    // none; zero-work rows never read `run_pow`, so `0^{1−λ} = ∞` is inert.
+    let mut wl = ws.take_f64s();
+    wl.extend(works.iter().map(|w| w.powf(lambda)));
+    let mut run_pow = ws.take_f64s();
+    let mut run_gap = ws.take_f64s();
+    for &c in &sorted_c[..n.saturating_sub(1)] {
+        run_pow.push(c.powf(1.0 - lambda));
+        run_gap.push(core.best_gap_energy(Time::from_secs(interval - c)).value());
+    }
     let mut s_wl = ws.take_f64s();
     s_wl.resize(n + 1, 0.0);
     let mut w_max = ws.take_f64s();
     w_max.resize(n + 1, 0.0);
     for j in (0..n).rev() {
-        s_wl[j] = s_wl[j + 1] + works[j].powf(lambda);
+        s_wl[j] = s_wl[j + 1] + wl[j];
         w_max[j] = w_max[j + 1].max(works[j]);
-    }
-    // Δ-independent per-task factors, computed once for the whole candidate
-    // enumeration (see `OverheadCases::energy`). Zero-work rows never read
-    // their `run_pow`/`run_gap` slots, so `0^{1−λ} = ∞` there is inert.
-    let mut wl = ws.take_f64s();
-    let mut run_pow = ws.take_f64s();
-    let mut run_gap = ws.take_f64s();
-    for j in 0..n {
-        wl.push(works[j].powf(lambda));
-        run_pow.push(sorted_c[j].powf(1.0 - lambda));
-        run_gap.push(
-            core.best_gap_energy(Time::from_secs(interval - sorted_c[j]))
-                .value(),
-        );
     }
     let cases = OverheadCases {
         c_max: sorted_c.last().copied().unwrap_or(0.0),
@@ -280,7 +279,9 @@ pub fn schedule_common_release_in(
         mem_model: *platform.memory(),
     };
 
-    // Per case, evaluate the exact energy at every Table-3 candidate.
+    // Per case, evaluate the exact energy at every distinct Table-3
+    // candidate. A clamped Δ with the bits of one already priced in this
+    // case prices to the same energy, which cannot win a strict `<`.
     let mut best: Option<(usize, f64, f64)> = None;
     for cut in 0..cases.n() {
         let Some((lo, hi)) = cases.case_box(cut) else {
@@ -295,11 +296,18 @@ pub fn schedule_common_release_in(
             lo,
             hi,
         ];
+        let mut priced = [0u64; 7];
+        let mut seen = 0;
         for cand in candidates {
             if !cand.is_finite() {
                 continue;
             }
             let delta = cand.clamp(lo, hi);
+            if priced[..seen].contains(&delta.to_bits()) {
+                continue;
+            }
+            priced[seen] = delta.to_bits();
+            seen += 1;
             let e = cases.energy(cut, delta);
             if best.is_none_or(|b| e < b.2) {
                 best = Some((cut, delta, e));

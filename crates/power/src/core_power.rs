@@ -252,9 +252,21 @@ impl CorePower {
         interval: Time,
     ) -> Speed {
         let s_m = self.critical_speed_unclamped();
+        self.constrained_critical_speed_at(s_m, work, filled_speed, interval)
+    }
+
+    /// [`Self::constrained_critical_speed`] for a caller that computed
+    /// `s_m` ([`Self::critical_speed_unclamped`]) once for many tasks.
+    pub fn constrained_critical_speed_at(
+        &self,
+        s_m: Speed,
+        work: Cycles,
+        filled_speed: Speed,
+        interval: Time,
+    ) -> Speed {
         let run = work / s_m.min(self.max_speed);
         if interval - run >= self.break_even {
-            self.critical_speed(filled_speed)
+            s_m.max(filled_speed).min(self.max_speed)
         } else {
             filled_speed
         }

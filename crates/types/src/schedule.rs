@@ -339,8 +339,8 @@ impl Schedule {
 
     /// Pooled [`Self::validate_with_limits`]: identical checks in the
     /// identical order (so the *first* error reported is the same), with
-    /// the bookkeeping — the seen-task list and the per-core exclusivity
-    /// sort — running on workspace scratch. The simulator validates every
+    /// the bookkeeping — the id join and the per-core exclusivity sort —
+    /// running on workspace scratch. The simulator validates every
     /// metered schedule, which puts this on the sweep hot path.
     pub fn validate_with_limits_in(
         &self,
@@ -349,66 +349,67 @@ impl Schedule {
         max_speed: Option<Speed>,
         ws: &mut Workspace,
     ) -> Result<(), ScheduleError> {
-        // Every placement refers to a known task, exactly once. Existence
-        // of a violation is decided with two pooled sorts (O(n log n));
-        // the historical quadratic scan runs only when one exists, so the
-        // *first* error reported stays identical while valid schedules —
-        // the meter hot path — never pay the quadratic walk.
-        let mut sorted_pids = ws.take_usizes();
-        sorted_pids.extend(self.placements.iter().map(|p| p.task().0));
-        sorted_pids.sort_unstable();
-        let duplicate = sorted_pids.windows(2).any(|w| w[0] == w[1]);
-
-        // Argsort of the task slice by id: the membership index for the
-        // unknown check here and the per-placement lookups below (TaskSet
-        // construction guarantees the ids are unique).
+        // Every placement refers to a known task, exactly once. Argsort the
+        // placements and the tasks by id and walk both once: a complete
+        // one-to-one match (task ids are unique) fills the placement→task
+        // table the placement checks read. Anything else — a duplicate, an
+        // unknown or a missing id — takes the quadratic scan in placement
+        // order, which reports the first such id, while valid schedules
+        // (the meter hot path) never pay for it.
+        let placements = &self.placements;
+        let all = tasks.tasks();
+        let mut by_id = ws.take_usizes();
+        by_id.extend(0..placements.len());
+        by_id.sort_unstable_by_key(|&k| placements[k].task());
         let mut task_order = ws.take_usizes();
-        task_order.extend(0..tasks.len());
-        task_order.sort_unstable_by_key(|&i| tasks.tasks()[i].id().0);
-        let find = |id: usize| -> Option<&Task> {
-            task_order
-                .binary_search_by_key(&id, |&i| tasks.tasks()[i].id().0)
-                .ok()
-                .map(|pos| &tasks.tasks()[task_order[pos]])
-        };
-        let unknown = sorted_pids.iter().any(|&id| find(id).is_none());
-        // Without duplicates or unknowns the placement ids are a subset of
-        // the task ids, so full coverage is exactly a count match.
-        let missing = !duplicate && !unknown && sorted_pids.len() != tasks.len();
-
-        let mut result = Ok(());
-        if duplicate || unknown || missing {
-            let mut seen = ws.take_usizes();
-            for p in &self.placements {
-                if tasks.get(p.task()).is_none() || seen.contains(&p.task().0) {
-                    result = Err(ScheduleError::UnknownTask(p.task()));
-                    break;
-                }
-                seen.push(p.task().0);
-            }
-            if result.is_ok() {
-                for t in tasks.iter() {
-                    if !seen.contains(&t.id().0) {
-                        result = Err(ScheduleError::MissingTask(t.id()));
-                        break;
-                    }
-                }
-            }
-            ws.recycle_usizes(seen);
-        }
-        ws.recycle_usizes(sorted_pids);
-        if let Err(e) = result {
-            ws.recycle_usizes(task_order);
-            return Err(e);
-        }
-
-        for p in &self.placements {
-            let task = find(p.task().0).expect("checked above");
-            self.validate_placement(p, task, min_speed, max_speed)?;
+        task_order.extend(0..all.len());
+        task_order.sort_unstable_by_key(|&i| all[i].id());
+        let matched = placements.len() == all.len()
+            && by_id
+                .iter()
+                .zip(&task_order)
+                .all(|(&k, &i)| placements[k].task() == all[i].id());
+        let mut task_of = ws.take_usizes();
+        task_of.resize(placements.len(), 0);
+        for (&k, &i) in by_id.iter().zip(&task_order) {
+            task_of[k] = i;
         }
         ws.recycle_usizes(task_order);
-
+        ws.recycle_usizes(by_id);
+        let checked = if matched {
+            placements
+                .iter()
+                .zip(&task_of)
+                .try_for_each(|(p, &i)| self.validate_placement(p, &all[i], min_speed, max_speed))
+        } else {
+            self.first_id_error(tasks, ws)
+        };
+        ws.recycle_usizes(task_of);
+        checked?;
         self.validate_core_exclusivity_in(ws)
+    }
+
+    /// The first unknown or duplicate placement, else the first task with
+    /// no placement, in placement and task order (quadratic; error path
+    /// only).
+    fn first_id_error(&self, tasks: &TaskSet, ws: &mut Workspace) -> Result<(), ScheduleError> {
+        let mut seen = ws.take_usizes();
+        let mut result = Ok(());
+        for p in &self.placements {
+            if tasks.get(p.task()).is_none() || seen.contains(&p.task().0) {
+                result = Err(ScheduleError::UnknownTask(p.task()));
+                break;
+            }
+            seen.push(p.task().0);
+        }
+        if result.is_ok() {
+            if let Some(t) = tasks.iter().find(|t| !seen.contains(&t.id().0)) {
+                result = Err(ScheduleError::MissingTask(t.id()));
+            }
+        }
+        ws.recycle_usizes(seen);
+        debug_assert!(result.is_err(), "an unmatched id join always has an error");
+        result
     }
 
     fn validate_placement(
@@ -931,6 +932,247 @@ mod tests {
                 sched.validate_with_limits(&tasks, None, Some(mhz(1900.0)))
             );
         }
+    }
+
+    /// The validator as it stood before the merge-joined id check: sorted
+    /// placement ids for duplicates, an argsort of the tasks, then two
+    /// binary searches per placement. Kept as the differential reference.
+    fn reference_validate(
+        sched: &Schedule,
+        tasks: &TaskSet,
+        min_speed: Option<Speed>,
+        max_speed: Option<Speed>,
+        ws: &mut Workspace,
+    ) -> Result<(), ScheduleError> {
+        let mut sorted_pids = ws.take_usizes();
+        sorted_pids.extend(sched.placements.iter().map(|p| p.task().0));
+        sorted_pids.sort_unstable();
+        let duplicate = sorted_pids.windows(2).any(|w| w[0] == w[1]);
+        let mut task_order = ws.take_usizes();
+        task_order.extend(0..tasks.len());
+        task_order.sort_unstable_by_key(|&i| tasks.tasks()[i].id().0);
+        let find = |id: usize| -> Option<&Task> {
+            task_order
+                .binary_search_by_key(&id, |&i| tasks.tasks()[i].id().0)
+                .ok()
+                .map(|pos| &tasks.tasks()[task_order[pos]])
+        };
+        let unknown = sorted_pids.iter().any(|&id| find(id).is_none());
+        let missing = !duplicate && !unknown && sorted_pids.len() != tasks.len();
+        let mut result = Ok(());
+        if duplicate || unknown || missing {
+            let mut seen = ws.take_usizes();
+            for p in &sched.placements {
+                if tasks.get(p.task()).is_none() || seen.contains(&p.task().0) {
+                    result = Err(ScheduleError::UnknownTask(p.task()));
+                    break;
+                }
+                seen.push(p.task().0);
+            }
+            if result.is_ok() {
+                for t in tasks.iter() {
+                    if !seen.contains(&t.id().0) {
+                        result = Err(ScheduleError::MissingTask(t.id()));
+                        break;
+                    }
+                }
+            }
+            ws.recycle_usizes(seen);
+        }
+        ws.recycle_usizes(sorted_pids);
+        if let Err(e) = result {
+            ws.recycle_usizes(task_order);
+            return Err(e);
+        }
+        for p in &sched.placements {
+            let task = find(p.task().0).expect("checked above");
+            sched.validate_placement(p, task, min_speed, max_speed)?;
+        }
+        ws.recycle_usizes(task_order);
+        sched.validate_core_exclusivity_in(ws)
+    }
+
+    /// One seeded hostile case: 1–8 tasks with dense, sparse, huge or
+    /// shuffled ids, a mostly valid schedule on 1–3 cores, then up to
+    /// three defects (duplicate, unknown or missing placements, shuffled
+    /// order, malformed or non-finite segments, shifted, overlapping or
+    /// rescaled segments, crowded cores) and optional speed limits.
+    fn hostile_case(seed: u64) -> (TaskSet, Schedule, Option<Speed>, Option<Speed>) {
+        use sdem_prng::{Rng, SeedableRng, SplitMix64};
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut pick = |n: u64| (rng.next_u64() % n) as usize;
+        let n = 1 + pick(8);
+        let id_base = [0, 1000, usize::MAX - 512, 1 << 40][pick(4)];
+        let stride = 1 + pick(3) * 17;
+        let mut ids: Vec<usize> = (0..n).map(|k| id_base + k * stride).collect();
+        for k in (1..n).rev() {
+            ids.swap(k, pick(k as u64 + 1));
+        }
+        let tasks = TaskSet::new(
+            ids.iter()
+                .map(|&id| {
+                    let r = pick(4) as f64 * 5.0;
+                    let d = r + 10.0 + pick(40) as f64;
+                    let w = if pick(5) == 0 {
+                        0.0
+                    } else {
+                        1.0e5 * (1 + pick(40)) as f64
+                    };
+                    Task::new(id, ms(r), ms(d), Cycles::new(w))
+                })
+                .collect(),
+        )
+        .expect("distinct ids, positive windows");
+        let cores = 1 + pick(3);
+        let mut placements: Vec<Placement> = tasks
+            .iter()
+            .map(|t| {
+                let (r, d) = (t.release().as_secs(), t.deadline().as_secs());
+                let parts = if t.work().value() == 0.0 {
+                    0
+                } else {
+                    1 + pick(3)
+                };
+                let len = (d - r) / (2 * parts.max(1)) as f64;
+                let segs = (0..parts)
+                    .map(|k| {
+                        let a = r + 2.0 * k as f64 * len;
+                        let speed = t.work().value() / (len * parts as f64);
+                        Segment::new(
+                            Time::from_secs(a),
+                            Time::from_secs(a + len),
+                            Speed::from_hz(speed),
+                        )
+                    })
+                    .collect();
+                Placement::new(t.id(), CoreId(pick(cores as u64)), segs)
+            })
+            .collect();
+        let bad = |x: usize| [f64::NAN, f64::INFINITY, -1.0e-3, 1.0e3][x];
+        for _ in 0..pick(4) {
+            let k = pick(placements.len().max(1) as u64);
+            match pick(11) {
+                0 if !placements.is_empty() => placements.push(placements[k].clone()),
+                1 if !placements.is_empty() => {
+                    let extra = [id_base + n * stride, id_base.wrapping_sub(1), 7][pick(3)];
+                    let p = &placements[k];
+                    placements[k] = Placement::new(TaskId(extra), p.core(), p.segments().to_vec());
+                }
+                2 if !placements.is_empty() => {
+                    placements.remove(k);
+                }
+                3 => {
+                    for j in (1..placements.len()).rev() {
+                        placements.swap(j, pick(j as u64 + 1));
+                    }
+                }
+                v if v >= 4 && !placements.is_empty() && !placements[k].segments().is_empty() => {
+                    let p = &placements[k];
+                    let mut segs = p.segments().to_vec();
+                    let j = pick(segs.len() as u64);
+                    let g = segs[j];
+                    let (a, b, sp) = (g.start().as_secs(), g.end().as_secs(), g.speed().as_hz());
+                    segs[j] = match v {
+                        4 => Segment::new(g.end(), g.start(), g.speed()),
+                        5 => match pick(3) {
+                            0 => Segment::new(Time::from_secs(bad(pick(4))), g.end(), g.speed()),
+                            1 => Segment::new(g.start(), Time::from_secs(bad(pick(4))), g.speed()),
+                            _ => Segment::new(g.start(), g.end(), Speed::from_hz(bad(pick(4)))),
+                        },
+                        6 => {
+                            let shift = [-0.02, 0.05, 1.0e-9, -1.0e-9][pick(4)];
+                            Segment::new(
+                                Time::from_secs(a + shift),
+                                Time::from_secs(b + shift),
+                                g.speed(),
+                            )
+                        }
+                        7 => Segment::new(
+                            g.start(),
+                            g.end(),
+                            Speed::from_hz(sp * [0.5, 1.0 + 1e-7, 2.0][pick(3)]),
+                        ),
+                        8 => {
+                            segs.push(Segment::new(
+                                Time::from_secs(a),
+                                Time::from_secs(b),
+                                Speed::from_hz(0.0),
+                            ));
+                            g
+                        }
+                        9 => Segment::new(g.start(), g.start(), g.speed()),
+                        _ => Segment::new(g.start(), Time::from_secs(a + (b - a) * 3.0), g.speed()),
+                    };
+                    placements[k] = Placement::new(p.task(), p.core(), segs);
+                }
+                _ => {}
+            }
+        }
+        let limit = |x: usize| {
+            [Some(Speed::from_hz(1.0e6)), Some(Speed::from_hz(5.0e8))]
+                .get(x)
+                .copied()
+                .flatten()
+        };
+        (
+            tasks,
+            Schedule::new(placements),
+            limit(pick(5)),
+            limit(pick(5)),
+        )
+    }
+
+    /// Runs `cases` seeded hostile cases through the validator and the
+    /// reference on warm workspaces and asserts the same `Result`, first
+    /// error included; returns how many each error kind was reported.
+    fn differential(cases: u64) -> std::collections::BTreeMap<String, usize> {
+        let (mut ws, mut reference_ws) = (Workspace::new(), Workspace::new());
+        let mut kinds = std::collections::BTreeMap::new();
+        for seed in 0..cases {
+            let (tasks, sched, min, max) = hostile_case(seed);
+            let got = sched.validate_with_limits_in(&tasks, min, max, &mut ws);
+            let want = reference_validate(&sched, &tasks, min, max, &mut reference_ws);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "seed {seed}");
+            let kind = match got {
+                Ok(()) => "Ok".to_string(),
+                Err(e) => format!("{e:?}")
+                    .split(['(', ' '])
+                    .next()
+                    .unwrap_or("")
+                    .to_string(),
+            };
+            *kinds.entry(kind).or_insert(0) += 1;
+        }
+        kinds
+    }
+
+    #[test]
+    fn validator_matches_the_reference_on_hostile_schedules() {
+        let kinds = differential(20_000);
+        for kind in [
+            "Ok",
+            "UnknownTask",
+            "MissingTask",
+            "MalformedSegment",
+            "OverlappingSegments",
+            "OutsideWindow",
+            "WorkMismatch",
+            "CoreConflict",
+            "SpeedAboveMax",
+            "SpeedBelowMin",
+        ] {
+            assert!(
+                kinds.get(kind).copied().unwrap_or(0) >= 100,
+                "{kind} rare: {kinds:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[ignore = "200,000 cases; run in release"]
+    fn validator_matches_the_reference_on_200k_hostile_schedules() {
+        let kinds = differential(200_000);
+        assert_eq!(kinds.values().sum::<usize>(), 200_000);
     }
 
     #[test]
