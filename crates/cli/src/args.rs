@@ -21,12 +21,14 @@ const SWITCHES: &[&str] = &[
 ];
 
 impl Args {
-    /// Parses `argv` (after the subcommand).
+    /// Parses `argv` (after the subcommand), accepting the option `keys`
+    /// the command takes.
     ///
     /// # Errors
     ///
-    /// Rejects positional arguments and options missing their value.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Rejects positional arguments, options outside `keys` and options
+    /// missing their value.
+    pub fn parse(argv: &[String], keys: &[&str]) -> Result<Self, String> {
         let mut args = Self::default();
         let mut i = 0;
         while i < argv.len() {
@@ -34,6 +36,9 @@ impl Args {
             let Some(key) = token.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument `{token}`"));
             };
+            if !keys.contains(&key) {
+                return Err(format!("unknown option `{token}`"));
+            }
             if SWITCHES.contains(&key) {
                 args.flags.push(key.to_string());
                 i += 1;
@@ -116,13 +121,22 @@ impl Args {
 mod tests {
     use super::*;
 
+    const KEYS: &[&str] = &[
+        "tasks",
+        "gantt",
+        "x-ms",
+        "seed",
+        "oracle-keep-going",
+        "fallback",
+    ];
+
     fn sv(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
     fn parses_options_and_switches() {
-        let a = Args::parse(&sv(&["--tasks", "40", "--gantt", "--x-ms", "250.5"])).unwrap();
+        let a = Args::parse(&sv(&["--tasks", "40", "--gantt", "--x-ms", "250.5"]), KEYS).unwrap();
         assert_eq!(a.get_usize("tasks", 0).unwrap(), 40);
         assert_eq!(a.get_f64("x-ms", 0.0).unwrap(), 250.5);
         assert!(a.has_flag("gantt"));
@@ -132,37 +146,46 @@ mod tests {
 
     #[test]
     fn rejects_positional_and_dangling() {
-        assert!(Args::parse(&sv(&["tasks"])).is_err());
-        assert!(Args::parse(&sv(&["--tasks"])).is_err());
+        assert!(Args::parse(&sv(&["tasks"]), KEYS).is_err());
+        assert!(Args::parse(&sv(&["--tasks"]), KEYS).is_err());
+    }
+
+    #[test]
+    fn rejects_options_the_command_does_not_take() {
+        let err = Args::parse(&sv(&["--tasks", "4", "--orcale-tol", "0"]), KEYS).unwrap_err();
+        assert_eq!(err, "unknown option `--orcale-tol`");
+        let err = Args::parse(&sv(&["--quiet"]), KEYS).unwrap_err();
+        assert_eq!(err, "unknown option `--quiet`");
+        assert!(Args::parse(&sv(&["--tasks", "4"]), &[]).is_err());
     }
 
     #[test]
     fn reports_bad_numbers() {
-        let a = Args::parse(&sv(&["--tasks", "many"])).unwrap();
+        let a = Args::parse(&sv(&["--tasks", "many"]), KEYS).unwrap();
         let err = a.get_usize("tasks", 0).unwrap_err();
         assert!(err.contains("tasks"));
-        let a = Args::parse(&sv(&["--x-ms", "fast"])).unwrap();
+        let a = Args::parse(&sv(&["--x-ms", "fast"]), KEYS).unwrap();
         assert!(a.get_f64("x-ms", 0.0).is_err());
-        let a = Args::parse(&sv(&["--seed", "s"])).unwrap();
+        let a = Args::parse(&sv(&["--seed", "s"]), KEYS).unwrap();
         assert!(a.get_u64("seed", 0).is_err());
-        let a = Args::parse(&sv(&["--seed", "0xzz"])).unwrap();
+        let a = Args::parse(&sv(&["--seed", "0xzz"]), KEYS).unwrap();
         assert!(a.get_u64("seed", 0).is_err());
     }
 
     #[test]
     fn seeds_accept_hex_as_printed_by_quarantine_records() {
-        let a = Args::parse(&sv(&["--seed", "0x000000000f166000"])).unwrap();
+        let a = Args::parse(&sv(&["--seed", "0x000000000f166000"]), KEYS).unwrap();
         assert_eq!(a.get_u64("seed", 0).unwrap(), 0xF16_6000);
-        let a = Args::parse(&sv(&["--seed", "255"])).unwrap();
+        let a = Args::parse(&sv(&["--seed", "255"]), KEYS).unwrap();
         assert_eq!(a.get_u64("seed", 0).unwrap(), 255);
-        let a = Args::parse(&sv(&["--oracle-keep-going", "--fallback"])).unwrap();
+        let a = Args::parse(&sv(&["--oracle-keep-going", "--fallback"]), KEYS).unwrap();
         assert!(a.has_flag("oracle-keep-going"));
         assert!(a.has_flag("fallback"));
     }
 
     #[test]
     fn defaults_flow_through() {
-        let a = Args::parse(&[]).unwrap();
+        let a = Args::parse(&[], KEYS).unwrap();
         assert_eq!(a.get_f64("alpha-m", 4.0).unwrap(), 4.0);
         assert_eq!(a.get_u64("seed", 1).unwrap(), 1);
     }

@@ -38,6 +38,7 @@ USAGE:
                     [--cores N] [--gantt] [--quiet] [--fallback]
   sdem-cli compare  --input FILE [--alpha-m W] [--xi-m MS] [--cores N]
   sdem-cli trace    --input FILE [--scheme NAME] [--samples N] [--out FILE]
+                    [--cores N] [--alpha-m W] [--xi-m MS]
                     power-over-time CSV (time_s,cores_w,memory_w,total_w)
   sdem-cli sweep    [--figure fig6|fig7a|fig7b] [--trials N] [--tasks N]
                     [--instances N] [--threads N] [--csv FILE]
@@ -184,27 +185,46 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     if command == "dag" {
         return dag(&argv[1..]);
     }
-    let args = Args::parse(&argv[1..])?;
-    match command.as_str() {
-        "generate" => generate(&args),
-        "schedule" => schedule(&args),
-        "compare" => compare(&args),
-        "trace" => trace(&args),
-        "sweep" => sweep(&args),
-        "stats" => stats(&args),
-        "experiment" => experiment(&args),
-        "repro" => repro(&args),
-        "serve" => serve(&args),
-        "replay" => replay(&args),
-        "help" | "--help" | "-h" => {
-            println!("{HELP}");
-            Ok(())
-        }
-        other => Err(CliError::new(
-            ErrorKind::Usage,
-            format!("unknown command `{other}`"),
-        )),
-    }
+    let handler: fn(&Args) -> Result<(), CliError> = match command.as_str() {
+        "generate" => generate,
+        "schedule" => schedule,
+        "compare" => compare,
+        "trace" => trace,
+        "sweep" => sweep,
+        "stats" => stats,
+        "experiment" => experiment,
+        "repro" => repro,
+        "serve" => serve,
+        "replay" => replay,
+        "help" | "--help" | "-h" => help,
+        other => return Err(format!("unknown command `{other}`").into()),
+    };
+    handler(&Args::parse(&argv[1..], &usage_keys(command))?)
+}
+
+/// The options `command`'s USAGE entry in [`HELP`] lists, read from its
+/// `sdem-cli <command>` line and the continuation lines that start with
+/// `[` or `-`. The parser accepts exactly these, so HELP and the parser
+/// cannot drift.
+fn usage_keys(command: &str) -> Vec<&'static str> {
+    let mut lines = HELP.lines().map(str::trim_start);
+    let entry = lines.find(|line| {
+        line.strip_prefix("sdem-cli ")
+            .and_then(|rest| rest.strip_prefix(command))
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
+    });
+    let continued = lines.take_while(|line| line.starts_with(['[', '-']));
+    entry
+        .into_iter()
+        .chain(continued)
+        .flat_map(|line| line.split("--").skip(1))
+        .flat_map(|option| option.split([' ', ']']).next())
+        .collect()
+}
+
+fn help(_: &Args) -> Result<(), CliError> {
+    println!("{HELP}");
+    Ok(())
 }
 
 /// Builds the platform from `--alpha-m`/`--xi-m` through the serve API's
@@ -443,16 +463,17 @@ fn dag(rest: &[String]) -> Result<(), CliError> {
             "dag requires an action: `dag generate|solve|sweep [options]`",
         ));
     };
-    let args = Args::parse(&rest[1..])?;
-    match action.as_str() {
-        "generate" => dag_generate(&args),
-        "solve" => dag_solve(&args),
-        "sweep" => dag_sweep(&args),
-        other => Err(CliError::new(
-            ErrorKind::Usage,
-            format!("unknown dag action `{other}` (expected generate, solve or sweep)"),
-        )),
-    }
+    let handler: fn(&Args) -> Result<(), CliError> = match action.as_str() {
+        "generate" => dag_generate,
+        "solve" => dag_solve,
+        "sweep" => dag_sweep,
+        other => {
+            let expected = "expected generate, solve or sweep";
+            return Err(format!("unknown dag action `{other}` ({expected})").into());
+        }
+    };
+    let keys = usage_keys(&format!("dag {action}"));
+    handler(&Args::parse(&rest[1..], &keys)?)
 }
 
 fn dag_generate(args: &Args) -> Result<(), CliError> {
@@ -572,6 +593,15 @@ fn dag_sweep(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `--trials N`, which must be positive: a sweep of no trials has no
+/// table to print.
+fn trials_from(args: &Args, default: usize) -> Result<usize, CliError> {
+    match args.get_usize("trials", default)? {
+        0 => Err("option `--trials` must be positive".into()),
+        trials => Ok(trials),
+    }
+}
+
 fn runner_from(args: &Args) -> Result<SweepRunner, String> {
     Ok(SweepRunner::new().with_threads(args.get_usize("threads", 0)?))
 }
@@ -659,7 +689,7 @@ fn sweep(args: &Args) -> Result<(), CliError> {
 /// which is sorted by trial index).
 fn sweep_dispatch(args: &Args) -> Result<(), CliError> {
     let figure = args.get_or("figure", "fig7a");
-    let trials = args.get_usize("trials", 5)?;
+    let trials = trials_from(args, 5)?;
     let mut runner = runner_from(args)?;
     let halt_after = args.get_usize("halt-after", 0)?;
     if halt_after > 0 {
@@ -1035,7 +1065,7 @@ fn replay(args: &Args) -> Result<(), CliError> {
 fn experiment(args: &Args) -> Result<(), CliError> {
     let kind = args.get_or("kind", "synthetic");
     let cores = args.get_usize("cores", 8)?;
-    let trials = args.get_usize("trials", 10)?;
+    let trials = trials_from(args, 10)?;
     let seed = args.get_u64("seed", 0x5DE0)?;
     let platform = platform_from(args)?;
     let runner = runner_from(args)?;
@@ -1188,6 +1218,21 @@ mod tests {
         assert!(run(&sv(&["help"])).is_ok());
         assert!(run(&[]).is_ok());
         assert!(run(&sv(&["frobnicate"])).is_err());
+    }
+
+    #[test]
+    fn usage_keys_are_read_from_the_help_entries() {
+        assert_eq!(
+            usage_keys("trace"),
+            ["input", "scheme", "samples", "out", "cores", "alpha-m", "xi-m"]
+        );
+        assert_eq!(
+            usage_keys("dag solve"),
+            ["input", "cores", "alpha-m", "xi-m", "oracle", "oracle-tol"]
+        );
+        assert_eq!(usage_keys("sweep").len(), 16);
+        assert!(usage_keys("help").is_empty());
+        assert!(!usage_keys("repro").contains(&"oracle-keep-going"));
     }
 
     #[test]

@@ -333,6 +333,33 @@ fn exit_codes_follow_the_error_taxonomy() {
     }
     std::fs::remove_file(&suite).ok();
 
+    // An option the command does not take (misspelt, or another
+    // command's) and `--trials 0` are usage errors too, before any work.
+    for args in [
+        &[
+            "experiment",
+            "--trials",
+            "1",
+            "--tasks",
+            "8",
+            "--orcale-tol",
+            "0",
+        ][..],
+        &["dag", "sweep", "--oracle-tol", "-1"],
+        &["serve", "--worker", "2"],
+        &["sweep", "--figure", "fig7a", "--trials", "0"],
+        &["experiment", "--trials", "0"],
+    ] {
+        let out = Command::new(BIN)
+            .args(args)
+            .stdin(Stdio::null())
+            .stderr(Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2 (usage)");
+        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+    }
+
     // An experiment whose every trial is quarantined exits with the first
     // record's kind (a zero tolerance quarantines all four trials for
     // oracle divergence: 9), not as a usage error, and prints no table.

@@ -28,25 +28,20 @@ use sdem_types::{
 use crate::{common_release, overhead, SdemError};
 
 /// Which inner common-release solver SDEM-ON re-runs at each arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InnerSolver {
-    /// Pick automatically from the platform: the §7 solver when any
-    /// break-even time is non-zero, else §4.2 when `α ≠ 0`, else §4.1.
-    #[default]
-    Auto,
-    /// Force the §4.1 scheme (`α = 0`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum InnerSolver {
+    /// The §4.1 scheme (`α = 0`).
     AlphaZero,
-    /// Force the §4.2 scheme (`α ≠ 0`).
+    /// The §4.2 scheme (`α ≠ 0`).
     AlphaNonzero,
-    /// Force the §7 overhead-aware scheme.
+    /// The §7 overhead-aware scheme.
     Overhead,
 }
 
 impl InnerSolver {
-    fn resolve(self, platform: &Platform) -> Self {
-        if self != Self::Auto {
-            return self;
-        }
+    /// The platform's solver: §7 when any break-even time is non-zero,
+    /// else §4.2 when `α ≠ 0`, else §4.1.
+    fn for_platform(platform: &Platform) -> Self {
         let has_overhead = platform.core().break_even().value() > 0.0
             || platform.memory().break_even().value() > 0.0;
         if has_overhead {
@@ -160,21 +155,7 @@ pub fn schedule_online_in(
     platform: &Platform,
     ws: &mut Workspace,
 ) -> Result<Schedule, SdemError> {
-    schedule_online_impl(tasks, platform, InnerSolver::Auto, None, ws)
-}
-
-/// [`schedule_online_in`] with an explicit inner-solver choice and a
-/// throwaway workspace.
-///
-/// # Errors
-///
-/// Same as [`schedule_online_in`].
-pub fn schedule_online_with(
-    tasks: &TaskSet,
-    platform: &Platform,
-    solver: InnerSolver,
-) -> Result<Schedule, SdemError> {
-    schedule_online_impl(tasks, platform, solver, None, &mut Workspace::new())
+    schedule_online_impl(tasks, platform, None, ws)
 }
 
 /// Bounded-core SDEM-ON: like [`schedule_online_in`] but never uses more
@@ -223,17 +204,16 @@ pub fn schedule_online_bounded_in(
     if max_cores == 0 {
         return Err(SdemError::NoCores);
     }
-    schedule_online_impl(tasks, platform, InnerSolver::Auto, Some(max_cores), ws)
+    schedule_online_impl(tasks, platform, Some(max_cores), ws)
 }
 
 fn schedule_online_impl(
     tasks: &TaskSet,
     platform: &Platform,
-    solver: InnerSolver,
     max_cores: Option<usize>,
     ws: &mut Workspace,
 ) -> Result<Schedule, SdemError> {
-    let solver = solver.resolve(platform);
+    let solver = InnerSolver::for_platform(platform);
     // SoA hot view: the event loop only ever reads one column at a time
     // (releases for the arrival scan, deadlines for admission order), and
     // live/waiting become index vectors over it.
@@ -436,7 +416,6 @@ fn replan(
             common_release::schedule_alpha_nonzero_in(&instance, platform, ws)?
         }
         InnerSolver::Overhead => overhead::schedule_common_release_in(&instance, platform, ws)?,
-        InnerSolver::Auto => unreachable!("resolved above"),
     };
 
     // Latest start per task; the block wakes at the earliest of them.
@@ -614,11 +593,11 @@ mod tests {
     fn overhead_solver_is_selected_automatically() {
         let mem = MemoryPower::new(Watts::new(4.0)).with_break_even(sec(0.5));
         let p = Platform::new(CorePower::simple(1.0, 1.0, 3.0), mem);
-        assert_eq!(InnerSolver::Auto.resolve(&p), InnerSolver::Overhead);
+        assert_eq!(InnerSolver::for_platform(&p), InnerSolver::Overhead);
         let p0 = platform(0.0, 4.0);
-        assert_eq!(InnerSolver::Auto.resolve(&p0), InnerSolver::AlphaZero);
+        assert_eq!(InnerSolver::for_platform(&p0), InnerSolver::AlphaZero);
         let p1 = platform(2.0, 4.0);
-        assert_eq!(InnerSolver::Auto.resolve(&p1), InnerSolver::AlphaNonzero);
+        assert_eq!(InnerSolver::for_platform(&p1), InnerSolver::AlphaNonzero);
         // And it runs end-to-end.
         let tasks = tset(&[(0.0, 6.0, 2.0), (1.0, 9.0, 3.0)]);
         let sched = schedule_online_in(&tasks, &p, &mut Workspace::new()).unwrap();

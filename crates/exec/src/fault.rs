@@ -24,18 +24,6 @@ use sdem_types::ErrorKind;
 /// sim-oracle divergence.
 pub const FATAL_PANIC_PREFIX: &str = "sdem-fatal: ";
 
-/// Renders a panic payload as text (`&str` and `String` payloads pass
-/// through; anything else becomes a placeholder).
-pub fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Why one trial failed, as reported to the quarantine engine.
 ///
 /// `kind` is a stable machine-readable class (`"solver-panic"`,
@@ -254,6 +242,7 @@ pub(crate) fn hex_field(doc: &Value, key: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdem_types::payload_text;
 
     #[test]
     fn record_round_trips_through_json() {

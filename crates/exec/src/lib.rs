@@ -57,7 +57,8 @@ mod checkpoint;
 mod fault;
 
 pub use checkpoint::CheckpointJournal;
-pub use fault::{payload_text, QuarantineRecord, SweepError, TrialFailure, FATAL_PANIC_PREFIX};
+pub use fault::{QuarantineRecord, SweepError, TrialFailure, FATAL_PANIC_PREFIX};
+pub use sdem_types::payload_text;
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -94,7 +94,7 @@ pub enum Counter {
     /// restarts the worker with a rebuilt workspace.
     ServeWorkerRestarts,
     /// Serve responses produced by the graceful-degradation tier
-    /// (race-to-idle baseline under overload or deadline pressure).
+    /// (race-to-idle baseline, forced by a chaos `queue-full` injection).
     ServeDegradedResponses,
     /// Journaled responses replayed verbatim by `replay --resume`
     /// instead of being re-solved.

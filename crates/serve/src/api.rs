@@ -228,7 +228,7 @@ impl SolveRequest {
     }
 
     /// Encodes the request as one JSONL line (the exact format
-    /// [`Self::parse_line`] reads — used by `loadgen` to emit batches).
+    /// [`Self::parse_line`] reads).
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(96 + 48 * self.tasks.len());
         out.push_str(&format!(
@@ -619,36 +619,22 @@ pub fn execute_in(
         solve_in(&tasks, platform, req.scheme, ws)?
     };
     let resolved = req.scheme.resolve(&tasks, platform).solve_label();
-    let response = SolveResponse {
-        id: req.id,
-        scheme: req.scheme_name.clone(),
-        resolved,
-        tasks: tasks.len(),
-        cores_used: solution.schedule().cores_used(),
-        energy_j: solution.predicted_energy().value(),
-        memory_sleep_ms: solution.memory_sleep().as_millis(),
-        degraded: solution.is_degraded(),
-    };
-    Ok(Executed { solution, response })
+    Ok(executed(req, resolved, solution))
 }
 
-/// Convenience [`execute_in`] with a throwaway workspace.
-pub fn execute(req: &SolveRequest, platform: &Platform) -> Result<Executed, ApiError> {
-    execute_in(req, platform, &mut Workspace::new())
-}
-
-/// Wire label of responses produced by the graceful-degradation tier.
+/// Wire label of responses produced by the degradation tier, which a
+/// chaos plan's `queue-full` injections route requests through.
 pub const DEGRADED_RESOLVED: &str = "degraded/race-to-idle";
 
 /// Executes a request through the degradation tier: the race-to-idle
 /// baseline — the fallback half of `solve_or_fallback` — invoked
 /// directly, skipping the requested scheme entirely.
 ///
-/// The service routes here under sustained overload or per-request
-/// deadline pressure: race-to-idle is cheap and always feasible when any
+/// The service routes a request here when a chaos plan forces it
+/// (`queue-full`): race-to-idle is cheap and always feasible when any
 /// schedule is, so answering degraded beats shedding. The response
 /// carries `"degraded": true` and `"resolved": "degraded/race-to-idle"`
-/// so clients can tell a pressure-tier answer from a full solve.
+/// so clients can tell a degraded answer from a full solve.
 pub fn execute_degraded_in(
     req: &SolveRequest,
     platform: &Platform,
@@ -656,17 +642,23 @@ pub fn execute_degraded_in(
 ) -> Result<Executed, ApiError> {
     let tasks = req.tasks.canonicalize();
     let solution = schedule_race_to_idle_in(&tasks, platform, ws)?.with_degraded(true);
+    Ok(executed(req, DEGRADED_RESOLVED, solution))
+}
+
+/// Summarizes `solution`, which `resolved` produced for `req`, as its
+/// wire response.
+fn executed(req: &SolveRequest, resolved: &'static str, solution: Solution) -> Executed {
     let response = SolveResponse {
         id: req.id,
         scheme: req.scheme_name.clone(),
-        resolved: DEGRADED_RESOLVED,
-        tasks: tasks.len(),
+        resolved,
+        tasks: req.tasks.len(),
         cores_used: solution.schedule().cores_used(),
         energy_j: solution.predicted_energy().value(),
         memory_sleep_ms: solution.memory_sleep().as_millis(),
-        degraded: true,
+        degraded: solution.is_degraded(),
     };
-    Ok(Executed { solution, response })
+    Executed { solution, response }
 }
 
 #[cfg(test)]
@@ -713,7 +705,7 @@ mod tests {
         .unwrap();
         assert_eq!(req.scheme, Scheme::BoundedAuto(2));
         let platform = req.platform().unwrap();
-        let executed = execute(&req, &platform).unwrap();
+        let executed = execute_in(&req, &platform, &mut Workspace::new()).unwrap();
         assert_eq!(executed.response.scheme, "bounded-auto");
         assert_eq!(executed.response.resolved, "solve/bounded-exact");
         assert!(executed.response.energy_j > 0.0);
@@ -728,7 +720,7 @@ mod tests {
         .unwrap();
         assert_eq!(req.scheme, Scheme::DagFederated(2));
         let platform = req.platform().unwrap();
-        let executed = execute(&req, &platform).unwrap();
+        let executed = execute_in(&req, &platform, &mut Workspace::new()).unwrap();
         assert_eq!(executed.response.scheme, "dag-federated");
         assert_eq!(executed.response.resolved, "solve/dag-federated");
         assert!(executed.response.energy_j > 0.0);
@@ -848,8 +840,8 @@ mod tests {
         )
         .unwrap();
         let platform = fwd.platform().unwrap();
-        let a = execute(&fwd, &platform).unwrap();
-        let b = execute(&rev, &platform).unwrap();
+        let a = execute_in(&fwd, &platform, &mut Workspace::new()).unwrap();
+        let b = execute_in(&rev, &platform, &mut Workspace::new()).unwrap();
         assert_eq!(
             a.response.to_json_line(),
             b.response.to_json_line(),
@@ -863,7 +855,7 @@ mod tests {
     fn response_line_parses_and_carries_exact_bits() {
         let req = SolveRequest::parse_line(&request_line()).unwrap();
         let platform = req.platform().unwrap();
-        let executed = execute(&req, &platform).unwrap();
+        let executed = execute_in(&req, &platform, &mut Workspace::new()).unwrap();
         let line = executed.response.to_json_line();
         let doc = json::parse(&line).unwrap();
         assert_eq!(doc.get("v").and_then(Value::as_u64), Some(API_VERSION));
@@ -902,12 +894,12 @@ mod tests {
         )
         .unwrap();
         let platform = req.platform().unwrap();
-        let err = execute(&req, &platform).unwrap_err();
+        let err = execute_in(&req, &platform, &mut Workspace::new()).unwrap_err();
         assert_eq!(err.kind, ErrorKind::SchemeError);
         // With fallback the same request degrades instead.
         let mut fb = req;
         fb.fallback = true;
-        let executed = execute(&fb, &platform).unwrap();
+        let executed = execute_in(&fb, &platform, &mut Workspace::new()).unwrap();
         assert!(executed.response.degraded);
     }
 
@@ -920,7 +912,7 @@ mod tests {
         assert!(degraded.response.degraded);
         assert_eq!(degraded.response.resolved, DEGRADED_RESOLVED);
         assert!(degraded.response.energy_j > 0.0);
-        // Pressure-tier output is deterministic: same request, same bytes.
+        // Degraded-tier output is deterministic: same request, same bytes.
         let again = execute_degraded_in(&req, &platform, &mut Workspace::new()).unwrap();
         assert_eq!(
             degraded.response.to_json_line(),

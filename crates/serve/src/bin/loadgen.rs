@@ -1,6 +1,5 @@
-//! Load generator for `sdem serve`: replays a seeded stream of solve
-//! requests against an in-process [`Service`] and records latency
-//! percentiles, throughput and cache hit rate.
+//! Request-batch generator for `sdem serve`: writes a seeded stream of
+//! solve requests as a JSONL batch.
 //!
 //! The request mix models sustained planner traffic: `--shapes` distinct
 //! task-set shapes are generated once from a SplitMix64 stream, and each
@@ -8,57 +7,34 @@
 //! bytes vary while the canonical task set repeats, exercising the
 //! canonicalized cache exactly the way periodic workloads do.
 //!
-//! Two modes:
+//! ```text
+//! loadgen --emit FILE [--requests N] [--shapes N] [--tasks N] [--seed S] [--bounded FRAC]
+//! ```
 //!
-//! * `--emit FILE` writes the raw JSONL request batch and exits (CI pipes
-//!   the same batch through the daemon at several worker counts and
-//!   byte-diffs the responses);
-//! * otherwise each worker count in `--workers` runs the full batch
-//!   in-process; results land in `--out` (default `BENCH_serve.json`).
-//!   Response streams are FNV-hashed per run and the digests compared, so
-//!   the benchmark doubles as a cross-worker-count byte-identity check.
-
-use std::io::Write;
-use std::time::Instant;
+//! CI pipes one batch through `sdem-cli serve` at several worker counts
+//! and byte-diffs the responses. Serve throughput and latency are
+//! measured by perfbench's `serve-hot` and `serve-cold` workloads.
 
 use sdem_prng::{Rng, SeedableRng, SplitMix64};
-use sdem_serve::service::REQUEST_HISTOGRAM;
-use sdem_serve::{Service, ServiceConfig};
 
 struct Opts {
     requests: u64,
     shapes: usize,
     tasks: usize,
-    workers: Vec<usize>,
-    queue: usize,
-    cache: usize,
     seed: u64,
     bounded: f64,
-    out: String,
-    emit: Option<String>,
-    date: String,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Self {
-            requests: 100_000,
-            shapes: 64,
-            tasks: 8,
-            workers: vec![1, 4],
-            queue: 65_536,
-            cache: 4_096,
-            seed: 42,
-            bounded: 0.0,
-            out: "BENCH_serve.json".to_string(),
-            emit: None,
-            date: "unknown".to_string(),
-        }
-    }
+    emit: String,
 }
 
 fn parse_opts() -> Result<Opts, String> {
-    let mut opts = Opts::default();
+    let mut opts = Opts {
+        requests: 100_000,
+        shapes: 64,
+        tasks: 8,
+        seed: 42,
+        bounded: 0.0,
+        emit: String::new(),
+    };
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| argv.next().ok_or_else(|| format!("{name} needs a value"));
@@ -66,24 +42,17 @@ fn parse_opts() -> Result<Opts, String> {
             "--requests" => opts.requests = num(&value("--requests")?)?,
             "--shapes" => opts.shapes = num(&value("--shapes")?)? as usize,
             "--tasks" => opts.tasks = num(&value("--tasks")?)? as usize,
-            "--queue" => opts.queue = num(&value("--queue")?)? as usize,
-            "--cache" => opts.cache = num(&value("--cache")?)? as usize,
             "--seed" => opts.seed = num(&value("--seed")?)?,
             "--bounded" => opts.bounded = frac(&value("--bounded")?)?,
-            "--out" => opts.out = value("--out")?,
-            "--emit" => opts.emit = Some(value("--emit")?),
-            "--date" => opts.date = value("--date")?,
-            "--workers" => {
-                opts.workers = value("--workers")?
-                    .split(',')
-                    .map(|w| num(w).map(|n| n as usize))
-                    .collect::<Result<_, _>>()?;
-            }
+            "--emit" => opts.emit = value("--emit")?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if opts.shapes == 0 || opts.tasks == 0 || opts.workers.is_empty() {
-        return Err("--shapes, --tasks and --workers must be non-zero".into());
+    if opts.emit.is_empty() {
+        return Err("--emit FILE is required".into());
+    }
+    if opts.shapes == 0 || opts.tasks == 0 {
+        return Err("--shapes and --tasks must be non-zero".into());
     }
     Ok(opts)
 }
@@ -175,84 +144,6 @@ fn request_line(id: u64, scheme: &str, shape: &[WireTask], rotate: usize) -> Str
     line
 }
 
-/// A `Write` sink that FNV-1a-hashes everything written through it.
-struct HashSink {
-    hash: std::sync::Arc<std::sync::atomic::AtomicU64>,
-}
-
-impl Write for HashSink {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let mut h = self.hash.load(std::sync::atomic::Ordering::Relaxed);
-        for &b in buf {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.hash.store(h, std::sync::atomic::Ordering::Relaxed);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-struct RunResult {
-    workers: usize,
-    wall_s: f64,
-    req_per_s: f64,
-    p50_ns: u64,
-    p99_ns: u64,
-    cache_hit_rate: f64,
-    shed: u64,
-    digest: u64,
-}
-
-fn run_once(opts: &Opts, workers: usize, lines: &[String]) -> RunResult {
-    sdem_obs::registry::reset();
-    sdem_obs::registry::set_enabled(true);
-    let digest = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0xcbf2_9ce4_8422_2325));
-    let service = Service::start(
-        ServiceConfig {
-            workers,
-            queue_depth: opts.queue,
-            cache_capacity: opts.cache,
-            ..Default::default()
-        },
-        Box::new(HashSink {
-            hash: std::sync::Arc::clone(&digest),
-        }),
-    );
-    let start = Instant::now();
-    for line in lines {
-        service.submit(line);
-    }
-    let stats = service.finish();
-    let wall_s = start.elapsed().as_secs_f64();
-    sdem_obs::registry::set_enabled(false);
-
-    let snapshot = sdem_obs::registry::snapshot();
-    let (p50_ns, p99_ns) = snapshot
-        .histograms
-        .iter()
-        .find(|(label, _)| *label == REQUEST_HISTOGRAM)
-        .map(|(_, h)| (h.percentile(0.50), h.percentile(0.99)))
-        .unwrap_or((0, 0));
-    let lookups = stats.cache_hits + stats.cache_misses;
-    RunResult {
-        workers,
-        wall_s,
-        req_per_s: stats.submitted as f64 / wall_s,
-        p50_ns,
-        p99_ns,
-        cache_hit_rate: if lookups == 0 {
-            0.0
-        } else {
-            stats.cache_hits as f64 / lookups as f64
-        },
-        shed: stats.shed,
-        digest: digest.load(std::sync::atomic::Ordering::Relaxed),
-    }
-}
-
 fn main() {
     let opts = match parse_opts() {
         Ok(opts) => opts,
@@ -279,77 +170,8 @@ fn main() {
         })
         .collect();
 
-    if let Some(path) = &opts.emit {
-        let mut body = lines.join("\n");
-        body.push('\n');
-        std::fs::write(path, body).expect("write batch");
-        eprintln!("loadgen: wrote {} requests to {path}", lines.len());
-        return;
-    }
-
-    let results: Vec<RunResult> = opts
-        .workers
-        .iter()
-        .map(|&w| {
-            let r = run_once(&opts, w, &lines);
-            eprintln!(
-                "loadgen: workers={} wall={:.3}s req/s={:.0} p50={}ns p99={}ns hit-rate={:.4} shed={}",
-                r.workers, r.wall_s, r.req_per_s, r.p50_ns, r.p99_ns, r.cache_hit_rate, r.shed
-            );
-            r
-        })
-        .collect();
-    let identical = results.windows(2).all(|p| p[0].digest == p[1].digest);
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"benchmark\": \"sdem-serve loadgen ({} requests, {} shapes x {} tasks, seeded shape-repetition mix, {:.0}% bounded-auto)\",\n",
-        opts.requests,
-        opts.shapes,
-        opts.tasks,
-        opts.bounded * 100.0
-    ));
-    out.push_str(&format!(
-        "  \"command\": \"cargo run -p sdem-serve --release --bin loadgen -- --requests {} --shapes {} --tasks {} --workers {} --seed {} --bounded {}\",\n",
-        opts.requests,
-        opts.shapes,
-        opts.tasks,
-        opts.workers
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
-        opts.seed,
-        opts.bounded
-    ));
-    out.push_str(&format!("  \"date\": \"{}\",\n", opts.date));
-    out.push_str("  \"host\": {\n");
-    out.push_str("    \"os\": \"Linux 6.18.5\",\n");
-    out.push_str(&format!(
-        "    \"hardware_threads\": {},\n",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    ));
-    out.push_str("    \"note\": \"latency percentiles are sdem-obs log2-bucket upper bounds in nanoseconds, measured per request from dequeue (cache lookup + solve + response render). Response streams are FNV-hashed per worker count and compared for byte-identity.\"\n");
-    out.push_str("  },\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 == results.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{ \"workers\": {}, \"requests\": {}, \"wall_s\": {:.3}, \"req_per_s\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}, \"cache_hit_rate\": {:.4}, \"shed\": {} }}{sep}\n",
-            r.workers, opts.requests, r.wall_s, r.req_per_s, r.p50_ns, r.p99_ns, r.cache_hit_rate, r.shed
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"output_identical_across_worker_counts\": {identical}\n"
-    ));
-    out.push_str("}\n");
-
-    std::fs::write(&opts.out, &out).expect("write results");
-    eprintln!("loadgen: wrote {}", opts.out);
-    if !identical {
-        eprintln!("loadgen: response digests differ across worker counts");
-        std::process::exit(1);
-    }
+    let mut body = lines.join("\n");
+    body.push('\n');
+    std::fs::write(&opts.emit, body).expect("write batch");
+    eprintln!("loadgen: wrote {} requests to {}", lines.len(), opts.emit);
 }

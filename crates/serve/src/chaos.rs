@@ -14,7 +14,8 @@
 //!   boundary's typed `bad-request` path.
 //! * **queue-full** — the request is treated as arriving under overload
 //!   and forced through the graceful-degradation tier (race-to-idle with
-//!   an explicit `degraded` flag) instead of being shed.
+//!   an explicit `degraded` flag) instead of being shed. This is the only
+//!   way into that tier.
 //! * **latency** — the worker sleeps briefly before solving; perturbs
 //!   timing without changing a single output byte, which is exactly what
 //!   the byte-identity tests want to stress.
@@ -188,28 +189,6 @@ impl ChaosPlan {
         self.latency.binary_search(&seq).is_ok()
     }
 
-    /// Seqs whose response bytes differ from a clean run (panicked and
-    /// poisoned ones); latency and forced degradation change bytes too,
-    /// but degradation is still a well-formed `ok` response.
-    pub fn injected_panics(&self) -> &[u64] {
-        &self.panics
-    }
-
-    /// Seqs the driver poisons.
-    pub fn injected_poison(&self) -> &[u64] {
-        &self.poison
-    }
-
-    /// Seqs forced through the degradation tier.
-    pub fn injected_queue_full(&self) -> &[u64] {
-        &self.queue_full
-    }
-
-    /// Seqs with injected latency.
-    pub fn injected_latency(&self) -> &[u64] {
-        &self.latency
-    }
-
     /// Count of injections of each class with seq ≥ `from` — the portion
     /// of the plan a resumed replay will actually execute (earlier seqs
     /// were recovered from the journal, not re-run).
@@ -306,10 +285,10 @@ mod tests {
             latency: 1,
         };
         let plan = ChaosPlan::materialize(&spec, 100).unwrap();
-        for &s in plan.injected_panics() {
+        for &s in &plan.panics {
             assert!(plan.panic_at(s) && !plan.poison_at(s));
         }
-        for &s in plan.injected_poison() {
+        for &s in &plan.poison {
             assert!(plan.poison_at(s) && !plan.queue_full_at(s));
         }
         let full = plan.counts_from(0);

@@ -46,7 +46,6 @@ pub use clock::{ManualClock, ServiceClock};
 pub use journal::{JournalHeader, ReplayJournal};
 pub use replay::{replay, ReplayConfig, ReplayReport};
 pub use service::{
-    run_session, DegradeTiers, Service, ServiceConfig, ServiceStats, MAX_LINE_BYTES,
-    REQUEST_HISTOGRAM,
+    run_session, Service, ServiceConfig, ServiceStats, MAX_LINE_BYTES, REQUEST_HISTOGRAM,
 };
 pub use supervisor::{Supervisor, SupervisorConfig, Verdict};

@@ -7,7 +7,7 @@
 //! ```text
 //! submit(line) ──parse──► bounded queue ──► N workers (warm Workspace each)
 //!      │ bad-request          │ full → shed        │ solve via SolveCache
-//!      ▼                      ▼                    │ pressure → degrade tier
+//!      ▼                      ▼                    │ chaos queue-full → degrade tier
 //!   error line           overloaded line           ▼ panic → supervisor
 //!      └──────────────────────┴───────────────────response line
 //!                                                  │
@@ -35,10 +35,10 @@
 //! * **Deadlines** are relative to admission and measured on the
 //!   injectable [`ServiceClock`], so tests can drive expiry with a
 //!   [`ManualClock`](crate::clock::ManualClock) instead of sleeping.
-//! * **Degradation**: under queue-occupancy or deadline pressure (or
-//!   when the chaos plan says so), a request is routed through the
-//!   race-to-idle tier ([`api::execute_degraded_in`]) instead of being
-//!   shed — an explicit `degraded` response beats no response.
+//! * **Degradation**: a request the chaos plan marks `queue-full` is
+//!   routed through the race-to-idle tier ([`api::execute_degraded_in`])
+//!   instead of being shed — an explicit `degraded` response beats no
+//!   response. Degraded answers bypass the solve cache both ways.
 //! * **Ordering**: every admitted-or-answered line gets a sequence number
 //!   at submission; the emitter releases responses strictly in that
 //!   order. Response *bytes* are a pure function of the request (cache
@@ -60,7 +60,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use sdem_obs::Counter;
-use sdem_types::{ErrorKind, Workspace};
+use sdem_types::{payload_text, ErrorKind, Workspace};
 
 use crate::api::{self, ApiError, SolveRequest};
 use crate::cache::{CacheParams, CachedSolve, SolveCache};
@@ -82,29 +82,6 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// it must perturb interleavings without changing any output byte).
 const CHAOS_LATENCY_MS: u64 = 2;
 
-/// Graceful-degradation thresholds. When either trips, the request is
-/// answered by the race-to-idle tier with `"degraded": true` instead of
-/// being shed or solved in full.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradeTiers {
-    /// Queue-occupancy fraction (of `queue_depth`) at dequeue time at or
-    /// above which the service is considered under sustained overload.
-    pub queue_fraction: f64,
-    /// Remaining-deadline slack, milliseconds: a request whose deadline
-    /// is closer than this when a worker picks it up is degraded rather
-    /// than risked against the full solver. Zero disables the trigger.
-    pub deadline_slack_ms: f64,
-}
-
-impl Default for DegradeTiers {
-    fn default() -> Self {
-        Self {
-            queue_fraction: 0.9,
-            deadline_slack_ms: 0.0,
-        }
-    }
-}
-
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -122,9 +99,6 @@ pub struct ServiceConfig {
     pub start_paused: bool,
     /// Worker restart policy for panics that escape the solver guard.
     pub supervisor: SupervisorConfig,
-    /// Graceful-degradation thresholds; `None` disables the tier (chaos
-    /// can still force individual requests through it).
-    pub degrade: Option<DegradeTiers>,
     /// Chaos injections (worker panics, forced degradation, latency),
     /// shared with the workers. `None` for production service.
     pub chaos: Option<Arc<ChaosPlan>>,
@@ -139,7 +113,6 @@ impl Default for ServiceConfig {
             clock: ServiceClock::default(),
             start_paused: false,
             supervisor: SupervisorConfig::default(),
-            degrade: None,
             chaos: None,
         }
     }
@@ -361,13 +334,7 @@ impl Service {
                         );
                         self.inner.emit(seq, api::error_line(Some(id), &error));
                     }
-                    Some(Answer::Shutdown(id)) => {
-                        let error = ApiError::new(
-                            ErrorKind::Shutdown,
-                            "service failed fast after exhausting its worker restart budget",
-                        );
-                        self.inner.emit(seq, api::error_line(Some(id), &error));
-                    }
+                    Some(Answer::Shutdown(id)) => self.inner.emit(seq, shutdown_line(id)),
                     None => sdem_obs::registry::incr(Counter::RequestsAdmitted),
                 }
             }
@@ -485,7 +452,7 @@ impl Inner {
 fn worker_loop(inner: &Inner) {
     let mut ws = Workspace::new();
     loop {
-        let (job, occupancy) = {
+        let job = {
             let mut state = inner.state.lock().unwrap();
             loop {
                 if state.failed {
@@ -493,9 +460,8 @@ fn worker_loop(inner: &Inner) {
                 }
                 if !state.paused {
                     if let Some(job) = state.queue.pop_front() {
-                        let occupancy = state.queue.len() + 1;
                         inner.space_ready.notify_one();
-                        break (job, occupancy);
+                        break job;
                     }
                     if !state.accepting {
                         return;
@@ -520,7 +486,7 @@ fn worker_loop(inner: &Inner) {
                     std::thread::sleep(Duration::from_millis(CHAOS_LATENCY_MS));
                 }
             }
-            answer(inner, &job, &mut ws, occupancy)
+            answer(inner, &job, &mut ws)
         }));
         match outcome {
             Ok(line) => inner.emit(seq, line),
@@ -528,12 +494,7 @@ fn worker_loop(inner: &Inner) {
                 // The workspace may be half-mutated mid-unwind; rebuild.
                 ws = Workspace::new();
                 sdem_obs::registry::incr(Counter::ServeWorkerRestarts);
-                let detail = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                let error = ApiError::new(ErrorKind::WorkerPanic, detail);
+                let error = ApiError::new(ErrorKind::WorkerPanic, payload_text(payload.as_ref()));
                 inner.emit(seq, api::error_line(Some(req_id), &error));
                 let verdict = inner.supervisor.lock().unwrap().on_panic();
                 match verdict {
@@ -563,21 +524,25 @@ fn fail_fast(inner: &Inner) {
         drained
     };
     for (seq, id) in drained {
-        let error = ApiError::new(
-            ErrorKind::Shutdown,
-            "service failed fast after exhausting its worker restart budget",
-        );
-        inner.emit(seq, api::error_line(Some(id), &error));
+        inner.emit(seq, shutdown_line(id));
     }
 }
 
-/// Produces the response line for one admitted job. `occupancy` is the
-/// queue length (including this job) at dequeue time — the overload
-/// signal the degradation tier reads.
-fn answer(inner: &Inner, job: &Job, ws: &mut Workspace, occupancy: usize) -> String {
+/// The answer to request `id` once the service has failed fast.
+fn shutdown_line(id: u64) -> String {
+    let error = ApiError::new(
+        ErrorKind::Shutdown,
+        "service failed fast after exhausting its worker restart budget",
+    );
+    api::error_line(Some(id), &error)
+}
+
+/// Produces the response line for one admitted job: a deadline check,
+/// then a cache probe, then one guarded solve.
+fn answer(inner: &Inner, job: &Job, ws: &mut Workspace) -> String {
     let req = &job.req;
-    let waited_ms = (inner.cfg.clock.now_ns().saturating_sub(job.admitted_ns)) as f64 / 1e6;
     if let Some(deadline_ms) = req.deadline_ms {
+        let waited_ms = (inner.cfg.clock.now_ns().saturating_sub(job.admitted_ns)) as f64 / 1e6;
         if waited_ms >= deadline_ms {
             sdem_obs::registry::incr(Counter::RequestsExpired);
             let error = ApiError::new(
@@ -588,101 +553,75 @@ fn answer(inner: &Inner, job: &Job, ws: &mut Workspace, occupancy: usize) -> Str
         }
     }
 
-    let mut degrade = inner
+    let degrade = inner
         .cfg
         .chaos
         .as_ref()
         .is_some_and(|chaos| chaos.queue_full_at(job.seq));
-    if let Some(tiers) = &inner.cfg.degrade {
-        if occupancy as f64 >= tiers.queue_fraction * inner.cfg.queue_depth as f64 {
-            degrade = true;
-        }
-        if tiers.deadline_slack_ms > 0.0 {
-            if let Some(deadline_ms) = req.deadline_ms {
-                if deadline_ms - waited_ms < tiers.deadline_slack_ms {
-                    degrade = true;
-                }
-            }
-        }
-    }
 
     let clock = sdem_obs::registry::maybe_start();
-    if degrade {
-        // The pressure tier: race-to-idle directly, skipping both the
-        // requested scheme and the cache (degraded bytes must never be
-        // served as, or refreshed from, full-solve cache entries).
-        sdem_obs::registry::incr(Counter::ServeDegradedResponses);
-        inner.degraded.fetch_add(1, Ordering::Relaxed);
+    let line = 'line: {
+        // The cache key of a full solve. A degraded request has none: it
+        // skips both the requested scheme and the cache (degraded bytes
+        // must never be served as, or refreshed from, full-solve cache
+        // entries).
+        let key = if degrade {
+            sdem_obs::registry::incr(Counter::ServeDegradedResponses);
+            inner.degraded.fetch_add(1, Ordering::Relaxed);
+            None
+        } else {
+            let canonical = req.tasks.canonicalize();
+            let params = CacheParams {
+                scheme: req.scheme_name.clone(),
+                cores: req.cores,
+                alpha_m_bits: req.alpha_m_w.to_bits(),
+                xi_m_bits: req.xi_m_ms.to_bits(),
+                fallback: req.fallback,
+            };
+            if let Some(hit) = inner.cache.lock().unwrap().get(&canonical, &params) {
+                break 'line hit
+                    .to_response(req.id, req.scheme_name.clone())
+                    .to_json_line();
+            }
+            Some((canonical, params))
+        };
+
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let platform = req.platform()?;
-            api::execute_degraded_in(req, &platform, ws)
+            if degrade {
+                api::execute_degraded_in(req, &platform, ws)
+            } else {
+                api::execute_in(req, &platform, ws)
+            }
         }));
-        let line = match outcome {
+        match outcome {
             Ok(Ok(executed)) => {
+                // Tear the schedule back into the arena: the response
+                // carries only the summary, so the warm path stays
+                // allocation-free.
                 let response = executed.response;
                 ws.recycle_schedule(executed.solution.into_schedule());
+                if let Some((canonical, params)) = key {
+                    inner.cache.lock().unwrap().insert(
+                        canonical,
+                        params,
+                        CachedSolve::from_response(&response),
+                    );
+                }
                 response.to_json_line()
             }
             Ok(Err(error)) => api::error_line(Some(req.id), &error),
-            Err(payload) => panic_line(req.id, ws, payload),
-        };
-        sdem_obs::registry::record_elapsed(REQUEST_HISTOGRAM, clock);
-        return line;
-    }
-
-    let canonical = req.tasks.canonicalize();
-    let params = CacheParams {
-        scheme: req.scheme_name.clone(),
-        cores: req.cores,
-        alpha_m_bits: req.alpha_m_w.to_bits(),
-        xi_m_bits: req.xi_m_ms.to_bits(),
-        fallback: req.fallback,
-    };
-
-    if let Some(hit) = inner.cache.lock().unwrap().get(&canonical, &params) {
-        let line = hit
-            .to_response(req.id, req.scheme_name.clone())
-            .to_json_line();
-        sdem_obs::registry::record_elapsed(REQUEST_HISTOGRAM, clock);
-        return line;
-    }
-
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let platform = req.platform()?;
-        api::execute_in(req, &platform, ws)
-    }));
-    let line = match outcome {
-        Ok(Ok(executed)) => {
-            // Tear the schedule back into the arena: the response carries
-            // only the summary, so the warm path stays allocation-free.
-            let response = executed.response;
-            ws.recycle_schedule(executed.solution.into_schedule());
-            inner.cache.lock().unwrap().insert(
-                canonical,
-                params,
-                CachedSolve::from_response(&response),
-            );
-            response.to_json_line()
+            Err(payload) => {
+                // The workspace may be half-mutated mid-unwind; rebuild.
+                *ws = Workspace::new();
+                sdem_obs::registry::incr(Counter::SolverPanicsCaught);
+                let error = ApiError::new(ErrorKind::SolverPanic, payload_text(payload.as_ref()));
+                api::error_line(Some(req.id), &error)
+            }
         }
-        Ok(Err(error)) => api::error_line(Some(req.id), &error),
-        Err(payload) => panic_line(req.id, ws, payload),
     };
     sdem_obs::registry::record_elapsed(REQUEST_HISTOGRAM, clock);
     line
-}
-
-/// Folds a contained solver panic into a `solver-panic` error line,
-/// rebuilding the possibly half-mutated workspace.
-fn panic_line(id: u64, ws: &mut Workspace, payload: Box<dyn std::any::Any + Send>) -> String {
-    *ws = Workspace::new();
-    sdem_obs::registry::incr(Counter::SolverPanicsCaught);
-    let detail = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string());
-    let error = ApiError::new(ErrorKind::SolverPanic, detail);
-    api::error_line(Some(id), &error)
 }
 
 /// Runs a whole JSONL session: submits every line of `input`, drains, and
@@ -754,6 +693,7 @@ fn read_capped_line(input: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosSpec;
     use std::sync::Mutex as StdMutex;
 
     /// A `Write` sink tests can read back after the service finishes.
@@ -1048,39 +988,64 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_pressure_routes_through_the_degraded_tier() {
-        // Paused workers + depth 4 + fraction 0.5: the queue fills before
-        // any dequeue, so at least the first dequeues see occupancy ≥ 2.
-        let buf = SharedBuf::default();
-        let service = Service::start(
-            ServiceConfig {
-                workers: 1,
-                queue_depth: 4,
-                cache_capacity: 0,
-                start_paused: true,
-                degrade: Some(DegradeTiers {
-                    queue_fraction: 0.5,
-                    deadline_slack_ms: 0.0,
-                }),
-                ..Default::default()
-            },
-            Box::new(buf.clone()),
-        );
-        for id in 0..4 {
-            service.submit(&req(id, "[[0,0,40,8e6],[1,0,70,1.2e7]]"));
-        }
-        service.release_workers();
-        let stats = service.finish();
-        assert!(stats.degraded >= 1, "pressure must trigger the tier");
-        let text = buf.contents();
+    fn degraded_answers_bypass_the_cache_both_ways() {
+        // One task set at every seq, its rows rotated. Seq 0 is forced, so
+        // a cached degraded answer would be served to the full solves
+        // after it; a forced seq between full solves would be answered
+        // from the cache if it were probed.
+        let events = 8;
+        let spec = ChaosSpec {
+            seed: 0,
+            queue_full: 3,
+            ..ChaosSpec::default()
+        };
+        let plan = ChaosPlan::materialize(&spec, events).unwrap();
+        let forced: Vec<u64> = (0..events).filter(|&s| plan.queue_full_at(s)).collect();
+        assert_eq!(forced.first(), Some(&0));
         assert!(
-            text.contains("\"resolved\":\"degraded/race-to-idle\""),
-            "{text}"
+            forced
+                .iter()
+                .any(|&s| s > 0 && s < events - 1 && !forced.contains(&(s - 1))),
+            "a forced seq after a full solve and before the last: {forced:?}"
         );
-        assert!(text.contains("\"degraded\":true"), "{text}");
+        let rows = ["[0,0,40,8e6]", "[1,0,70,1.2e7]", "[2,10,90,2e6]"];
+        let run = |chaos: Option<Arc<ChaosPlan>>| {
+            let buf = SharedBuf::default();
+            let service = Service::start(
+                ServiceConfig {
+                    workers: 1,
+                    chaos,
+                    ..Default::default()
+                },
+                Box::new(buf.clone()),
+            );
+            for id in 0..events {
+                let k = id as usize % rows.len();
+                let tasks = format!("[{}]", [&rows[k..], &rows[..k]].concat().join(","));
+                service.submit(&req(id, &tasks));
+            }
+            let stats = service.finish();
+            (buf.contents(), stats)
+        };
+        let (clean, _) = run(None);
+        let (text, stats) = run(Some(Arc::new(plan)));
+        assert_eq!(stats.degraded, forced.len() as u64);
         assert_eq!(
-            text.matches("\"degraded\":true").count() as u64,
-            stats.degraded
+            stats.cache_hits + stats.cache_misses,
+            events - forced.len() as u64,
+            "degraded requests never touch the cache"
         );
+        assert_eq!(text.lines().count(), events as usize);
+        for (seq, (line, want)) in (0..).zip(text.lines().zip(clean.lines())) {
+            if forced.contains(&seq) {
+                assert!(line.contains("\"degraded\":true"), "seq {seq}: {line}");
+                assert!(
+                    line.contains("\"resolved\":\"degraded/race-to-idle\""),
+                    "seq {seq}: {line}"
+                );
+            } else {
+                assert_eq!(line, want, "seq {seq}");
+            }
+        }
     }
 }

@@ -160,6 +160,19 @@ impl fmt::Display for ErrorKind {
     }
 }
 
+/// Renders a caught panic payload as text (`&str` and `String` payloads
+/// pass through; anything else becomes a placeholder) — the detail of a
+/// contained `solver-panic` or `worker-panic`.
+pub fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

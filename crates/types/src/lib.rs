@@ -52,7 +52,7 @@ mod workspace;
 
 pub use error::{ScheduleError, TaskSetError};
 pub use interval::IntervalSet;
-pub use kind::{ErrorKind, ERROR_KINDS};
+pub use kind::{payload_text, ErrorKind, ERROR_KINDS};
 pub use partition::Partition;
 pub use schedule::{CoreId, Placement, Schedule, Segment};
 pub use soa::{TaskRow, TaskSoa};
