@@ -18,32 +18,74 @@ use sdem_bench::experiment::MAX_ATTEMPTS_PER_TRIAL;
 use sdem_bench::runner_from_env;
 use sdem_bench::stats::summarize;
 use sdem_core::{solve, Scheme, Solution};
+use sdem_exec::{TrialCtx, TrialFailure};
 use sdem_power::{CorePower, MemoryPower, Platform};
 use sdem_sim::{simulate_with_options, SimOptions, SleepPolicy};
-use sdem_types::{Time, Watts};
+use sdem_types::{ErrorKind, TaskSet, Time, Watts};
 use sdem_workload::dspstone::{stream, Benchmark};
 use sdem_workload::paper;
+
+/// One ablation variant: its name, platform and MBKPS sleep policy.
+type Variant<'a> = (&'static str, &'a Platform, SleepPolicy);
+
+/// The high-utilization DSPstone workload (U = 2, 8 streams) drawn from
+/// `seed`: common idle gaps are short relative to ξ_m, which is where the
+/// modelling decisions bite.
+fn make_tasks(seed: u64) -> TaskSet {
+    let (fft, matmul) = (Benchmark::fft_1024(), Benchmark::matrix_24());
+    let benches = [fft, matmul, fft, matmul, fft, matmul, fft, matmul];
+    stream(&benches, 2.0, 15, seed)
+}
+
+/// One replicate of a variant: its energy relative to MBKP (never-sleep),
+/// resampling from the trial's seed stream until feasible.
+fn trial(
+    &(name, platform, policy): &Variant,
+    ctx: &TrialCtx,
+    _: &mut (),
+) -> Result<f64, TrialFailure> {
+    let found = ctx.seeds().take(MAX_ATTEMPTS_PER_TRIAL).find_map(|seed| {
+        let tasks = make_tasks(seed);
+        let mbkp_schedule =
+            mbkp::schedule_online(&tasks, platform, paper::NUM_CORES, Assignment::RoundRobin)
+                .ok()?;
+        let profit = SimOptions::uniform(SleepPolicy::WhenProfitable);
+        let never = SimOptions {
+            memory_policy: SleepPolicy::NeverSleep,
+            ..profit
+        };
+        let e_mbkp = simulate_with_options(&mbkp_schedule, &tasks, platform, never)
+            .expect("valid schedule")
+            .total()
+            .value();
+        let subject = if name.starts_with("SDEM-ON") {
+            let s = solve(&tasks, platform, Scheme::Online)
+                .map(Solution::into_schedule)
+                .ok()?;
+            simulate_with_options(&s, &tasks, platform, profit)
+                .expect("valid schedule")
+                .total()
+                .value()
+        } else {
+            let opts = SimOptions {
+                memory_policy: policy,
+                ..profit
+            };
+            simulate_with_options(&mbkp_schedule, &tasks, platform, opts)
+                .expect("valid schedule")
+                .total()
+                .value()
+        };
+        Some(subject / e_mbkp)
+    });
+    found.ok_or_else(|| TrialFailure::of(ErrorKind::RetryBudgetExhausted, "no feasible seed"))
+}
 
 fn main() {
     let trials: u64 = std::env::var("SDEM_TRIALS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(10);
-    // High-utilization DSPstone workload (U = 2, 8 streams): common idle
-    // gaps are short relative to ξ_m, which is where the modelling
-    // decisions bite.
-    let benches = [
-        Benchmark::fft_1024(),
-        Benchmark::matrix_24(),
-        Benchmark::fft_1024(),
-        Benchmark::matrix_24(),
-        Benchmark::fft_1024(),
-        Benchmark::matrix_24(),
-        Benchmark::fft_1024(),
-        Benchmark::matrix_24(),
-    ];
-    let make_tasks = |seed: u64| stream(&benches, 2.0, 15, seed);
-
     let floored = Platform::paper_defaults().with_memory(
         MemoryPower::new(Watts::new(paper::DEFAULT_ALPHA_M_W))
             .with_break_even(Time::from_millis(paper::DEFAULT_XI_M_MS)),
@@ -86,43 +128,9 @@ fn main() {
     ];
     // One grid point per variant, `trials` replicates each; every
     // replicate resamples from its private seed stream until feasible.
-    let outcome = runner_from_env().run(&variants, trials as usize, 0xAB1A, |v, ctx| {
-        let (name, platform, policy) = *v;
-        ctx.seeds().take(MAX_ATTEMPTS_PER_TRIAL).find_map(|seed| {
-            let tasks = make_tasks(seed);
-            let mbkp_schedule =
-                mbkp::schedule_online(&tasks, platform, paper::NUM_CORES, Assignment::RoundRobin)
-                    .ok()?;
-            let profit = SimOptions::uniform(SleepPolicy::WhenProfitable);
-            let never = SimOptions {
-                memory_policy: SleepPolicy::NeverSleep,
-                ..profit
-            };
-            let e_mbkp = simulate_with_options(&mbkp_schedule, &tasks, platform, never)
-                .expect("valid schedule")
-                .total()
-                .value();
-            let subject = if name.starts_with("SDEM-ON") {
-                let s = solve(&tasks, platform, Scheme::Online)
-                    .map(Solution::into_schedule)
-                    .ok()?;
-                simulate_with_options(&s, &tasks, platform, profit)
-                    .expect("valid schedule")
-                    .total()
-                    .value()
-            } else {
-                let opts = SimOptions {
-                    memory_policy: policy,
-                    ..profit
-                };
-                simulate_with_options(&mbkp_schedule, &tasks, platform, opts)
-                    .expect("valid schedule")
-                    .total()
-                    .value()
-            };
-            Some(subject / e_mbkp)
-        })
-    });
+    let outcome = runner_from_env()
+        .run(&variants, trials as usize, 0xAB1A, || (), trial)
+        .unwrap_or_else(|e| panic!("{e}"));
     for ((name, _, _), ratios) in variants.iter().zip(&outcome.per_point) {
         let s = summarize(ratios);
         println!("{:44} {:>12.3} ({:.3}..{:.3})", name, s.mean, s.min, s.max);

@@ -9,10 +9,33 @@
 use sdem_bench::runner_from_env;
 use sdem_bench::stats::{percentile, summarize};
 use sdem_core::{solve, Scheme, Solution};
+use sdem_exec::{TrialCtx, TrialFailure};
 use sdem_power::Platform;
 use sdem_sim::{simulate_with_options, SimOptions, SleepPolicy};
-use sdem_types::Time;
+use sdem_types::{ErrorKind, Time};
 use sdem_workload::synthetic::{self, SyntheticConfig};
+
+/// One replicate: `E_online / E_offline-optimal` on the agreeable
+/// instance of `cfg` seeded by the replicate number.
+fn trial(cfg: &SyntheticConfig, ctx: &TrialCtx, _: &mut ()) -> Result<f64, TrialFailure> {
+    let platform = Platform::paper_defaults();
+    let opts = SimOptions::uniform(SleepPolicy::WhenProfitable);
+    let rejected = |_| TrialFailure::of(ErrorKind::InfeasibleInput, "a scheme rejected the seed");
+    let tasks = synthetic::agreeable(cfg, ctx.replicate() as u64);
+    let online_sched = solve(&tasks, &platform, Scheme::Online)
+        .map(Solution::into_schedule)
+        .map_err(rejected)?;
+    let offline = solve(&tasks, &platform, Scheme::Agreeable).map_err(rejected)?;
+    let e_on = simulate_with_options(&online_sched, &tasks, &platform, opts)
+        .expect("online schedule validates")
+        .total()
+        .value();
+    let e_off = simulate_with_options(offline.schedule(), &tasks, &platform, opts)
+        .expect("offline schedule validates")
+        .total()
+        .value();
+    Ok(e_on / e_off)
+}
 
 fn main() {
     let tasks_n: usize = std::env::var("SDEM_TASKS")
@@ -28,29 +51,14 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(200.0);
 
-    let platform = Platform::paper_defaults();
     let cfg = SyntheticConfig::paper(tasks_n, Time::from_millis(x_ms));
-    let opts = SimOptions::uniform(SleepPolicy::WhenProfitable);
 
-    // One replicate per seed, fanned across workers; infeasible seeds are
-    // skipped, exactly as in a serial `0..seeds` loop.
-    let outcome = runner_from_env().run(&[()], seeds as usize, 0, |_, ctx| {
-        let seed = ctx.replicate() as u64;
-        let tasks = synthetic::agreeable(&cfg, seed);
-        let online_sched = solve(&tasks, &platform, Scheme::Online)
-            .map(Solution::into_schedule)
-            .ok()?;
-        let offline = solve(&tasks, &platform, Scheme::Agreeable).ok()?;
-        let e_on = simulate_with_options(&online_sched, &tasks, &platform, opts)
-            .expect("online schedule validates")
-            .total()
-            .value();
-        let e_off = simulate_with_options(offline.schedule(), &tasks, &platform, opts)
-            .expect("offline schedule validates")
-            .total()
-            .value();
-        Some(e_on / e_off)
-    });
+    // One replicate per seed, fanned across workers; a seed either scheme
+    // rejects is quarantined, so it is skipped as in a serial `0..seeds`
+    // loop.
+    let outcome = runner_from_env()
+        .run(&[cfg], seeds as usize, 0, || (), trial)
+        .unwrap_or_else(|e| panic!("{e}"));
     let ratios = outcome.per_point.into_iter().next().unwrap_or_default();
     eprintln!("sweep: {}", outcome.stats);
 

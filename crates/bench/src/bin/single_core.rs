@@ -18,10 +18,38 @@ use sdem_bench::experiment::MAX_ATTEMPTS_PER_TRIAL;
 use sdem_bench::runner_from_env;
 use sdem_bench::stats::summarize;
 use sdem_core::{solve, Scheme, Solution};
+use sdem_exec::{TrialCtx, TrialFailure};
 use sdem_power::Platform;
 use sdem_sim::{simulate_with_options, SimOptions, SleepPolicy};
-use sdem_types::Time;
+use sdem_types::{ErrorKind, Time};
 use sdem_workload::synthetic::{sporadic, SyntheticConfig};
+
+/// One replicate: the CSS and SDEM-ON (1 core) energies relative to YDS,
+/// resampling from the trial's seed stream until all three schedulers
+/// accept the instance.
+fn trial(cfg: &SyntheticConfig, ctx: &TrialCtx, _: &mut ()) -> Result<(f64, f64), TrialFailure> {
+    let platform = Platform::paper_defaults();
+    let profit = SimOptions::uniform(SleepPolicy::WhenProfitable);
+    let found = ctx.seeds().take(MAX_ATTEMPTS_PER_TRIAL).find_map(|seed| {
+        let tasks = sporadic(cfg, seed);
+        let (Ok(y), Ok(c), Ok(s)) = (
+            yds::schedule_single_core(&tasks, &platform),
+            css::schedule_single_core_css(&tasks, &platform),
+            solve(&tasks, &platform, Scheme::OnlineBounded(1)).map(Solution::into_schedule),
+        ) else {
+            return None;
+        };
+        let e = |sched: &sdem_types::Schedule| {
+            simulate_with_options(sched, &tasks, &platform, profit)
+                .expect("valid schedule")
+                .total()
+                .value()
+        };
+        let base = e(&y);
+        Some((e(&c) / base, e(&s) / base))
+    });
+    found.ok_or_else(|| TrialFailure::of(ErrorKind::RetryBudgetExhausted, "no feasible seed"))
+}
 
 fn main() {
     // Enough replicates that the CSS-vs-SDEM-ON gap (~0.3 % of E_YDS)
@@ -36,32 +64,12 @@ fn main() {
         .unwrap_or(24);
     // Sparse arrivals so a single core suffices.
     let x_ms = 800.0;
-    let platform = Platform::paper_defaults();
     let cfg = SyntheticConfig::paper(tasks_n, Time::from_millis(x_ms));
-    let profit = SimOptions::uniform(SleepPolicy::WhenProfitable);
 
-    // One replicate per trial; each resamples from its private seed
-    // stream until all three schedulers accept the instance.
-    let outcome = runner_from_env().run(&[()], trials, 0x51C0, |_, ctx| {
-        ctx.seeds().take(MAX_ATTEMPTS_PER_TRIAL).find_map(|seed| {
-            let tasks = sporadic(&cfg, seed);
-            let (Ok(y), Ok(c), Ok(s)) = (
-                yds::schedule_single_core(&tasks, &platform),
-                css::schedule_single_core_css(&tasks, &platform),
-                solve(&tasks, &platform, Scheme::OnlineBounded(1)).map(Solution::into_schedule),
-            ) else {
-                return None;
-            };
-            let e = |sched: &sdem_types::Schedule| {
-                simulate_with_options(sched, &tasks, &platform, profit)
-                    .expect("valid schedule")
-                    .total()
-                    .value()
-            };
-            let base = e(&y);
-            Some((e(&c) / base, e(&s) / base))
-        })
-    });
+    // One replicate per trial, fanned across workers.
+    let outcome = runner_from_env()
+        .run(&[cfg], trials, 0x51C0, || (), trial)
+        .unwrap_or_else(|e| panic!("{e}"));
     let feasible = outcome.per_point.into_iter().next().unwrap_or_default();
     eprintln!("sweep: {}", outcome.stats);
     let css_ratio: Vec<f64> = feasible.iter().map(|&(c, _)| c).collect();

@@ -495,8 +495,10 @@ fn next_report(tokens: &mut std::str::SplitAsciiWhitespace<'_>) -> Option<Energy
 }
 
 /// Inverse of [`encode_trial_result`]. Returns `None` on any malformed or
-/// missing token (the resume path then re-runs the trial, which is always
-/// safe because trials are deterministic).
+/// missing token. A resumed sweep does not rerun such a trial: the resume
+/// fails with a `checkpoint-error` naming the trial, since a record that
+/// parses but whose payload does not decode was written by another
+/// encoder.
 pub fn decode_trial_result(line: &str) -> Option<TrialResult> {
     let mut tokens = line.split_ascii_whitespace();
     let result = TrialResult {
@@ -536,15 +538,9 @@ mod tests {
     ) -> Vec<TrialResult> {
         let platform = Platform::paper_defaults();
         let (inject, tasks) = (FaultInjection::default(), |s| sporadic(cfg, s));
-        let outcome = runner.run_quarantined_with_state(
-            &[()],
-            trials,
-            grid_seed,
-            Workspace::new,
-            |_, ctx, ws| {
-                run_trial_quarantined_in(tasks, &platform, 8, ctx, oracle, inject, String::new, ws)
-            },
-        );
+        let outcome = runner.run(&[()], trials, grid_seed, Workspace::new, |_, ctx, ws| {
+            run_trial_quarantined_in(tasks, &platform, 8, ctx, oracle, inject, String::new, ws)
+        });
         let results = outcome.expect("sweep").per_point.concat();
         assert_eq!(results.len(), trials, "a replicate was quarantined");
         results

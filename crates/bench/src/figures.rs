@@ -11,7 +11,7 @@ use sdem_exec::{
 };
 use sdem_power::{MemoryPower, Platform};
 use sdem_prng::SplitMix64;
-use sdem_types::{TaskSet, Time, Watts, Workspace};
+use sdem_types::{ErrorKind, TaskSet, Time, Watts, Workspace};
 use sdem_workload::dag::{suite as dag_suite, DagConfig};
 use sdem_workload::dspstone::{stream, Benchmark};
 use sdem_workload::paper;
@@ -169,7 +169,7 @@ impl<Row> RobustFigure<Row> {
     }
 }
 
-/// Runs one replicate per `(point, trial)` on the quarantining engine —
+/// Runs one replicate per `(point, trial)` on [`SweepRunner::run`] —
 /// checkpointed when a journal is supplied, through the bit-exact
 /// [`encode_trial_result`] / [`decode_trial_result`] codec so a resumed
 /// run reproduces an uninterrupted one byte for byte — and aggregates
@@ -184,7 +184,7 @@ fn run_figure<P: Sync, Row>(
     row: impl Fn(&P, &[TrialResult]) -> Row,
 ) -> Result<RobustFigure<Row>, SweepError> {
     let outcome = match journal {
-        Some(journal) => runner.try_run_checkpointed_with_state(
+        Some(journal) => runner.run_checkpointed(
             points,
             trials,
             grid_seed,
@@ -194,7 +194,7 @@ fn run_figure<P: Sync, Row>(
             decode_trial_result,
             journal,
         ),
-        None => runner.run_quarantined_with_state(points, trials, grid_seed, Workspace::new, trial),
+        None => runner.run(points, trials, grid_seed, Workspace::new, trial),
     }?;
     publish_energy_gauges(&outcome.per_point);
     let rows = (!outcome.is_partial()).then(|| {
@@ -424,13 +424,18 @@ pub struct DagEnergyRow {
 
 /// Solves every `(suite, core budget)` cell of the grid with
 /// [`sdem_core::dag::solve_dags_in`] and cross-checks each feasible
-/// solution against the sim-oracle meter (divergence panics — the sweep
-/// is a correctness gate, not a best-effort report). Infeasible budgets
-/// become `feasible = false` rows rather than failures, so the CSV shows
-/// where the federated bound stops fitting.
+/// solution against the sim-oracle meter. Infeasible budgets become
+/// `feasible = false` rows rather than failures, so the CSV shows where
+/// the federated bound stops fitting.
 ///
 /// Every trial is a pure function of `(config, cell)`, so the rows are
 /// bit-identical for any thread count.
+///
+/// # Panics
+///
+/// On the first failed cell (oracle divergence, unexpected solver error
+/// or solver panic), naming its suite and core budget: the sweep is a
+/// correctness gate, not a best-effort report.
 pub fn dag_energy_with(
     config: &DagSweepConfig,
     runner: &SweepRunner,
@@ -439,7 +444,7 @@ pub fn dag_energy_with(
     let points: Vec<(usize, usize)> = (0..config.suites)
         .flat_map(|s| config.cores.iter().map(move |&c| (s, c)))
         .collect();
-    let outcome = runner.run_with_state(
+    let outcome = runner.run(
         &points,
         1,
         config.seed,
@@ -452,9 +457,9 @@ pub fn dag_energy_with(
                 Ok(report) => {
                     let metered = report
                         .verify_against_meter(&platform, OracleOptions::default())
-                        .unwrap_or_else(|e| {
-                            panic!("suite {suite} at {cores} cores: oracle divergence: {e}")
-                        });
+                        .map_err(|e| {
+                            TrialFailure::of(ErrorKind::OracleDivergence, e.to_string())
+                        })?;
                     let row = DagEnergyRow {
                         suite,
                         seed,
@@ -478,11 +483,19 @@ pub fn dag_energy_with(
                     clusters: 0,
                     cores_used: 0,
                 },
-                Err(e) => panic!("suite {suite} at {cores} cores: {e}"),
+                Err(e) => return Err(TrialFailure::of(e.kind(), e.to_string())),
             };
-            Some(row)
+            Ok(row)
         },
     );
+    let outcome = outcome.unwrap_or_else(|e| panic!("{e}"));
+    if let Some(first) = outcome.quarantine.first() {
+        let (suite, cores) = points[first.point];
+        panic!(
+            "suite {suite} at {cores} cores: {}: {}",
+            first.kind, first.detail
+        );
+    }
     let rows = outcome
         .per_point
         .into_iter()

@@ -11,8 +11,7 @@
 //!
 //! Every binary fans its trials across worker threads through
 //! [`sdem_exec::SweepRunner`]; set `SDEM_THREADS` to bound the worker
-//! count (`SDEM_THREADS=1` forces the serial path, which produces
-//! bit-identical output).
+//! count (the output is bit-identical for any value).
 //!
 //! Every figure sweep runs its replicates through
 //! [`experiment::run_trial_quarantined_in`], so a failed trial becomes a

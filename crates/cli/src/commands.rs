@@ -88,17 +88,16 @@ must match the event-driven engine, within --oracle-tol (default 1e-6
 relative); divergence aborts the sweep. Example:
   sdem-cli sweep --figure fig7a --trials 2 --tasks 12 --oracle
 
-Robust sweeps: any of --quarantine/--inject/--checkpoint/--resume/
---halt-after/--oracle-keep-going switches the sweep into fault-isolated
-mode — a panicking, NaN-producing or (with --oracle-keep-going)
-oracle-diverging trial is quarantined instead of aborting the sweep.
---quarantine FILE writes one JSON record per quarantined trial (sorted by
-trial index, byte-identical for any --threads value), each carrying the
-exact seed and a `repro` config string. --checkpoint FILE journals every
-finished trial; --resume FILE continues a halted sweep bit-identically to
-an uninterrupted run. --halt-after N stops after N trials (for testing
-resume). --inject panics=N,nans=N fabricates deterministic faults for
-smoke tests. Replay a record:
+Robust sweeps: every sweep and experiment is fault-isolated — a
+panicking, NaN-producing or (with --oracle-keep-going) oracle-diverging
+trial is quarantined instead of aborting the sweep. --quarantine FILE
+writes one JSON record per quarantined trial (sorted by trial index,
+byte-identical for any --threads value), each carrying the exact seed and
+a `repro` config string. --checkpoint FILE journals every finished trial;
+--resume FILE continues a halted sweep bit-identically to an
+uninterrupted run. --halt-after N stops after N trials (for testing
+resume) and needs --checkpoint or --resume. --inject panics=N,nans=N
+fabricates deterministic faults for smoke tests. Replay a record:
   sdem-cli repro --seed 0x1f2e3d4c... --kind synthetic --tasks 40
 
 Observability: sweep --metrics FILE exports the run's counters, energy
@@ -693,6 +692,11 @@ fn sweep_dispatch(args: &Args) -> Result<(), CliError> {
     let mut runner = runner_from(args)?;
     let halt_after = args.get_usize("halt-after", 0)?;
     if halt_after > 0 {
+        if args.get("checkpoint").is_none() && args.get("resume").is_none() {
+            return Err("--halt-after needs --checkpoint FILE or --resume FILE: \
+                        a halted sweep is finished from its checkpoint"
+                .into());
+        }
         runner = runner.with_trial_budget(halt_after);
     }
     let options = RobustOptions {
@@ -1096,19 +1100,18 @@ fn experiment(args: &Args) -> Result<(), CliError> {
         args.get_f64("xi-m", api::DEFAULT_XI_M_MS)?,
     );
 
-    let outcome =
-        runner.run_quarantined_with_state(&[()], trials, seed, Workspace::new, |_, ctx, ws| {
-            run_trial_quarantined_in(
-                |s| make_tasks(s).expect("kind validated above"),
-                &platform,
-                cores,
-                ctx,
-                oracle,
-                FaultInjection::default(),
-                || repro.clone(),
-                ws,
-            )
-        })?;
+    let outcome = runner.run(&[()], trials, seed, Workspace::new, |_, ctx, ws| {
+        run_trial_quarantined_in(
+            |s| make_tasks(s).expect("kind validated above"),
+            &platform,
+            cores,
+            ctx,
+            oracle,
+            FaultInjection::default(),
+            || repro.clone(),
+            ws,
+        )
+    })?;
     for record in &outcome.quarantine {
         eprintln!(
             "quarantine: {record}; replay with `sdem-cli repro --seed {:#x} {}`",

@@ -349,6 +349,18 @@ fn exit_codes_follow_the_error_taxonomy() {
         &["serve", "--worker", "2"],
         &["sweep", "--figure", "fig7a", "--trials", "0"],
         &["experiment", "--trials", "0"],
+        // A halted sweep without a checkpoint could never be finished.
+        &[
+            "sweep",
+            "--figure",
+            "fig7a",
+            "--trials",
+            "2",
+            "--tasks",
+            "10",
+            "--halt-after",
+            "3",
+        ],
     ] {
         let out = Command::new(BIN)
             .args(args)

@@ -3,7 +3,7 @@
 //! [`FaultyScheduler`] wraps a real scheme behind the [`Scheduler`] trait
 //! and, on seed-selected trials, panics mid-solve, returns a NaN
 //! predicted energy, or reports the instance infeasible. Driving it
-//! through `sdem-exec`'s quarantined sweep pins the robustness contract
+//! through `sdem-exec`'s sweep engine pins the robustness contract
 //! end to end:
 //!
 //! * the sweep completes (exit-0 semantics) despite every injected fault,
@@ -15,7 +15,7 @@
 //!   explicit degraded-trial count instead of holes in the aggregate.
 
 use sdem_core::{solve_or_fallback_with, Scheduler, Scheme, SdemError, Solution, TrialError};
-use sdem_exec::{QuarantinedOutcome, SweepRunner, TrialCtx, TrialFailure};
+use sdem_exec::{SweepOutcome, SweepRunner, TrialCtx, TrialFailure};
 use sdem_power::Platform;
 use sdem_types::{Joules, TaskSet, Time, Workspace};
 use sdem_workload::synthetic::{common_release, sporadic, SyntheticConfig};
@@ -130,11 +130,11 @@ fn run_one(
 
 /// Runs the grid with (`inject = true`) or without the fault double,
 /// returning `(trial_index, energy_bits)` per surviving trial.
-fn sweep(inject: bool, threads: usize) -> QuarantinedOutcome<(usize, u64)> {
+fn sweep(inject: bool, threads: usize) -> SweepOutcome<(usize, u64)> {
     let platform = Platform::paper_defaults();
     SweepRunner::new()
         .with_threads(threads)
-        .run_quarantined_with_state(&POINTS, REPS, GRID_SEED, Workspace::new, |&n, ctx, ws| {
+        .run(&POINTS, REPS, GRID_SEED, Workspace::new, |&n, ctx, ws| {
             let seed = ctx.seed(0);
             let scheduler = FaultyScheduler {
                 inner: Scheme::Auto,
@@ -195,7 +195,7 @@ fn survivors_are_bit_identical_to_a_clean_run_at_any_thread_count() {
 
     // Thread invariance: identical survivors and byte-identical records.
     assert_eq!(injected_1.per_point, injected_4.per_point);
-    let lines = |o: &QuarantinedOutcome<(usize, u64)>| {
+    let lines = |o: &SweepOutcome<(usize, u64)>| {
         o.quarantine
             .iter()
             .map(|r| r.to_json_line())
@@ -229,7 +229,7 @@ fn fallback_chain_reports_an_explicit_degraded_count() {
     let platform = Platform::paper_defaults();
     let outcome = SweepRunner::new()
         .with_threads(2)
-        .run_quarantined_with_state(&POINTS, REPS, GRID_SEED, Workspace::new, |&n, ctx, ws| {
+        .run(&POINTS, REPS, GRID_SEED, Workspace::new, |&n, ctx, ws| {
             let seed = ctx.seed(0);
             let config = SyntheticConfig::paper(n, Time::from_millis(250.0));
             let tasks = if ctx.trial_index() % 2 == 0 {

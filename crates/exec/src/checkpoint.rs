@@ -1,6 +1,6 @@
 //! Sweep checkpoint journal: a line-oriented log of finished trials.
 //!
-//! The journal is written incrementally while a quarantined sweep runs
+//! The journal is written incrementally while a checkpointed sweep runs
 //! (one line per finished trial, flushed immediately) so a killed sweep
 //! can be resumed with `--resume`: already-journaled trials are loaded
 //! back verbatim and only the remainder is executed. Because per-trial
@@ -26,7 +26,7 @@ use sdem_obs::journal::{Format, Journal};
 use sdem_obs::json::{self, Value};
 
 use crate::fault::{hex_field, usize_field, QuarantineRecord, SweepError, TrialFailure};
-use crate::Slot;
+use crate::Finished;
 
 /// Header key and format version of a sweep checkpoint file.
 const FORMAT: Format = Format {
@@ -87,8 +87,8 @@ fn error(path: &Path, detail: String) -> SweepError {
 /// Create a fresh journal with [`CheckpointJournal::new`] (truncates any
 /// existing file when the sweep starts) or load a previous run's journal
 /// with [`CheckpointJournal::resume`]. Pass it to
-/// `SweepRunner::try_run_checkpointed_with_state`, which journals every
-/// newly finished trial and skips the preloaded ones.
+/// [`SweepRunner::run_checkpointed`](crate::SweepRunner::run_checkpointed),
+/// which journals every newly finished trial and skips the preloaded ones.
 #[derive(Debug)]
 pub struct CheckpointJournal {
     path: PathBuf,
@@ -143,16 +143,16 @@ impl CheckpointJournal {
         self.entries.len()
     }
 
-    /// Validates the journal against the sweep's dimensions, converts
-    /// loaded entries into preloaded slots, and creates the file with a
-    /// header when fresh.
+    /// Validates the journal against the sweep's dimensions, decodes the
+    /// loaded entries into preloaded results, and creates the file with a
+    /// header when fresh. A result `decode` rejects fails the sweep.
     pub(crate) fn prepare<T>(
         &mut self,
         grid_seed: u64,
         points: usize,
         replications: usize,
         decode: &(impl Fn(&str) -> Option<T> + ?Sized),
-    ) -> Result<Vec<(usize, Slot<T>)>, SweepError> {
+    ) -> Result<Vec<Finished<T>>, SweepError> {
         let header = Header {
             grid_seed,
             points,
@@ -178,20 +178,20 @@ impl CheckpointJournal {
                 ),
             });
         }
-        let mut slots = Vec::with_capacity(self.entries.len());
-        for (trial, entry) in std::mem::take(&mut self.entries) {
-            let slot = match entry {
-                Ok(encoded) => Slot::Done(decode(&encoded).ok_or_else(|| {
-                    error(
-                        &self.path,
+        let path = &self.path;
+        std::mem::take(&mut self.entries)
+            .into_iter()
+            .map(|(trial, entry)| match entry {
+                Ok(encoded) => match decode(&encoded) {
+                    Some(result) => Ok((trial, Ok(result))),
+                    None => Err(error(
+                        path,
                         format!("trial {trial}: undecodable journaled result"),
-                    )
-                })?),
-                Err(failure) => Slot::Fault(failure),
-            };
-            slots.push((trial, slot));
-        }
-        Ok(slots)
+                    )),
+                },
+                Err(failure) => Ok((trial, Err(failure))),
+            })
+            .collect()
     }
 
     /// Journals a successful trial. IO errors are latched (the sweep

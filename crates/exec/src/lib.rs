@@ -15,22 +15,25 @@
 //! * **Bounded in-flight memory** — at any instant each worker holds at
 //!   most one running trial; the only growing allocation is the result
 //!   vector the caller asked for.
-//! * **Fault isolation** — [`SweepRunner::run_quarantined`] contains
-//!   per-trial panics with `catch_unwind`, discards the poisoned worker
-//!   state, and records the failure as a replayable [`QuarantineRecord`]
-//!   instead of aborting the sweep; uncontained worker deaths surface as
-//!   [`SweepError::WorkerPanicked`] after every worker has been joined.
-//! * **Checkpoint/resume** — a [`CheckpointJournal`] logs each finished
-//!   trial as it completes, and a resumed sweep replays the journal and
-//!   executes only the remainder, bit-identically to an uninterrupted
-//!   run (seeds are derived, never sequential). The file discipline is
-//!   `sdem_obs::journal`'s, shared with the replay journal: a torn final
-//!   line is skipped and ended before the next record, so a sweep can be
-//!   killed and resumed any number of times.
+//! * **Fault isolation** — a trial returns `Result<T, TrialFailure>`, and
+//!   a panicking trial is contained with `catch_unwind` (the poisoned
+//!   worker state is discarded): every failure becomes a replayable
+//!   [`QuarantineRecord`] instead of aborting the sweep. A panic carrying
+//!   [`FATAL_PANIC_PREFIX`] surfaces as [`SweepError::WorkerPanicked`]
+//!   after every worker has been joined.
+//! * **Checkpoint/resume** — [`SweepRunner::run_checkpointed`] logs each
+//!   finished trial to a [`CheckpointJournal`] as it completes, and a
+//!   resumed sweep replays the journal and executes only the remainder,
+//!   bit-identically to an uninterrupted run (seeds are derived, never
+//!   sequential). The file discipline is `sdem_obs::journal`'s, shared
+//!   with the replay journal: a torn final line is skipped and ended
+//!   before the next record, so a sweep can be killed and resumed any
+//!   number of times.
 //!
 //! The entry point is [`SweepRunner::run`], which takes the grid points,
-//! the replication count and a trial closure, and returns the per-point
-//! results plus wall-clock/throughput statistics ([`SweepStats`]).
+//! the replication count, a per-worker state constructor and the trial
+//! closure, and returns the per-point results, the quarantine and
+//! wall-clock/throughput statistics ([`SweepStats`]).
 //!
 //! # Examples
 //!
@@ -42,7 +45,8 @@
 //! let run = |threads: usize| {
 //!     SweepRunner::new()
 //!         .with_threads(threads)
-//!         .run(&points, 4, 0xD00D, |&p, ctx| Some(p * ctx.seed(0) as f64))
+//!         .run(&points, 4, 0xD00D, || (), |&p, ctx, _| Ok(p * ctx.seed(0) as f64))
+//!         .expect("no fatal panic")
 //! };
 //! let serial = run(1);
 //! let parallel = run(4);
@@ -66,6 +70,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use sdem_prng::SplitMix64;
+use sdem_types::ErrorKind;
 
 /// Per-worker observability accumulator: plain (non-atomic) latency
 /// histograms plus trial tallies, owned by exactly one worker while the
@@ -85,7 +90,7 @@ struct WorkerObs {
     sink_ns: sdem_obs::Histogram,
     /// Trials this worker ran.
     trials: u64,
-    /// Trials that ended in a fault slot.
+    /// Trials that ended in a failure.
     faults: u64,
 }
 
@@ -109,7 +114,6 @@ impl WorkerObs {
         registry::add(Counter::TrialsFaulted, self.faults);
     }
 }
-
 /// The identity of one trial inside a sweep, carrying its deterministic
 /// seed stream.
 ///
@@ -176,10 +180,7 @@ pub struct SweepStats {
     pub replications: usize,
     /// Total trials in the grid (`points × replications`).
     pub trials: usize,
-    /// Trials whose closure returned `None` (e.g. no feasible seed).
-    pub failures: usize,
-    /// Trials quarantined by the fault-isolation layer (panic contained,
-    /// structured trial error, …). Always `0` for non-quarantined runs.
+    /// Trials quarantined (structured trial failure, contained panic, …).
     pub quarantined: usize,
     /// Worker threads used.
     pub threads: usize,
@@ -193,11 +194,10 @@ impl std::fmt::Display for SweepStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} trials ({} points × {} reps, {} failed) in {:.2} s on {} thread(s) — {:.1} trials/s",
+            "{} trials ({} points × {} reps) in {:.2} s on {} thread(s) — {:.1} trials/s",
             self.trials,
             self.points,
             self.replications,
-            self.failures,
             self.wall.as_secs_f64(),
             self.threads,
             self.trials_per_sec,
@@ -209,27 +209,18 @@ impl std::fmt::Display for SweepStats {
     }
 }
 
-/// The result of [`SweepRunner::run`]: per-point results plus statistics.
+/// The result of a sweep: per-point results, the quarantine and
+/// statistics.
+///
+/// Failed trials are excluded from the aggregates and described by one
+/// [`QuarantineRecord`] each, sorted by trial index — so the quarantine
+/// list (and its `quarantine.jsonl` serialization) is byte-identical for
+/// any worker-thread count.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome<T> {
     /// `per_point[p]` holds the successful replicate results of point `p`
     /// in replicate order (failed replicates are skipped, preserving the
     /// order of the rest).
-    pub per_point: Vec<Vec<T>>,
-    /// Wall-clock/throughput statistics.
-    pub stats: SweepStats,
-}
-
-/// The result of a quarantined (fault-isolated) sweep.
-///
-/// Successful trials land in `per_point` exactly as in [`SweepOutcome`];
-/// failed trials are excluded from the aggregates and described by one
-/// [`QuarantineRecord`] each, sorted by trial index — so the quarantine
-/// list (and its `quarantine.jsonl` serialization) is byte-identical for
-/// any worker-thread count.
-#[derive(Debug, Clone)]
-pub struct QuarantinedOutcome<T> {
-    /// Successful replicate results per grid point, in replicate order.
     pub per_point: Vec<Vec<T>>,
     /// One record per quarantined trial, sorted by trial index.
     pub quarantine: Vec<QuarantineRecord>,
@@ -242,7 +233,7 @@ pub struct QuarantinedOutcome<T> {
     pub completed: usize,
 }
 
-impl<T> QuarantinedOutcome<T> {
+impl<T> SweepOutcome<T> {
     /// Whether the sweep stopped before covering the whole grid (trial
     /// budget exhausted). Partial outcomes carry valid but incomplete
     /// aggregates; resume from the checkpoint to finish.
@@ -251,47 +242,12 @@ impl<T> QuarantinedOutcome<T> {
     }
 }
 
-/// How one trial ended inside the engine.
-pub(crate) enum Slot<T> {
-    /// The trial produced a result.
-    Done(T),
-    /// The trial declined (legacy `Option`-style failure, not quarantined).
-    Skip,
-    /// The trial failed and was quarantined.
-    Fault(TrialFailure),
-}
+/// One finished trial: its flat index and how it ended.
+type Finished<T> = (usize, Result<T, TrialFailure>);
 
 /// Observer called once per newly finished trial, from worker threads
 /// (the checkpoint journal's append hook).
-type TrialSink<'a, T> = &'a (dyn Fn(usize, &Slot<T>) + Sync);
-
-/// What [`SweepRunner::engine`] returns: index-sorted trial slots plus
-/// the resolved worker count and the wall-clock time.
-type EngineOutput<T> = (Vec<(usize, Slot<T>)>, usize, Duration);
-
-/// Per-run knobs of the shared engine (see [`SweepRunner::engine`]).
-struct EngineConfig<'a, T> {
-    /// Contain per-trial panics (quarantine) instead of letting them
-    /// kill the worker.
-    contain_panics: bool,
-    /// Maximum number of trials to newly execute (`None` = all).
-    budget: Option<usize>,
-    /// Trials already finished by a previous run, skipped this run.
-    preloaded: Vec<(usize, Slot<T>)>,
-    /// Called once per newly finished trial, from worker threads.
-    sink: Option<TrialSink<'a, T>>,
-}
-
-impl<T> Default for EngineConfig<'_, T> {
-    fn default() -> Self {
-        Self {
-            contain_panics: false,
-            budget: None,
-            preloaded: Vec::new(),
-            sink: None,
-        }
-    }
-}
+type TrialSink<'a, T> = &'a (dyn Fn(usize, &Result<T, TrialFailure>) + Sync);
 
 /// Builds the [`QuarantineRecord`] for a failed trial, recomputing the
 /// grid coordinates and falling back to the trial's `seed(0)` when the
@@ -340,20 +296,18 @@ impl SweepRunner {
         self
     }
 
-    /// Caps the number of trials a quarantined or checkpointed sweep
-    /// newly executes (`0` = unlimited). Hitting the cap produces a
-    /// *partial* [`QuarantinedOutcome`] — the supported way to simulate
-    /// an interrupted sweep when exercising checkpoint/resume. Plain
-    /// [`run`](Self::run)/[`run_with_state`](Self::run_with_state)
-    /// ignore the budget.
+    /// Caps the number of trials a sweep newly executes (`0` =
+    /// unlimited). Hitting the cap produces a *partial* [`SweepOutcome`]
+    /// — the supported way to simulate an interrupted sweep when
+    /// exercising checkpoint/resume.
     #[must_use]
     pub fn with_trial_budget(mut self, budget: usize) -> Self {
         self.trial_budget = NonZeroUsize::new(budget);
         self
     }
 
-    /// The worker count a grid of `total` trials would use.
-    pub fn resolved_threads(&self, total: usize) -> usize {
+    /// The worker count a grid of `total` trials uses.
+    fn resolved_threads(&self, total: usize) -> usize {
         let hw = self
             .threads
             .map(NonZeroUsize::get)
@@ -366,405 +320,45 @@ impl SweepRunner {
         hw.min(total.max(1))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn stats(
-        &self,
-        points: usize,
-        replications: usize,
-        trials: usize,
-        failures: usize,
-        quarantined: usize,
-        threads: usize,
-        wall: Duration,
-    ) -> SweepStats {
-        let secs = wall.as_secs_f64();
-        SweepStats {
-            points,
-            replications,
-            trials,
-            failures,
-            quarantined,
-            threads,
-            wall,
-            trials_per_sec: if secs > 0.0 {
-                trials as f64 / secs
-            } else {
-                0.0
-            },
-        }
-    }
-
-    /// The shared engine behind every public run mode: fans the grid
-    /// across workers, optionally containing per-trial panics and
-    /// honoring a trial budget, and returns the index-sorted slots plus
-    /// `(threads, wall)`.
-    fn engine<P, T, S>(
-        &self,
-        points: &[P],
-        replications: usize,
-        grid_seed: u64,
-        init: &(impl Fn() -> S + Sync),
-        trial: &(impl Fn(&P, &TrialCtx, &mut S) -> Slot<T> + Sync),
-        cfg: EngineConfig<'_, T>,
-    ) -> Result<EngineOutput<T>, SweepError>
-    where
-        P: Sync,
-        T: Send,
-    {
-        let total = points.len() * replications;
-        let threads = self.resolved_threads(total);
-        let started = Instant::now();
-
-        // Mark preloaded (checkpointed) trials done so workers skip them;
-        // first occurrence wins if a journal ever repeated an index.
-        let mut done = vec![false; total];
-        let mut preloaded = Vec::with_capacity(cfg.preloaded.len());
-        for (i, slot) in cfg.preloaded {
-            if i < total && !done[i] {
-                done[i] = true;
-                preloaded.push((i, slot));
-            }
-        }
-        let done = done;
-
-        let budget = AtomicUsize::new(cfg.budget.unwrap_or(usize::MAX));
-
-        let next = |cursor: &AtomicUsize| -> Option<usize> {
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    return None;
-                }
-                if done[i] {
-                    continue;
-                }
-                let claimed = budget
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                    .is_ok();
-                if !claimed {
-                    return None;
-                }
-                return Some(i);
-            }
-        };
-
-        // One flag read for the whole sweep: per-worker latency
-        // histograms are kept only when observability is on at start.
-        let obs_on = sdem_obs::registry::enabled();
-
-        let reps = replications.max(1);
-        let run_one = |i: usize, state: &mut S, obs: &mut WorkerObs| -> (usize, Slot<T>) {
-            let ctx = TrialCtx::new(grid_seed, i / reps, i % reps, replications);
-            let trial_clock = if obs_on { Some(Instant::now()) } else { None };
-            let _span = sdem_obs::trace::span("exec/trial");
-            let slot = if cfg.contain_panics {
-                // AssertUnwindSafe: on a caught panic the worker state is
-                // discarded and rebuilt below, so no half-mutated state is
-                // ever observed after the unwind.
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    trial(&points[ctx.point()], &ctx, state)
-                }));
-                match attempt {
-                    Ok(slot) => slot,
-                    Err(payload) => {
-                        let text = payload_text(payload.as_ref());
-                        if text.starts_with(FATAL_PANIC_PREFIX) {
-                            resume_unwind(payload);
-                        }
-                        *state = init();
-                        Slot::Fault(TrialFailure::panic(text).with_seed(ctx.seed(0)))
-                    }
-                }
-            } else {
-                trial(&points[ctx.point()], &ctx, state)
-            };
-            if matches!(slot, Slot::Fault(_)) {
-                sdem_obs::trace::instant("exec/trial-fault");
-            }
-            if let Some(start) = trial_clock {
-                obs.trial_ns.record(start.elapsed().as_nanos() as u64);
-                obs.trials += 1;
-                if matches!(slot, Slot::Fault(_)) {
-                    obs.faults += 1;
-                }
-            }
-            if let Some(sink) = cfg.sink {
-                let sink_clock = if obs_on { Some(Instant::now()) } else { None };
-                sink(i, &slot);
-                if let Some(start) = sink_clock {
-                    obs.sink_ns.record(start.elapsed().as_nanos() as u64);
-                }
-            }
-            (i, slot)
-        };
-
-        let mut flat: Vec<(usize, Slot<T>)> = if threads <= 1 || total <= 1 {
-            let cursor = AtomicUsize::new(0);
-            let serial = || {
-                let mut state = init();
-                // Sized for the whole sweep up front: result pushes never
-                // reallocate, so the only per-trial heap traffic is the
-                // trial's own (workspace-pooled) scratch.
-                let mut local = Vec::with_capacity(total);
-                let mut obs = WorkerObs::new();
-                while let Some(i) = next(&cursor) {
-                    local.push(run_one(i, &mut state, &mut obs));
-                }
-                (local, obs)
-            };
-            if cfg.contain_panics {
-                // Mirror the parallel path: a fatal (prefix-escalated)
-                // panic becomes WorkerPanicked instead of unwinding
-                // through the caller.
-                match catch_unwind(AssertUnwindSafe(serial)) {
-                    Ok((local, obs)) => {
-                        obs.publish();
-                        local
-                    }
-                    Err(payload) => {
-                        return Err(SweepError::WorkerPanicked {
-                            worker: 0,
-                            payload: payload_text(payload.as_ref()),
-                        })
-                    }
-                }
-            } else {
-                let (local, obs) = serial();
-                obs.publish();
-                local
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let mut merged = Vec::with_capacity(total);
-            let mut first_panic: Option<(usize, String)> = None;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut state = init();
-                            // The work-stealing cursor lets a fast worker
-                            // claim more than its even share; size for the
-                            // whole sweep so pushes never reallocate.
-                            let mut local = Vec::with_capacity(total);
-                            let mut obs = WorkerObs::new();
-                            while let Some(i) = next(&cursor) {
-                                local.push(run_one(i, &mut state, &mut obs));
-                            }
-                            (local, obs)
-                        })
-                    })
-                    .collect();
-                // Join every worker before deciding the outcome: one dead
-                // worker must not abort the merge while the rest still run.
-                // Workers are joined (and their local observability
-                // histograms published) in worker-index order, so the
-                // metrics merge is as deterministic as the result merge.
-                for (worker, handle) in handles.into_iter().enumerate() {
-                    match handle.join() {
-                        Ok((local, obs)) => {
-                            obs.publish();
-                            merged.extend(local);
-                        }
-                        Err(payload) => {
-                            let text = payload_text(payload.as_ref());
-                            first_panic.get_or_insert((worker, text));
-                        }
-                    }
-                }
-            });
-            if let Some((worker, payload)) = first_panic {
-                return Err(SweepError::WorkerPanicked { worker, payload });
-            }
-            merged
-        };
-
-        flat.extend(preloaded);
-        flat.sort_unstable_by_key(|&(i, _)| i);
-        Ok((flat, threads, started.elapsed()))
-    }
-
     /// Evaluates `trial` over every `(point, replicate)` cell of the grid,
     /// fanning cells across worker threads.
     ///
-    /// `trial` receives the grid point and the trial's [`TrialCtx`]; it
-    /// returns `None` to record a failed trial (e.g. when no feasible seed
-    /// exists within its retry budget). Results are regrouped per point in
-    /// replicate order, so the outcome is **identical for any thread
-    /// count** as long as `trial` derives all randomness from the context.
-    pub fn run<P, T, F>(
-        &self,
-        points: &[P],
-        replications: usize,
-        grid_seed: u64,
-        trial: F,
-    ) -> SweepOutcome<T>
-    where
-        P: Sync,
-        T: Send,
-        F: Fn(&P, &TrialCtx) -> Option<T> + Sync,
-    {
-        self.run_with_state(
-            points,
-            replications,
-            grid_seed,
-            || (),
-            |p, ctx, _: &mut ()| trial(p, ctx),
-        )
-    }
-
-    /// Like [`run`](Self::run), but each worker thread owns a mutable
-    /// state value created by `init` and passed to every trial it
-    /// executes. This is how callers thread a reusable scratch arena
-    /// (e.g. `sdem_types::Workspace`) through the sweep: one workspace
-    /// per worker, reused across that worker's trials, no sharing and no
-    /// locking.
+    /// `trial` receives the grid point, the trial's [`TrialCtx`] and the
+    /// worker's state. Each worker owns one state value built by `init`
+    /// and reused across its trials — how callers thread a scratch arena
+    /// (e.g. `sdem_types::Workspace`) through the sweep with no sharing
+    /// and no locking. The state must not influence results (trials stay
+    /// pure functions of `(point, ctx)`), which a scratch arena satisfies
+    /// by construction: buffers are handed out empty.
     ///
-    /// The state must not influence results — trials must stay pure
-    /// functions of `(point, ctx)` — or the thread-count invariance
-    /// guarantee breaks. A scratch arena satisfies this by construction:
-    /// buffers are handed out empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics (after joining every worker) if a trial closure panics;
-    /// use [`try_run_with_state`](Self::try_run_with_state) to receive
-    /// [`SweepError::WorkerPanicked`] instead, or
-    /// [`run_quarantined_with_state`](Self::run_quarantined_with_state)
-    /// to contain the panic per trial.
-    pub fn run_with_state<P, T, S, I, F>(
-        &self,
-        points: &[P],
-        replications: usize,
-        grid_seed: u64,
-        init: I,
-        trial: F,
-    ) -> SweepOutcome<T>
-    where
-        P: Sync,
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&P, &TrialCtx, &mut S) -> Option<T> + Sync,
-    {
-        match self.try_run_with_state(points, replications, grid_seed, init, trial) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`run_with_state`](Self::run_with_state), but a panicking
-    /// trial surfaces as [`SweepError::WorkerPanicked`] — carrying the
-    /// worker index and the panic payload — after the remaining workers
-    /// have been drained, instead of aborting the merge.
-    ///
-    /// (With a single worker the panic unwinds directly to the caller,
-    /// exactly as a serial loop would.)
-    pub fn try_run_with_state<P, T, S, I, F>(
-        &self,
-        points: &[P],
-        replications: usize,
-        grid_seed: u64,
-        init: I,
-        trial: F,
-    ) -> Result<SweepOutcome<T>, SweepError>
-    where
-        P: Sync,
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&P, &TrialCtx, &mut S) -> Option<T> + Sync,
-    {
-        let total = points.len() * replications;
-        let (flat, threads, wall) = self.engine(
-            points,
-            replications,
-            grid_seed,
-            &init,
-            &|p: &P, ctx: &TrialCtx, s: &mut S| match trial(p, ctx, s) {
-                Some(t) => Slot::Done(t),
-                None => Slot::Skip,
-            },
-            EngineConfig::default(),
-        )?;
-
-        let mut per_point: Vec<Vec<T>> = (0..points.len())
-            .map(|_| Vec::with_capacity(replications))
-            .collect();
-        let mut failures = 0usize;
-        for (i, slot) in flat {
-            match slot {
-                Slot::Done(t) => per_point[i / replications.max(1)].push(t),
-                Slot::Skip | Slot::Fault(_) => failures += 1,
-            }
-        }
-        Ok(SweepOutcome {
-            per_point,
-            stats: self.stats(
-                points.len(),
-                replications,
-                total,
-                failures,
-                0,
-                threads,
-                wall,
-            ),
-        })
-    }
-
-    /// Fault-isolated sweep: a trial returns `Err(TrialFailure)` — or
-    /// panics — without taking the sweep down. See
-    /// [`run_quarantined_with_state`](Self::run_quarantined_with_state).
-    pub fn run_quarantined<P, T, F>(
-        &self,
-        points: &[P],
-        replications: usize,
-        grid_seed: u64,
-        trial: F,
-    ) -> Result<QuarantinedOutcome<T>, SweepError>
-    where
-        P: Sync,
-        T: Send,
-        F: Fn(&P, &TrialCtx) -> Result<T, TrialFailure> + Sync,
-    {
-        self.run_quarantined_with_state(
-            points,
-            replications,
-            grid_seed,
-            || (),
-            |p, ctx, _: &mut ()| trial(p, ctx),
-        )
-    }
-
-    /// Fault-isolated sweep with per-worker state.
-    ///
-    /// Differences from [`run_with_state`](Self::run_with_state):
-    ///
-    /// * The trial returns `Result<T, TrialFailure>`; an `Err` is
-    ///   recorded as a [`QuarantineRecord`] instead of being dropped.
+    /// * A trial's `Err` becomes a [`QuarantineRecord`] instead of
+    ///   aborting the sweep.
     /// * A panicking trial is contained with `catch_unwind`: the worker
     ///   state (possibly half-mutated by the unwind) is **discarded and
     ///   rebuilt** via `init`, and the panic becomes a `solver-panic`
-    ///   quarantine record carrying the trial's `seed(0)`. Panics whose
-    ///   payload starts with [`FATAL_PANIC_PREFIX`] are re-raised and
-    ///   surface as [`SweepError::WorkerPanicked`].
+    ///   record carrying the trial's `seed(0)`.
     /// * A trial budget ([`with_trial_budget`](Self::with_trial_budget))
     ///   may stop the sweep early, yielding a partial outcome.
     ///
-    /// The quarantine list is sorted by trial index and therefore
-    /// byte-identical for any worker-thread count.
-    pub fn run_quarantined_with_state<P, T, S, I, F>(
+    /// Results are regrouped per point in replicate order and the
+    /// quarantine is sorted by trial index, so the outcome is **identical
+    /// for any thread count** as long as `trial` derives all randomness
+    /// from the context.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::WorkerPanicked`] when a trial panics with a payload
+    /// starting with [`FATAL_PANIC_PREFIX`], reported after every worker
+    /// has been joined.
+    pub fn run<P: Sync, T: Send, S>(
         &self,
         points: &[P],
         replications: usize,
         grid_seed: u64,
-        init: I,
-        trial: F,
-    ) -> Result<QuarantinedOutcome<T>, SweepError>
-    where
-        P: Sync,
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&P, &TrialCtx, &mut S) -> Result<T, TrialFailure> + Sync,
-    {
-        self.quarantined_run(
+        init: impl Fn() -> S + Sync,
+        trial: impl Fn(&P, &TrialCtx, &mut S) -> Result<T, TrialFailure> + Sync,
+    ) -> Result<SweepOutcome<T>, SweepError> {
+        self.sweep(
             points,
             replications,
             grid_seed,
@@ -775,48 +369,41 @@ impl SweepRunner {
         )
     }
 
-    /// Fault-isolated sweep that journals every finished trial to
-    /// `journal` and preloads whatever the journal already holds.
+    /// [`run`](Self::run) that journals every finished trial to `journal`
+    /// and skips the trials it already holds.
     ///
     /// `encode`/`decode` translate a successful trial result to/from the
     /// journal's line payload; to keep a resumed run bit-identical to an
     /// uninterrupted one they must round-trip results **exactly** (for
-    /// floats: `f64::to_bits` hex, not decimal formatting).
+    /// floats: `f64::to_bits` hex, not decimal formatting). Pass a journal
+    /// from [`CheckpointJournal::new`] to start fresh or from
+    /// [`CheckpointJournal::resume`] to continue an interrupted sweep.
     ///
-    /// Pass a journal from [`CheckpointJournal::new`] to start fresh or
-    /// from [`CheckpointJournal::resume`] to continue an interrupted
-    /// sweep; a resumed journal whose grid seed or shape differs from
-    /// this sweep fails with [`SweepError::CheckpointMismatch`].
+    /// # Errors
+    ///
+    /// As [`run`](Self::run); plus [`SweepError::CheckpointMismatch`] when
+    /// a resumed journal was recorded for another grid seed or shape, and
+    /// [`SweepError::Checkpoint`] when the journal cannot be written or
+    /// holds a result `decode` rejects (the file is left as it was).
     #[allow(clippy::too_many_arguments)]
-    pub fn try_run_checkpointed_with_state<P, T, S, I, F, E, D>(
+    pub fn run_checkpointed<P: Sync, T: Send, S>(
         &self,
         points: &[P],
         replications: usize,
         grid_seed: u64,
-        init: I,
-        trial: F,
-        encode: E,
-        decode: D,
+        init: impl Fn() -> S + Sync,
+        trial: impl Fn(&P, &TrialCtx, &mut S) -> Result<T, TrialFailure> + Sync,
+        encode: impl Fn(&T) -> String + Sync,
+        decode: impl Fn(&str) -> Option<T>,
         journal: &mut CheckpointJournal,
-    ) -> Result<QuarantinedOutcome<T>, SweepError>
-    where
-        P: Sync,
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&P, &TrialCtx, &mut S) -> Result<T, TrialFailure> + Sync,
-        E: Fn(&T) -> String + Sync,
-        D: Fn(&str) -> Option<T>,
-    {
+    ) -> Result<SweepOutcome<T>, SweepError> {
         let preloaded = journal.prepare(grid_seed, points.len(), replications, &decode)?;
-        let journal_ref: &CheckpointJournal = journal;
-        let sink = |i: usize, slot: &Slot<T>| match slot {
-            Slot::Done(t) => journal_ref.append_ok(i, &encode(t)),
-            Slot::Fault(f) => {
-                journal_ref.append_fault(i, &record_from(grid_seed, replications, i, f.clone()));
-            }
-            Slot::Skip => {}
+        let journal: &CheckpointJournal = journal;
+        let sink = |i: usize, result: &Result<T, TrialFailure>| match result {
+            Ok(t) => journal.append_ok(i, &encode(t)),
+            Err(f) => journal.append_fault(i, &record_from(grid_seed, replications, i, f.clone())),
         };
-        let outcome = self.quarantined_run(
+        let outcome = self.sweep(
             points,
             replications,
             grid_seed,
@@ -825,70 +412,192 @@ impl SweepRunner {
             preloaded,
             Some(&sink),
         )?;
-        if let Some(e) = journal_ref.take_error() {
-            return Err(e);
-        }
-        Ok(outcome)
+        journal.take_error().map_or(Ok(outcome), Err)
     }
 
-    /// Shared implementation of the quarantined run modes.
+    /// [`run`](Self::run) for a trial that returns `None` when it fails.
+    /// Kept only for perfbench's `sweep` workload, which ROADMAP.md plans
+    /// to move to `run`; the wrapper goes with that move.
+    ///
+    /// # Panics
+    ///
+    /// After every worker has been joined, if any trial returned `None`
+    /// or panicked, naming the first such trial and its payload.
+    pub fn run_with_state<P: Sync, T: Send, S>(
+        &self,
+        points: &[P],
+        replications: usize,
+        grid_seed: u64,
+        init: impl Fn() -> S + Sync,
+        trial: impl Fn(&P, &TrialCtx, &mut S) -> Option<T> + Sync,
+    ) -> SweepOutcome<T> {
+        let declined =
+            || TrialFailure::of(ErrorKind::RetryBudgetExhausted, "the trial returned None");
+        let outcome = self
+            .run(points, replications, grid_seed, init, |p, ctx, s| {
+                trial(p, ctx, s).ok_or_else(declined)
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
+        if let Some(first) = outcome.quarantine.first() {
+            panic!(
+                "{} trial(s) failed, first: {first}",
+                outcome.quarantine.len()
+            );
+        }
+        outcome
+    }
+
+    /// The one engine body behind every run method: skips the
+    /// `preloaded` trials, fans the rest across workers (containing
+    /// per-trial panics and honouring the trial budget), hands each newly
+    /// finished trial to `sink`, and regroups the results per point.
     #[allow(clippy::too_many_arguments)]
-    fn quarantined_run<P, T, S>(
+    fn sweep<P: Sync, T: Send, S>(
         &self,
         points: &[P],
         replications: usize,
         grid_seed: u64,
         init: &(impl Fn() -> S + Sync),
         trial: &(impl Fn(&P, &TrialCtx, &mut S) -> Result<T, TrialFailure> + Sync),
-        preloaded: Vec<(usize, Slot<T>)>,
+        preloaded: Vec<Finished<T>>,
         sink: Option<TrialSink<'_, T>>,
-    ) -> Result<QuarantinedOutcome<T>, SweepError>
-    where
-        P: Sync,
-        T: Send,
-    {
+    ) -> Result<SweepOutcome<T>, SweepError> {
         let total = points.len() * replications;
-        let cfg = EngineConfig {
-            contain_panics: true,
-            budget: self.trial_budget.map(NonZeroUsize::get),
-            preloaded,
-            sink,
+        let threads = self.resolved_threads(total);
+        let started = Instant::now();
+
+        // Mark preloaded (checkpointed) trials done so workers skip them;
+        // first occurrence wins if a journal ever repeated an index.
+        let mut done = vec![false; total];
+        let mut flat = Vec::with_capacity(total);
+        for (i, result) in preloaded {
+            if i < total && !done[i] {
+                done[i] = true;
+                flat.push((i, result));
+            }
+        }
+
+        let cursor = AtomicUsize::new(0);
+        let budget = AtomicUsize::new(self.trial_budget.map_or(usize::MAX, NonZeroUsize::get));
+        let next = || -> Option<usize> {
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= total {
+                    return None;
+                }
+                if !done[i] {
+                    let claimed = budget
+                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
+                        .is_ok();
+                    return claimed.then_some(i);
+                }
+            }
         };
-        let (flat, threads, wall) = self.engine(
-            points,
-            replications,
-            grid_seed,
-            init,
-            &|p: &P, ctx: &TrialCtx, s: &mut S| match trial(p, ctx, s) {
-                Ok(t) => Slot::Done(t),
-                Err(f) => Slot::Fault(f),
-            },
-            cfg,
-        )?;
+
+        // One flag read for the whole sweep: per-worker latency
+        // histograms are kept only when observability is on at start.
+        let obs_on = sdem_obs::registry::enabled();
+
+        let reps = replications.max(1);
+        let run_one = |i: usize, state: &mut S, obs: &mut WorkerObs| -> Finished<T> {
+            let ctx = TrialCtx::new(grid_seed, i / reps, i % reps, replications);
+            let trial_clock = obs_on.then(Instant::now);
+            let _span = sdem_obs::trace::span("exec/trial");
+            // AssertUnwindSafe: on a caught panic the worker state is
+            // discarded and rebuilt, so no half-mutated state is ever
+            // observed after the unwind.
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                trial(&points[ctx.point()], &ctx, state)
+            }));
+            let result = attempt.unwrap_or_else(|payload| {
+                let text = payload_text(payload.as_ref());
+                if text.starts_with(FATAL_PANIC_PREFIX) {
+                    resume_unwind(payload);
+                }
+                *state = init();
+                Err(TrialFailure::panic(text).with_seed(ctx.seed(0)))
+            });
+            if result.is_err() {
+                sdem_obs::trace::instant("exec/trial-fault");
+            }
+            if let Some(start) = trial_clock {
+                obs.trial_ns.record(start.elapsed().as_nanos() as u64);
+                obs.trials += 1;
+                obs.faults += u64::from(result.is_err());
+            }
+            if let Some(sink) = sink {
+                let sink_clock = obs_on.then(Instant::now);
+                sink(i, &result);
+                if let Some(start) = sink_clock {
+                    obs.sink_ns.record(start.elapsed().as_nanos() as u64);
+                }
+            }
+            (i, result)
+        };
+
+        let mut first_panic: Option<(usize, String)> = None;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut state = init();
+                        // The work-stealing cursor lets a fast worker
+                        // claim more than its even share; size for the
+                        // whole sweep so pushes never reallocate.
+                        let mut local = Vec::with_capacity(total);
+                        let mut obs = WorkerObs::new();
+                        while let Some(i) = next() {
+                            local.push(run_one(i, &mut state, &mut obs));
+                        }
+                        (local, obs)
+                    })
+                })
+                .collect();
+            // Join every worker before deciding the outcome: one dead
+            // worker must not abort the merge while the rest still run.
+            // Workers are joined (and their local observability
+            // histograms published) in worker-index order, so the
+            // metrics merge is as deterministic as the result merge.
+            for (worker, handle) in handles.into_iter().enumerate() {
+                match handle.join() {
+                    Ok((local, obs)) => {
+                        obs.publish();
+                        flat.extend(local);
+                    }
+                    Err(payload) => {
+                        first_panic.get_or_insert((worker, payload_text(payload.as_ref())));
+                    }
+                }
+            }
+        });
+        if let Some((worker, payload)) = first_panic {
+            return Err(SweepError::WorkerPanicked { worker, payload });
+        }
+        flat.sort_unstable_by_key(|&(i, _)| i);
+        let wall = started.elapsed();
 
         let completed = flat.len();
         let mut per_point: Vec<Vec<T>> = (0..points.len())
             .map(|_| Vec::with_capacity(replications))
             .collect();
         let mut quarantine = Vec::new();
-        let mut failures = 0usize;
-        for (i, slot) in flat {
-            match slot {
-                Slot::Done(t) => per_point[i / replications.max(1)].push(t),
-                Slot::Skip => failures += 1,
-                Slot::Fault(f) => quarantine.push(record_from(grid_seed, replications, i, f)),
+        for (i, result) in flat {
+            match result {
+                Ok(t) => per_point[i / reps].push(t),
+                Err(f) => quarantine.push(record_from(grid_seed, replications, i, f)),
             }
         }
-        let stats = self.stats(
-            points.len(),
+        let secs = wall.as_secs_f64();
+        let stats = SweepStats {
+            points: points.len(),
             replications,
-            total,
-            failures,
-            quarantine.len(),
+            trials: total,
+            quarantined: quarantine.len(),
             threads,
             wall,
-        );
-        Ok(QuarantinedOutcome {
+            trials_per_sec: if secs > 0.0 { total as f64 / secs } else { 0.0 },
+        };
+        Ok(SweepOutcome {
             per_point,
             quarantine,
             stats,
@@ -902,12 +611,12 @@ mod tests {
     use super::*;
     use sdem_prng::{ChaCha8Rng, Rng, SeedableRng};
 
-    fn measurement(point: &f64, ctx: &TrialCtx) -> Option<f64> {
+    fn measurement(point: &f64, ctx: &TrialCtx, _: &mut ()) -> Result<f64, TrialFailure> {
         // Simulate "infeasible seed" resampling: reject attempt 0 for odd
         // trial indices so the retry path is exercised.
         let attempt = u64::from(ctx.trial_index() % 2 == 1);
         let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed(attempt));
-        Some(point * rng.gen_range(0.0..1.0))
+        Ok(point * rng.gen_range(0.0..1.0))
     }
 
     #[test]
@@ -915,12 +624,13 @@ mod tests {
         let points: Vec<f64> = (1..=7).map(f64::from).collect();
         let baseline = SweepRunner::new()
             .with_threads(1)
-            .run(&points, 5, 99, measurement);
+            .run(&points, 5, 99, || (), measurement)
+            .unwrap();
         for threads in [2, 4, 8] {
-            let parallel =
-                SweepRunner::new()
-                    .with_threads(threads)
-                    .run(&points, 5, 99, measurement);
+            let parallel = SweepRunner::new()
+                .with_threads(threads)
+                .run(&points, 5, 99, || (), measurement)
+                .unwrap();
             assert_eq!(baseline.per_point, parallel.per_point, "{threads} threads");
             assert_eq!(parallel.stats.trials, 35);
             assert!(parallel.stats.trials_per_sec > 0.0);
@@ -979,11 +689,20 @@ mod tests {
         let points = [0usize, 1, 2];
         let outcome = SweepRunner::new()
             .with_threads(2)
-            .run(&points, 4, 0, |&p, ctx| {
-                // Point 1 always fails; others succeed.
-                (p != 1).then_some(ctx.replicate())
-            });
-        assert_eq!(outcome.stats.failures, 4);
+            .run(
+                &points,
+                4,
+                0,
+                || (),
+                |&p, ctx, _| {
+                    // Point 1 always fails; others succeed.
+                    (p != 1)
+                        .then_some(ctx.replicate())
+                        .ok_or_else(|| TrialFailure::new("declined", "point 1"))
+                },
+            )
+            .unwrap();
+        assert_eq!(outcome.stats.quarantined, 4);
         assert_eq!(outcome.per_point[0], vec![0, 1, 2, 3]);
         assert!(outcome.per_point[1].is_empty());
         assert_eq!(outcome.per_point[2], vec![0, 1, 2, 3]);
@@ -991,10 +710,14 @@ mod tests {
 
     #[test]
     fn empty_grid_is_fine() {
-        let outcome = SweepRunner::new().run(&[] as &[f64], 3, 0, |_, _| Some(0.0));
+        let outcome = SweepRunner::new()
+            .run(&[] as &[f64], 3, 0, || (), |_, _, _| Ok(0.0))
+            .unwrap();
         assert!(outcome.per_point.is_empty());
         assert_eq!(outcome.stats.trials, 0);
-        let outcome = SweepRunner::new().run(&[1.0], 0, 0, |_, _| Some(0.0));
+        let outcome = SweepRunner::new()
+            .run(&[1.0], 0, 0, || (), |_, _, _| Ok(0.0))
+            .unwrap();
         assert_eq!(outcome.per_point.len(), 1);
         assert!(outcome.per_point[0].is_empty());
     }
@@ -1003,7 +726,8 @@ mod tests {
     fn stats_display_is_informative() {
         let outcome = SweepRunner::new()
             .with_threads(2)
-            .run(&[1.0, 2.0], 2, 0, |&p, _| Some(p));
+            .run(&[1.0, 2.0], 2, 0, || (), |&p, _, _| Ok(p))
+            .unwrap();
         let s = outcome.stats.to_string();
         assert!(s.contains("4 trials"));
         assert!(s.contains("trials/s"));
@@ -1018,7 +742,7 @@ mod tests {
     /// structured failure on every index ≡ 1 (mod 5), and succeeds
     /// otherwise — selection is a pure function of the trial index so
     /// every thread count injects the same set.
-    fn faulty_trial(point: &f64, ctx: &TrialCtx) -> Result<u64, TrialFailure> {
+    fn faulty_trial(point: &f64, ctx: &TrialCtx, _: &mut ()) -> Result<u64, TrialFailure> {
         match ctx.trial_index() % 5 {
             0 => panic!("injected fault: solver panic (trial {})", ctx.trial_index()),
             1 => Err(TrialFailure::new("non-finite-energy", "injected NaN")
@@ -1034,7 +758,7 @@ mod tests {
         let run = |threads: usize| {
             SweepRunner::new()
                 .with_threads(threads)
-                .run_quarantined(&points, 4, 0xFA11, faulty_trial)
+                .run(&points, 4, 0xFA11, || (), faulty_trial)
                 .expect("no fatal error")
         };
         let baseline = run(1);
@@ -1070,7 +794,7 @@ mod tests {
                 baseline.quarantine, parallel.quarantine,
                 "{threads} threads"
             );
-            let serialize = |o: &QuarantinedOutcome<u64>| {
+            let serialize = |o: &SweepOutcome<u64>| {
                 o.quarantine
                     .iter()
                     .map(|r| r.to_json_line())
@@ -1088,7 +812,7 @@ mod tests {
         // mark and report "leaked".
         let outcome = SweepRunner::new()
             .with_threads(1)
-            .run_quarantined_with_state(
+            .run(
                 &[0u8; 3],
                 4,
                 7,
@@ -1113,11 +837,12 @@ mod tests {
     #[test]
     fn fatal_panics_escalate_to_worker_panicked() {
         for threads in [1, 2] {
-            let result = SweepRunner::new().with_threads(threads).run_quarantined(
+            let result = SweepRunner::new().with_threads(threads).run(
                 &[0u8; 2],
                 3,
                 1,
-                |_, ctx| -> Result<(), TrialFailure> {
+                || (),
+                |_, ctx, _| -> Result<(), TrialFailure> {
                     if ctx.trial_index() == 4 {
                         panic!("{FATAL_PANIC_PREFIX}sim-oracle failure: injected");
                     }
@@ -1135,16 +860,20 @@ mod tests {
 
     #[test]
     fn uncontained_worker_panic_is_drained_and_reported() {
-        let result = SweepRunner::new().with_threads(4).try_run_with_state(
+        // A fatal panic kills its worker; the others drain the grid before
+        // the sweep reports it.
+        let ran = AtomicUsize::new(0);
+        let result = SweepRunner::new().with_threads(4).run(
             &[0u8; 4],
             4,
             9,
             || (),
-            |_, ctx, _: &mut ()| {
+            |_, ctx, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
                 if ctx.trial_index() == 7 {
-                    panic!("boom at trial 7");
+                    panic!("{FATAL_PANIC_PREFIX}boom at trial 7");
                 }
-                Some(ctx.trial_index())
+                Ok(ctx.trial_index())
             },
         );
         match result {
@@ -1153,23 +882,28 @@ mod tests {
             }
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
+        assert_eq!(ran.load(Ordering::Relaxed), 16);
 
-        // The panicking wrapper keeps the legacy "sweep worker … panicked"
-        // abort message.
+        // The `Option` wrapper aborts after the join, naming the failed
+        // trial and its payload.
         let caught = std::panic::catch_unwind(|| {
-            SweepRunner::new()
-                .with_threads(4)
-                .run(&[0u8; 4], 4, 9, |_, ctx| {
+            SweepRunner::new().with_threads(4).run_with_state(
+                &[0u8; 4],
+                4,
+                9,
+                || (),
+                |_, ctx, _| {
                     if ctx.trial_index() == 7 {
                         panic!("boom at trial 7");
                     }
                     Some(ctx.trial_index())
-                })
+                },
+            )
         })
         .unwrap_err();
         let text = payload_text(caught.as_ref());
-        assert!(text.contains("sweep worker"), "{text}");
-        assert!(text.contains("panicked"), "{text}");
+        assert!(text.contains("trial 7 (point 1, replicate 3)"), "{text}");
+        assert!(text.contains("boom at trial 7"), "{text}");
     }
 
     fn checkpoint_path(tag: &str) -> std::path::PathBuf {
@@ -1192,7 +926,7 @@ mod tests {
         // Uninterrupted reference run (no checkpoint involved).
         let reference = SweepRunner::new()
             .with_threads(2)
-            .run_quarantined(&points, 5, 0xC0DE, faulty_trial)
+            .run(&points, 5, 0xC0DE, || (), faulty_trial)
             .expect("no fatal error");
 
         // Interrupted run: the budget halts after 7 newly executed trials.
@@ -1200,12 +934,12 @@ mod tests {
         let partial = SweepRunner::new()
             .with_threads(2)
             .with_trial_budget(7)
-            .try_run_checkpointed_with_state(
+            .run_checkpointed(
                 &points,
                 5,
                 0xC0DE,
                 || (),
-                |p, ctx, _: &mut ()| faulty_trial(p, ctx),
+                faulty_trial,
                 encode_u64,
                 decode_u64,
                 &mut journal,
@@ -1220,12 +954,12 @@ mod tests {
         assert_eq!(journal.preloaded(), 7);
         let resumed = SweepRunner::new()
             .with_threads(3)
-            .try_run_checkpointed_with_state(
+            .run_checkpointed(
                 &points,
                 5,
                 0xC0DE,
                 || (),
-                |p, ctx, _: &mut ()| faulty_trial(p, ctx),
+                faulty_trial,
                 encode_u64,
                 decode_u64,
                 &mut journal,
@@ -1245,12 +979,12 @@ mod tests {
         let mut journal = CheckpointJournal::new(&path);
         SweepRunner::new()
             .with_threads(1)
-            .try_run_checkpointed_with_state(
+            .run_checkpointed(
                 &[1.0f64, 2.0],
                 2,
                 111,
                 || (),
-                |p, ctx, _: &mut ()| faulty_trial(p, ctx),
+                faulty_trial,
                 encode_u64,
                 decode_u64,
                 &mut journal,
@@ -1260,12 +994,12 @@ mod tests {
         let mut journal = CheckpointJournal::resume(&path).expect("journal parses");
         let err = SweepRunner::new()
             .with_threads(1)
-            .try_run_checkpointed_with_state(
+            .run_checkpointed(
                 &[1.0f64, 2.0],
                 2,
                 222, // different grid seed
                 || (),
-                |p, ctx, _: &mut ()| faulty_trial(p, ctx),
+                faulty_trial,
                 encode_u64,
                 decode_u64,
                 &mut journal,
@@ -1284,10 +1018,44 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_journaled_result_fails_the_resume_and_keeps_the_file() {
+        // A record that parses as JSON but whose `ok` payload the decoder
+        // rejects was written by another encoder: the resume fails naming
+        // the trial instead of rerunning it, and writes nothing.
+        let path = checkpoint_path("undecodable");
+        let header = "{\"sdem_checkpoint\":1,\"grid_seed\":\"0x0000000000000005\",\
+                      \"points\":1,\"replications\":2}";
+        let text = format!("{header}\n{{\"trial\":1,\"ok\":\"not hex\"}}\n");
+        std::fs::write(&path, &text).unwrap();
+        let mut journal = CheckpointJournal::resume(&path).expect("journal parses");
+        assert_eq!(journal.preloaded(), 1);
+        let err = SweepRunner::new()
+            .run_checkpointed(
+                &[0u8],
+                2,
+                5,
+                || (),
+                |_, ctx, _| Ok(ctx.seed(0)),
+                encode_u64,
+                decode_u64,
+                &mut journal,
+            )
+            .expect_err("an undecodable result must fail the resume");
+        match err {
+            SweepError::Checkpoint { detail, .. } => {
+                assert!(detail.contains("trial 1: undecodable"), "{detail}");
+            }
+            other => panic!("expected a checkpoint error, got {other}"),
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn trial_budget_zero_means_unlimited() {
         let outcome = SweepRunner::new()
             .with_trial_budget(0)
-            .run_quarantined(&[1.0f64], 4, 3, |_, ctx| Ok::<_, TrialFailure>(ctx.seed(0)))
+            .run(&[1.0f64], 4, 3, || (), |_, ctx, _| Ok(ctx.seed(0)))
             .expect("no fatal error");
         assert!(!outcome.is_partial());
         assert_eq!(outcome.completed, 4);

@@ -50,12 +50,12 @@ where
     let mut journal = CheckpointJournal::new(&path);
     SweepRunner::new()
         .with_threads(1)
-        .try_run_checkpointed_with_state(
+        .run_checkpointed(
             &POINTS,
             REPS,
             GRID_SEED,
             || (),
-            |p, ctx, _: &mut ()| trial(p, ctx),
+            |p, ctx, _| trial(p, ctx),
             encode,
             decode,
             &mut journal,
@@ -73,7 +73,7 @@ where
 {
     let reference = SweepRunner::new()
         .with_threads(1)
-        .run_quarantined(&POINTS, REPS, GRID_SEED, |p, ctx| trial(p, ctx))
+        .run(&POINTS, REPS, GRID_SEED, || (), |p, ctx, _| trial(p, ctx))
         .expect("reference run succeeds");
 
     let (bytes, path) = full_checkpointed_run(tag, trial);
@@ -96,12 +96,12 @@ where
         let preloaded = journal.preloaded();
         let resumed = SweepRunner::new()
             .with_threads(2)
-            .try_run_checkpointed_with_state(
+            .run_checkpointed(
                 &POINTS,
                 REPS,
                 GRID_SEED,
                 || (),
-                |p, ctx, _: &mut ()| trial(p, ctx),
+                |p, ctx, _| trial(p, ctx),
                 encode,
                 decode,
                 &mut journal,

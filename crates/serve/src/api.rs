@@ -612,13 +612,23 @@ pub fn execute_in(
     platform: &Platform,
     ws: &mut Workspace,
 ) -> Result<Executed, ApiError> {
-    let tasks = req.tasks.canonicalize();
+    execute_canonical_in(req, &req.tasks.canonicalize(), platform, ws)
+}
+
+/// [`execute_in`] on `tasks`, the canonical form of `req.tasks` that the
+/// caller already built (the service's cache key).
+pub(crate) fn execute_canonical_in(
+    req: &SolveRequest,
+    tasks: &TaskSet,
+    platform: &Platform,
+    ws: &mut Workspace,
+) -> Result<Executed, ApiError> {
     let solution = if req.fallback {
-        solve_or_fallback_in(&tasks, platform, req.scheme, ws)?
+        solve_or_fallback_in(tasks, platform, req.scheme, ws)?
     } else {
-        solve_in(&tasks, platform, req.scheme, ws)?
+        solve_in(tasks, platform, req.scheme, ws)?
     };
-    let resolved = req.scheme.resolve(&tasks, platform).solve_label();
+    let resolved = req.scheme.resolve(tasks, platform).solve_label();
     Ok(executed(req, resolved, solution))
 }
 

@@ -588,10 +588,9 @@ fn answer(inner: &Inner, job: &Job, ws: &mut Workspace) -> String {
 
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let platform = req.platform()?;
-            if degrade {
-                api::execute_degraded_in(req, &platform, ws)
-            } else {
-                api::execute_in(req, &platform, ws)
+            match &key {
+                Some((canonical, _)) => api::execute_canonical_in(req, canonical, &platform, ws),
+                None => api::execute_degraded_in(req, &platform, ws),
             }
         }));
         match outcome {
@@ -891,6 +890,56 @@ mod tests {
             .collect();
         assert_eq!(norm[0], norm[1]);
         assert_eq!(norm[0], norm[2]);
+    }
+
+    #[test]
+    fn a_cold_miss_answers_the_canonical_solve() {
+        // Two row orders of one bounded request whose raw solves differ in
+        // the last bits. Each, sent cold to a fresh service, must answer
+        // the bytes of the canonical solve its cache key names.
+        let rows = [
+            "[2,0,114.97795870017754,6838636.408011959]",
+            "[3,0,114.97795870017754,1506697.3511365529]",
+            "[4,0,114.97795870017754,5667613.274745442]",
+            "[5,0,114.97795870017754,2541942.3396064118]",
+            "[6,0,114.97795870017754,2334486.8705515424]",
+            "[7,0,114.97795870017754,1811282.288083361]",
+            "[0,0,114.97795870017754,7532624.445970545]",
+            "[1,0,114.97795870017754,1998824.92116219]",
+        ];
+        let line = |rows: &[&str]| {
+            let tasks = rows.join(",");
+            format!("{{\"v\":1,\"id\":37,\"scheme\":\"bounded-auto\",\"tasks\":[{tasks}]}}")
+        };
+        let mut reversed = rows;
+        reversed.reverse();
+        let orders = [line(&rows), line(&reversed)];
+        let raw_bits = |line: &str| {
+            let req = SolveRequest::parse_line(line).unwrap();
+            let platform = req.platform().unwrap();
+            let solution =
+                sdem_core::solve_in(&req.tasks, &platform, req.scheme, &mut Workspace::new());
+            solution.unwrap().predicted_energy().value().to_bits()
+        };
+        assert_ne!(raw_bits(&orders[0]), raw_bits(&orders[1]));
+
+        let req = SolveRequest::parse_line(&orders[0]).unwrap();
+        let platform = req.platform().unwrap();
+        let canonical = api::execute_in(&req, &platform, &mut Workspace::new()).unwrap();
+        let want = format!("{}\n", canonical.response.to_json_line());
+        for order in &orders {
+            let buf = SharedBuf::default();
+            let service = Service::start(
+                ServiceConfig {
+                    workers: 1,
+                    ..Default::default()
+                },
+                Box::new(buf.clone()),
+            );
+            service.submit(order);
+            assert_eq!(service.finish().cache_misses, 1);
+            assert_eq!(buf.contents(), want, "{order}");
+        }
     }
 
     #[test]
