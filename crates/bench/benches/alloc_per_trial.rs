@@ -452,6 +452,24 @@ fn main() {
             "hashing a canonical set must not allocate (got {} allocs/call)",
             hashed.0
         );
+
+        // A decoded request's rows reach `TaskSet::new` rotated, so their
+        // ids are not increasing; distinct ids below 1024 are checked on a
+        // stack bitset, and the only allocation left is the row list's own
+        // copy (the id sort made one more per call).
+        let mut rotated = set.tasks().to_vec();
+        rotated.sort_by_key(|t| t.id());
+        rotated.rotate_left(5);
+        let built = count_per_iter(ITERS, || {
+            let rows = std::hint::black_box(&rotated).clone();
+            std::hint::black_box(TaskSet::new(rows).expect("distinct ids"));
+        });
+        report("TaskSet::new n=16 rotated ids (serve decode)", built);
+        assert_eq!(
+            built.0, 1.0,
+            "validating rotated rows must allocate only their copy (got {} allocs/call)",
+            built.0
+        );
     }
 
     // The sweep's replicate runner adds nothing to the trial: a warmed

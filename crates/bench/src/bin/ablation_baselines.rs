@@ -13,10 +13,12 @@
 //!
 //! Usage: `cargo run -p sdem-bench --release --bin ablation_baselines`
 
+use std::process::ExitCode;
+
 use sdem_baselines::mbkp::{self, Assignment};
 use sdem_bench::experiment::MAX_ATTEMPTS_PER_TRIAL;
-use sdem_bench::runner_from_env;
 use sdem_bench::stats::summarize;
+use sdem_bench::{exit_if_empty, runner_from_env};
 use sdem_core::{solve, Scheme, Solution};
 use sdem_exec::{TrialCtx, TrialFailure};
 use sdem_power::{CorePower, MemoryPower, Platform};
@@ -81,7 +83,7 @@ fn trial(
     found.ok_or_else(|| TrialFailure::of(ErrorKind::RetryBudgetExhausted, "no feasible seed"))
 }
 
-fn main() {
+fn main() -> ExitCode {
     let trials: u64 = std::env::var("SDEM_TRIALS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -94,15 +96,6 @@ fn main() {
     let unfloored = floored.with_core(CorePower::from_paper_units(
         310.0, 2.53e-7, 3.0, 1e-6, 1900.0,
     ));
-
-    println!(
-        "ablation: DSPstone U = 2 (high utilization), 8 streams × 15 instances, {} cores, {trials} trials\n",
-        paper::NUM_CORES
-    );
-    println!(
-        "{:44} {:>12} {:>12}",
-        "variant", "E/MBKP mean", "(min..max)"
-    );
 
     let variants = [
         (
@@ -131,11 +124,23 @@ fn main() {
     let outcome = runner_from_env()
         .run(&variants, trials as usize, 0xAB1A, || (), trial)
         .unwrap_or_else(|e| panic!("{e}"));
+    eprintln!("sweep: {}", outcome.stats);
+    if let Some(code) = exit_if_empty(&outcome) {
+        return code;
+    }
+
+    println!(
+        "ablation: DSPstone U = 2 (high utilization), 8 streams × 15 instances, {} cores, {trials} trials\n",
+        paper::NUM_CORES
+    );
+    println!(
+        "{:44} {:>12} {:>12}",
+        "variant", "E/MBKP mean", "(min..max)"
+    );
     for ((name, _, _), ratios) in variants.iter().zip(&outcome.per_point) {
         let s = summarize(ratios);
         println!("{:44} {:>12.3} ({:.3}..{:.3})", name, s.mean, s.min, s.max);
     }
-    eprintln!("\nsweep: {}", outcome.stats);
     println!(
         "\nreading: ratios are energies relative to MBKP (never-sleep); > 1 means\n\
          worse than never sleeping at all. Literal always-sleep pays a round trip\n\
@@ -143,4 +148,5 @@ fn main() {
          stretching MBKP's busy time and flattering SDEM-ON's relative numbers —\n\
          both distort the comparison the paper reports, hence the shipped choices."
     );
+    ExitCode::SUCCESS
 }

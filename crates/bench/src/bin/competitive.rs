@@ -6,8 +6,10 @@
 //! Usage: `cargo run -p sdem-bench --release --bin competitive`
 //! (env overrides: `SDEM_TASKS`, `SDEM_SEEDS`, `SDEM_X_MS`).
 
-use sdem_bench::runner_from_env;
+use std::process::ExitCode;
+
 use sdem_bench::stats::{percentile, summarize};
+use sdem_bench::{exit_if_empty, runner_from_env};
 use sdem_core::{solve, Scheme, Solution};
 use sdem_exec::{TrialCtx, TrialFailure};
 use sdem_power::Platform;
@@ -37,7 +39,7 @@ fn trial(cfg: &SyntheticConfig, ctx: &TrialCtx, _: &mut ()) -> Result<f64, Trial
     Ok(e_on / e_off)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let tasks_n: usize = std::env::var("SDEM_TASKS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -59,8 +61,11 @@ fn main() {
     let outcome = runner_from_env()
         .run(&[cfg], seeds as usize, 0, || (), trial)
         .unwrap_or_else(|e| panic!("{e}"));
-    let ratios = outcome.per_point.into_iter().next().unwrap_or_default();
     eprintln!("sweep: {}", outcome.stats);
+    if let Some(code) = exit_if_empty(&outcome) {
+        return code;
+    }
+    let ratios = outcome.per_point.into_iter().next().unwrap_or_default();
 
     let s = summarize(&ratios);
     println!(
@@ -82,4 +87,5 @@ fn main() {
             s.min
         );
     }
+    ExitCode::SUCCESS
 }

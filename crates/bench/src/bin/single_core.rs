@@ -13,10 +13,12 @@
 //!
 //! Usage: `cargo run -p sdem-bench --release --bin single_core`
 
+use std::process::ExitCode;
+
 use sdem_baselines::{css, yds};
 use sdem_bench::experiment::MAX_ATTEMPTS_PER_TRIAL;
-use sdem_bench::runner_from_env;
 use sdem_bench::stats::summarize;
+use sdem_bench::{exit_if_empty, runner_from_env};
 use sdem_core::{solve, Scheme, Solution};
 use sdem_exec::{TrialCtx, TrialFailure};
 use sdem_power::Platform;
@@ -51,7 +53,7 @@ fn trial(cfg: &SyntheticConfig, ctx: &TrialCtx, _: &mut ()) -> Result<(f64, f64)
     found.ok_or_else(|| TrialFailure::of(ErrorKind::RetryBudgetExhausted, "no feasible seed"))
 }
 
-fn main() {
+fn main() -> ExitCode {
     // Enough replicates that the CSS-vs-SDEM-ON gap (~0.3 % of E_YDS)
     // clears the confidence interval.
     let trials: usize = std::env::var("SDEM_TRIALS")
@@ -70,8 +72,11 @@ fn main() {
     let outcome = runner_from_env()
         .run(&[cfg], trials, 0x51C0, || (), trial)
         .unwrap_or_else(|e| panic!("{e}"));
-    let feasible = outcome.per_point.into_iter().next().unwrap_or_default();
     eprintln!("sweep: {}", outcome.stats);
+    if let Some(code) = exit_if_empty(&outcome) {
+        return code;
+    }
+    let feasible = outcome.per_point.into_iter().next().unwrap_or_default();
     let css_ratio: Vec<f64> = feasible.iter().map(|&(c, _)| c).collect();
     let sdem_ratio: Vec<f64> = feasible.iter().map(|&(_, s)| s).collect();
 
@@ -99,4 +104,5 @@ fn main() {
         "\nCSS recovers the race-to-idle gain; SDEM-ON's postponement adds\n\
          idle consolidation on top (fewer, longer memory sleeps)."
     );
+    ExitCode::SUCCESS
 }

@@ -292,11 +292,10 @@ pub fn schedule_common_release_in(
             cases.eq4_optimum(cut),
             cases.xi,
             cases.xi_m,
-            0.0,
             lo,
             hi,
         ];
-        let mut priced = [0u64; 7];
+        let mut priced = [0u64; 6];
         let mut seen = 0;
         for cand in candidates {
             if !cand.is_finite() {

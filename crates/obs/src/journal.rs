@@ -12,7 +12,7 @@
 //! append, so a resume the caller refuses leaves the file untouched.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -129,6 +129,14 @@ impl Journal {
     /// Appends one record (a one-line JSON object) and flushes it. A write
     /// error is latched, not raised; see [`take_error`](Self::take_error).
     pub fn append(&self, record: &str) {
+        self.append_with(|writer| writer.write_all(record.as_bytes()));
+    }
+
+    /// Appends the record `encode` writes — a one-line JSON object,
+    /// without its newline — and flushes it before returning, as
+    /// [`append`](Self::append) does, so a caller can encode a record
+    /// straight into the file's buffer.
+    pub fn append_with(&self, encode: impl FnOnce(&mut dyn Write) -> io::Result<()>) {
         let mut sink = self
             .sink
             .lock()
@@ -141,7 +149,8 @@ impl Journal {
         let newline: &[u8] = if std::mem::take(torn) { b"\n" } else { b"" };
         let outcome = writer
             .write_all(newline)
-            .and_then(|()| writeln!(writer, "{record}"))
+            .and_then(|()| encode(writer))
+            .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush());
         if let Err(e) = outcome {
             error.get_or_insert_with(|| e.to_string());

@@ -11,23 +11,61 @@
 //! not enforce UTF-16 surrogate pairing in `\u` escapes).
 
 use std::borrow::Cow;
+use std::convert::Infallible;
 use std::fmt;
+use std::io;
+
+/// The escape of each byte below 0x20: `\t`, `\n` and `\r` have short
+/// forms, every other control byte is `\u00XX`.
+#[rustfmt::skip]
+const CONTROL_ESCAPES: [&str; 32] = [
+    "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+    "\\u0008", "\\t",     "\\n",     "\\u000b", "\\u000c", "\\r",     "\\u000e", "\\u000f",
+    "\\u0010", "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+    "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+];
+
+/// Escapes `s` as JSON string contents, handing `put` its pieces in
+/// order: each run of bytes copied as is, and the escape of each byte
+/// that needs one (`"`, `\` and the bytes below 0x20). Those bytes are
+/// ASCII, so every run is whole UTF-8.
+fn escape_runs<E>(s: &str, mut put: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            0..=0x1f => CONTROL_ESCAPES[usize::from(b)],
+            _ => continue,
+        };
+        if run < i {
+            put(&s[run..i])?;
+        }
+        put(escape)?;
+        run = i + 1;
+    }
+    if run < s.len() {
+        put(&s[run..])?;
+    }
+    Ok(())
+}
 
 /// Escapes `s` into `out` as JSON string *contents* (no quotes).
 pub fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    let Ok(()) = escape_runs(s, |piece| {
+        out.push_str(piece);
+        Ok::<(), Infallible>(())
+    });
+}
+
+/// Writes `s` to `out` as JSON string *contents* (no quotes): the bytes
+/// [`escape_into`] appends, with no intermediate `String`.
+///
+/// # Errors
+///
+/// The first error `out` returns.
+pub fn write_escaped(s: &str, out: &mut (impl io::Write + ?Sized)) -> io::Result<()> {
+    escape_runs(s, |piece| out.write_all(piece.as_bytes()))
 }
 
 /// Returns `s` as a quoted, escaped JSON string literal.

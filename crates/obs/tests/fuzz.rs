@@ -3,7 +3,8 @@
 //! must come back as an error, a skipped line or a value — never as a
 //! panic or a stack overflow — and the pull reader's tree builder must
 //! agree, value for value and error for error, with the recursive-descent
-//! parser it replaced (kept below as the reference).
+//! parser it replaced (kept below as the reference). The escaper is held
+//! to the per-`char` loop it replaced the same way.
 
 use sdem_obs::journal::{Format, Journal};
 use sdem_obs::json::{self, ParseError, Value, MAX_DEPTH};
@@ -366,4 +367,59 @@ fn mutated_journals_never_panic_the_loader() {
     }
     std::fs::remove_file(&path).ok();
     assert!(loaded > 0, "no mutated journal kept its header");
+}
+
+/// `json::escape_into` before it copied runs whole: one `char` at a
+/// time, verbatim. The reference for the escaper's differential test.
+fn escape_per_char(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+#[test]
+fn escaper_matches_the_per_char_reference() {
+    let wide = [
+        '\u{80}',
+        'é',
+        '\u{7ff}',
+        '\u{800}',
+        '∑',
+        '\u{ffff}',
+        '\u{10000}',
+        '🦀',
+    ];
+    let mut rng = SplitMix64::seed_from_u64(0xE5CA_9E00);
+    let mut pieces = 0usize;
+    for case in 0..20_000 {
+        let len = below(&mut rng, if case % 100 == 0 { 4096 } else { 48 });
+        let text: String = (0..len)
+            .map(|_| match below(&mut rng, 3) {
+                0 => char::from(below(&mut rng, 0x80) as u8),
+                1 => char::from(below(&mut rng, 0x20) as u8),
+                _ => wide[below(&mut rng, wide.len())],
+            })
+            .collect();
+        let mut want = String::from("kept:");
+        escape_per_char(&text, &mut want);
+        let mut got = String::from("kept:");
+        json::escape_into(&text, &mut got);
+        assert_eq!(got, want, "{text:?}");
+        let mut written = b"kept:".to_vec();
+        json::write_escaped(&text, &mut written).unwrap();
+        assert_eq!(written, want.as_bytes(), "{text:?}");
+        assert_eq!(json::quote(&text), format!("\"{}\"", &want[5..]));
+        pieces += want.len() - text.len();
+    }
+    assert!(pieces > 0, "nothing was escaped");
 }

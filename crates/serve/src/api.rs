@@ -29,6 +29,7 @@
 //! ```
 
 use core::fmt;
+use core::fmt::Write as _;
 
 use sdem_core::{
     schedule_race_to_idle_in, solve_in, solve_or_fallback_in, Scheme, SdemError, Solution,
@@ -558,13 +559,24 @@ impl SolveResponse {
     /// exact bit patterns of both f64 results next to their decimal
     /// renderings.
     pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"v\":{API_VERSION},\"id\":{},\"ok\":true,\"scheme\":{},\"resolved\":{},\
-             \"tasks\":{},\"cores_used\":{},\"energy_j\":{},\"energy_bits\":\"{:#018x}\",\
+        self.render().0
+    }
+
+    /// The response line and the offset in it where the bytes after the
+    /// id begin (`,"ok":true,…`): every byte from there on is a function
+    /// of the fields other than the id.
+    pub(crate) fn render(&self) -> (String, usize) {
+        let mut line = String::with_capacity(LINE_BYTES);
+        push_line_head(&mut line, self.id);
+        let tail = line.len();
+        line.push_str(",\"ok\":true,\"scheme\":\"");
+        json::escape_into(&self.scheme, &mut line);
+        line.push_str("\",\"resolved\":\"");
+        json::escape_into(self.resolved, &mut line);
+        let _ = write!(
+            line,
+            "\",\"tasks\":{},\"cores_used\":{},\"energy_j\":{},\"energy_bits\":\"{:#018x}\",\
              \"memory_sleep_ms\":{},\"memory_sleep_bits\":\"{:#018x}\",\"degraded\":{}}}",
-            self.id,
-            json::quote(&self.scheme),
-            json::quote(self.resolved),
             self.tasks,
             self.cores_used,
             self.energy_j,
@@ -572,8 +584,17 @@ impl SolveResponse {
             self.memory_sleep_ms,
             self.memory_sleep_ms.to_bits(),
             self.degraded,
-        )
+        );
+        (line, tail)
     }
+}
+
+/// Room for a typical response line, so rendering one reallocates rarely.
+const LINE_BYTES: usize = 288;
+
+/// Appends `{"v":1,"id":<id>`, a response line up to the end of its id.
+pub(crate) fn push_line_head(out: &mut String, id: u64) {
+    let _ = write!(out, "{{\"v\":{API_VERSION},\"id\":{id}");
 }
 
 /// Renders an error reply line. `id` is `null` when the failure happened

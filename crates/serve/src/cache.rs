@@ -8,11 +8,13 @@
 //! lookup instead of a solve, and a permuted repeat hits the same entry.
 //!
 //! Hits are **bit-identical** to cold solves by construction: the cached
-//! value is the response summary the cold solve produced, and the solver
-//! path is itself canonicalize-then-solve, so the cold solve of any
-//! permutation produces the same bits. On a hash hit the stored canonical
-//! task set is compared for equality before the entry is trusted — an FNV
-//! collision degrades to a miss, never to a wrong answer.
+//! value is the response summary the cold solve produced, with the bytes
+//! of its rendered line after the id, and the solver path is itself
+//! canonicalize-then-solve, so the cold solve of any permutation produces
+//! the same bits. A hit writes the id and copies those bytes; nothing is
+//! rendered again. On a hash hit the stored canonical task set is
+//! compared for equality before the entry is trusted — an FNV collision
+//! degrades to a miss, never to a wrong answer.
 //!
 //! Capacity is bounded; insertion beyond capacity evicts in FIFO order
 //! (oldest insertion first). Hit/miss/evict totals feed the
@@ -23,7 +25,7 @@ use std::collections::{HashMap, VecDeque};
 use sdem_obs::Counter;
 use sdem_types::TaskSet;
 
-use crate::api::SolveResponse;
+use crate::api::{self, SolveResponse};
 
 /// Everything besides the task multiset that changes a solve's outcome.
 ///
@@ -52,6 +54,11 @@ struct Key {
 
 /// The memoized outcome of one solve, id-free so one entry answers any
 /// request id.
+///
+/// It keeps the bytes of its response line that follow the id, taken from
+/// the line rendered when the entry is made: a hit's line is
+/// `{"v":1,"id":<id>` plus those bytes. They hold the requested scheme
+/// name, which [`CacheParams`] keys on, so they depend on the key alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedSolve {
     /// Label of the scheme that ran.
@@ -66,11 +73,22 @@ pub struct CachedSolve {
     pub memory_sleep_ms: f64,
     /// Degraded-mode flag.
     pub degraded: bool,
+    /// The response line after its id, from `,"ok":true` on.
+    line_tail: String,
 }
 
 impl CachedSolve {
-    /// Captures the id-independent part of a response.
+    /// Captures the id-independent part of a response, rendering its
+    /// line to take the bytes after the id.
     pub fn from_response(r: &SolveResponse) -> Self {
+        let (line, tail) = r.render();
+        Self::from_rendered(r, &line[tail..])
+    }
+
+    /// Captures the id-independent part of `r`, whose rendered line holds
+    /// `line_tail` after its id: the service takes it from the line its
+    /// miss has just rendered, so a miss renders once.
+    pub(crate) fn from_rendered(r: &SolveResponse, line_tail: &str) -> Self {
         Self {
             resolved: r.resolved,
             tasks: r.tasks,
@@ -78,6 +96,7 @@ impl CachedSolve {
             energy_j: r.energy_j,
             memory_sleep_ms: r.memory_sleep_ms,
             degraded: r.degraded,
+            line_tail: line_tail.to_string(),
         }
     }
 
@@ -93,6 +112,17 @@ impl CachedSolve {
             memory_sleep_ms: self.memory_sleep_ms,
             degraded: self.degraded,
         }
+    }
+
+    /// The response line for request `id`: the bytes
+    /// [`SolveResponse::to_json_line`] renders for the response this
+    /// entry was made from, with `id` as its id.
+    pub fn response_line(&self, id: u64) -> String {
+        // `{"v":1,"id":` and at most 20 digits.
+        let mut line = String::with_capacity(32 + self.line_tail.len());
+        api::push_line_head(&mut line, id);
+        line.push_str(&self.line_tail);
+        line
     }
 }
 
@@ -129,13 +159,15 @@ impl SolveCache {
         }
     }
 
-    /// Looks up the solve for `canonical` tasks under `params`.
+    /// Looks up the solve for `canonical` tasks under `params`, lending
+    /// the entry: a hit copies only what it uses (the service, the line
+    /// bytes after the id).
     ///
     /// `canonical` must already be in canonical order (the service
     /// canonicalizes once and reuses the result for both the lookup and
     /// the solve), so its key is hashed in place, allocation-free. Counts
     /// a hit or a miss on the obs registry.
-    pub fn get(&mut self, canonical: &TaskSet, params: &CacheParams) -> Option<CachedSolve> {
+    pub fn get(&mut self, canonical: &TaskSet, params: &CacheParams) -> Option<&CachedSolve> {
         let key = Key {
             task_hash: canonical.canonical_hash(),
             params: params.clone(),
@@ -144,7 +176,7 @@ impl SolveCache {
             Some(entry) if entry.canonical == *canonical => {
                 self.hits += 1;
                 sdem_obs::registry::incr(Counter::CacheHits);
-                Some(entry.value.clone())
+                Some(&entry.value)
             }
             _ => {
                 self.misses += 1;
@@ -229,14 +261,31 @@ mod tests {
         }
     }
 
-    fn value(tag: f64) -> CachedSolve {
-        CachedSolve {
+    fn response(scheme: &str, energy_j: f64) -> SolveResponse {
+        SolveResponse {
+            id: 0,
+            scheme: scheme.into(),
             resolved: Scheme::CommonReleaseOverhead.solve_label(),
             tasks: 2,
             cores_used: 1,
-            energy_j: tag,
+            energy_j,
             memory_sleep_ms: 1.0,
             degraded: false,
+        }
+    }
+
+    fn value(tag: f64) -> CachedSolve {
+        CachedSolve::from_response(&response("auto", tag))
+    }
+
+    #[test]
+    fn hit_lines_are_the_rendered_response_with_the_new_id() {
+        for scheme in ["auto", "bounded-auto", "quote\" back\\slash \u{1}é"] {
+            let cached = CachedSolve::from_response(&response(scheme, 0.1 + 0.2));
+            for id in [0, 7, 1_000_000, u64::MAX] {
+                let want = cached.to_response(id, scheme.into()).to_json_line();
+                assert_eq!(cached.response_line(id), want);
+            }
         }
     }
 

@@ -183,9 +183,15 @@ impl ReplayJournal {
     /// respect to the response sink). IO errors are latched, not raised:
     /// the service keeps answering and [`Self::take_error`] surfaces the
     /// failure at the end of the run.
+    ///
+    /// The record `{"seq":N,"line":"<escaped line>"}` is encoded straight
+    /// into the journal's buffer.
     pub fn append(&self, seq: u64, line: &str) {
-        self.journal
-            .append(&format!("{{\"seq\":{seq},\"line\":{}}}", json::quote(line)));
+        self.journal.append_with(|out| {
+            write!(out, "{{\"seq\":{seq},\"line\":\"")?;
+            json::write_escaped(line, out)?;
+            out.write_all(b"\"}")
+        });
     }
 
     /// First journaling IO error hit during the run, if any.

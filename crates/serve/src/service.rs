@@ -157,6 +157,12 @@ struct QueueState {
     accepting: bool,
     paused: bool,
     failed: bool,
+    /// Workers waiting on `work_ready`: a submit wakes one only when
+    /// some worker is parked, since a notify costs a syscall even when
+    /// nothing waits.
+    parked_workers: usize,
+    /// Submitters waiting on `space_ready`, for the same reason.
+    blocked_submitters: usize,
     next_seq: u64,
     admitted: u64,
     shed: u64,
@@ -230,6 +236,8 @@ impl Service {
                 accepting: true,
                 paused: cfg.start_paused,
                 failed: false,
+                parked_workers: 0,
+                blocked_submitters: 0,
                 next_seq: 0,
                 admitted: 0,
                 shed: 0,
@@ -300,7 +308,9 @@ impl Service {
                             && state.accepting
                             && !state.failed
                         {
+                            state.blocked_submitters += 1;
                             state = self.inner.space_ready.wait(state).unwrap();
+                            state.blocked_submitters -= 1;
                         }
                     }
                     state.submitted += 1;
@@ -318,7 +328,9 @@ impl Service {
                             req,
                             admitted_ns: self.inner.cfg.clock.now_ns(),
                         });
-                        self.inner.work_ready.notify_one();
+                        if state.parked_workers > 0 {
+                            self.inner.work_ready.notify_one();
+                        }
                         (seq, None)
                     }
                 };
@@ -460,14 +472,18 @@ fn worker_loop(inner: &Inner) {
                 }
                 if !state.paused {
                     if let Some(job) = state.queue.pop_front() {
-                        inner.space_ready.notify_one();
+                        if state.blocked_submitters > 0 {
+                            inner.space_ready.notify_one();
+                        }
                         break job;
                     }
                     if !state.accepting {
                         return;
                     }
                 }
+                state.parked_workers += 1;
                 state = inner.work_ready.wait(state).unwrap();
+                state.parked_workers -= 1;
             }
         };
         let seq = job.seq;
@@ -579,9 +595,7 @@ fn answer(inner: &Inner, job: &Job, ws: &mut Workspace) -> String {
                 fallback: req.fallback,
             };
             if let Some(hit) = inner.cache.lock().unwrap().get(&canonical, &params) {
-                break 'line hit
-                    .to_response(req.id, req.scheme_name.clone())
-                    .to_json_line();
+                break 'line hit.response_line(req.id);
             }
             Some((canonical, params))
         };
@@ -600,14 +614,18 @@ fn answer(inner: &Inner, job: &Job, ws: &mut Workspace) -> String {
                 // allocation-free.
                 let response = executed.response;
                 ws.recycle_schedule(executed.solution.into_schedule());
+                let (line, tail) = response.render();
                 if let Some((canonical, params)) = key {
-                    inner.cache.lock().unwrap().insert(
-                        canonical,
-                        params,
-                        CachedSolve::from_response(&response),
-                    );
+                    // The entry keeps the rendered bytes after the id;
+                    // every later hit copies them.
+                    let cached = CachedSolve::from_rendered(&response, &line[tail..]);
+                    inner
+                        .cache
+                        .lock()
+                        .unwrap()
+                        .insert(canonical, params, cached);
                 }
-                response.to_json_line()
+                line
             }
             Ok(Err(error)) => api::error_line(Some(req.id), &error),
             Err(payload) => {

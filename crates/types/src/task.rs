@@ -127,6 +127,37 @@ impl Task {
     }
 }
 
+/// Ids below this are checked for uniqueness on a stack bitset.
+const BITSET_IDS: usize = 1024;
+
+/// The smallest id that two of `tasks` share, if any. Strictly
+/// increasing ids, and distinct ids below [`BITSET_IDS`], are decided
+/// without allocating; any other list (and every list with a repeat) is
+/// decided by sorting a copy of its ids in `ids`.
+fn smallest_repeated_id(tasks: &[Task], ids: &mut Vec<usize>) -> Option<TaskId> {
+    if tasks.windows(2).all(|pair| pair[0].id < pair[1].id) {
+        return None;
+    }
+    let mut seen = [0u64; BITSET_IDS / 64];
+    let small_and_distinct = tasks.iter().all(|t| {
+        let id = t.id.0;
+        let (word, bit) = (id / 64, 1u64 << (id % 64));
+        if id >= BITSET_IDS || seen[word] & bit != 0 {
+            return false;
+        }
+        seen[word] |= bit;
+        true
+    });
+    if small_and_distinct {
+        return None;
+    }
+    ids.extend(tasks.iter().map(|t| t.id.0));
+    ids.sort_unstable();
+    ids.windows(2)
+        .find(|pair| pair[0] == pair[1])
+        .map(|pair| TaskId(pair[0]))
+}
+
 /// A validated, non-empty collection of [`Task`]s.
 ///
 /// Construction checks each task (finite fields, non-negative work, positive
@@ -163,43 +194,33 @@ impl TaskSet {
     /// Returns [`TaskSetError`] if the list is empty, any task is malformed,
     /// or two tasks share an id.
     pub fn new(tasks: Vec<Task>) -> Result<Self, TaskSetError> {
-        if tasks.is_empty() {
-            return Err(TaskSetError::Empty);
-        }
-        for t in &tasks {
-            t.validate()?;
-        }
-        let mut ids: Vec<TaskId> = tasks.iter().map(Task::id).collect();
-        ids.sort_unstable();
-        for pair in ids.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(TaskSetError::DuplicateId(pair[0]));
-            }
-        }
-        Ok(Self { tasks })
+        Self::checked(tasks, &mut Vec::new())
     }
 
     /// Pooled [`Self::new`]: identical validation (same checks, same error
-    /// values) with the duplicate-id scan running on workspace scratch, so
-    /// a warm caller builds sets allocation-free. The online replanner
-    /// constructs a roster set per scheduling event — this is its hot
-    /// constructor.
+    /// values) with the duplicate-id scan's sort scratch drawn from the
+    /// workspace, so a warm caller builds sets allocation-free. The online
+    /// replanner constructs a roster set per scheduling event — this is
+    /// its hot constructor.
     pub fn new_in(tasks: Vec<Task>, ws: &mut Workspace) -> Result<Self, TaskSetError> {
+        let mut ids = ws.take_usizes();
+        let set = Self::checked(tasks, &mut ids);
+        ws.recycle_usizes(ids);
+        set
+    }
+
+    /// The checks of [`Self::new`]: a non-empty list, each task in list
+    /// order, then unique ids, reported as the smallest repeated id.
+    /// `ids` (empty) is the scratch the uniqueness check sorts when its
+    /// fast paths cannot decide.
+    fn checked(tasks: Vec<Task>, ids: &mut Vec<usize>) -> Result<Self, TaskSetError> {
         if tasks.is_empty() {
             return Err(TaskSetError::Empty);
         }
         for t in &tasks {
             t.validate()?;
         }
-        let mut ids = ws.take_usizes();
-        ids.extend(tasks.iter().map(|t| t.id().0));
-        ids.sort_unstable();
-        let dup = ids
-            .windows(2)
-            .find(|pair| pair[0] == pair[1])
-            .map(|pair| TaskId(pair[0]));
-        ws.recycle_usizes(ids);
-        match dup {
+        match smallest_repeated_id(&tasks, ids) {
             Some(id) => Err(TaskSetError::DuplicateId(id)),
             None => Ok(Self { tasks }),
         }
@@ -758,6 +779,66 @@ mod tests {
         for tasks in cases {
             assert_eq!(TaskSet::new_in(tasks.clone(), &mut ws), TaskSet::new(tasks));
         }
+    }
+
+    /// `TaskSet::new` before its uniqueness fast paths: every id list
+    /// sorted. The reference for the differential test below.
+    fn sorted_check(tasks: Vec<Task>) -> Result<TaskSet, TaskSetError> {
+        if tasks.is_empty() {
+            return Err(TaskSetError::Empty);
+        }
+        for t in &tasks {
+            t.validate()?;
+        }
+        let mut ids: Vec<TaskId> = tasks.iter().map(Task::id).collect();
+        ids.sort_unstable();
+        for pair in ids.windows(2) {
+            if pair[0] == pair[1] {
+                return Err(TaskSetError::DuplicateId(pair[0]));
+            }
+        }
+        Ok(TaskSet { tasks })
+    }
+
+    #[test]
+    fn uniqueness_fast_paths_match_the_sorted_check() {
+        use sdem_prng::{ChaCha8Rng, Rng, SeedableRng};
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1D5_0F7);
+        let mut ws = Workspace::new();
+        let mut errors = [0usize; 3];
+        for _ in 0..20_000 {
+            let n = rng.gen_range(0..10usize);
+            let base = [0, BITSET_IDS - 4, usize::MAX - 64][rng.gen_range(0..3usize)];
+            let span = [n.max(1), 2 * n + 1, 64][rng.gen_range(0..3usize)];
+            let increasing = rng.gen_range(0..4u32) == 0;
+            let mut next = base;
+            let tasks: Vec<Task> = (0..n)
+                .map(|_| {
+                    let id = if increasing {
+                        next += rng.gen_range(0..3usize);
+                        next
+                    } else {
+                        base + rng.gen_range(0..span)
+                    };
+                    // One task in 16 is malformed, so the per-task errors
+                    // race the duplicate check.
+                    match rng.gen_range(0..16u32) {
+                        0 => task(id, 5.0, 5.0, 1.0),
+                        1 => task(id, 0.0, 10.0, -1.0),
+                        _ => task(id, 0.0, 10.0, 1.0),
+                    }
+                })
+                .collect();
+            let want = sorted_check(tasks.clone());
+            match &want {
+                Err(TaskSetError::DuplicateId(_)) => errors[0] += 1,
+                Err(_) => errors[1] += 1,
+                Ok(_) => errors[2] += 1,
+            }
+            assert_eq!(TaskSet::new(tasks.clone()), want, "{tasks:?}");
+            assert_eq!(TaskSet::new_in(tasks, &mut ws), want);
+        }
+        assert!(errors.iter().all(|&k| k > 1000), "{errors:?}");
     }
 
     #[test]
