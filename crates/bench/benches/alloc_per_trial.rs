@@ -309,6 +309,43 @@ fn main() {
             "solve_in/AgreeableOverhead n=12 chopped, reverse-stored (warmed)",
             unsorted,
         );
+
+        // A serve-shaped request: three staggered, overlapping windows,
+        // priced by the DP's single-block certificate.
+        let serve = TaskSet::new(
+            [(0.0, 40.0, 3.0e6), (4.0, 52.0, 2.0e6), (9.0, 61.0, 4.5e6)]
+                .iter()
+                .enumerate()
+                .map(|(i, &(r, d, w))| {
+                    sdem_types::Task::new(
+                        i,
+                        Time::from_millis(r),
+                        Time::from_millis(d),
+                        sdem_types::Cycles::new(w),
+                    )
+                })
+                .collect(),
+        )
+        .expect("non-empty set");
+        for _ in 0..8 {
+            let warm = solve_in(&serve, &platform, scheme, &mut ws).unwrap();
+            ws.recycle_schedule(warm.into_schedule());
+        }
+        let served = count_per_iter(ITERS, || {
+            let s = solve_in(&serve, &platform, scheme, &mut ws).unwrap();
+            std::hint::black_box(&s);
+            ws.recycle_schedule(s.into_schedule());
+        });
+        report(
+            "solve_in/AgreeableOverhead n=3 serve-shaped (warmed)",
+            served,
+        );
+        assert_eq!(
+            served.0, 0.0,
+            "the agreeable DP on a serve-shaped set must be allocation-free \
+             on the warmed workspace path (got {} allocs/trial)",
+            served.0
+        );
     }
     println!();
 

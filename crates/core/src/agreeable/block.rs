@@ -43,10 +43,11 @@ const MAX_SWEEPS: usize = 80;
 /// window, so every admitted block is finite on its full interval.
 pub(crate) const WINDOW_TOL: f64 = 1e-12;
 
-/// Relative slack of the range lower bound ([`Terms::lower_bounds_into`]):
-/// the bound is scaled by `1 − BOUND_SLACK` so that the rounding of the
-/// block energy it bounds (sums of `n` rounded terms, `powf` within an
-/// ulp) can never lift the bound above the energy a solver returns.
+/// Relative slack of the range and prefix lower bounds
+/// ([`Terms::push_lower_bounds`], [`Terms::prefix_floors_into`]): each is
+/// scaled by `1 − BOUND_SLACK` so that the rounding of the energy it
+/// bounds (sums of `n` rounded terms, `powf` within an ulp) can never
+/// lift the bound above the energy a solver returns.
 const BOUND_SLACK: f64 = 1e-9;
 
 /// Relative margin, against the largest `|time|` of a range, taken off
@@ -355,8 +356,8 @@ impl Terms {
         (start, best_run_length(self.w[k], window, &self.pw))
     }
 
-    /// Lower bounds on the energy of every block `[p, q)`, `p < q`, into
-    /// `out[p]` (`out` is cleared and resized to `q`).
+    /// Lower bounds on the energy of every block `[p, q)`, `p < q`,
+    /// appended to `out` (`LB(p, q)` lands at `out[len + p]`).
     ///
     /// A task's window never exceeds its full window and `E*` is
     /// non-increasing, so `Σ_k E*_k(d_k − r_k)` bounds the tasks' terms;
@@ -367,9 +368,9 @@ impl Terms {
     /// `GAP_MARGIN` of the range's largest `|time|` and the sum by
     /// `BOUND_SLACK`, which keeps the bound at or below the energy any
     /// block solver returns despite rounding.
-    pub(crate) fn lower_bounds_into(&self, q: usize, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(q, 0.0);
+    pub(crate) fn push_lower_bounds(&self, q: usize, out: &mut Vec<f64>) {
+        let base = out.len();
+        out.resize(base + q, 0.0);
         let (mut sum, mut latest_end, mut earliest_start, mut t_abs) =
             (0.0, f64::NEG_INFINITY, f64::INFINITY, 0.0f64);
         for p in (0..q).rev() {
@@ -381,7 +382,23 @@ impl Terms {
                 earliest_start = earliest_start.min(self.d[p] - l);
             }
             let gap = (latest_end - earliest_start - GAP_MARGIN * t_abs).max(0.0);
-            out[p] = (sum + self.pw.alpha_m * gap) * (1.0 - BOUND_SLACK);
+            out[base + p] = (sum + self.pw.alpha_m * gap) * (1.0 - BOUND_SLACK);
+        }
+    }
+
+    /// Lower bounds on the DP's prefix optima into `out` (cleared):
+    /// `out[p] = (Σ_{k<p} E*_k(d_k − r_k))·(1 − BOUND_SLACK) ≤ OPT(T_p)`
+    /// for `p = 0..=n`. Every block of a partition of `T_p` costs at least
+    /// its tasks' full-window terms, and memory energy and transitions
+    /// are non-negative; `BOUND_SLACK` covers the rounding of the
+    /// optimum's longer sum, as for [`Terms::push_lower_bounds`].
+    pub(crate) fn prefix_floors_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.push(0.0);
+        let mut sum = 0.0;
+        for &term in &self.full_term {
+            sum += term;
+            out.push(sum * (1.0 - BOUND_SLACK));
         }
     }
 }

@@ -14,16 +14,35 @@
 //! cannot change the argmin; see the `sdem-sim` crate docs). With
 //! `ξ_m = 0` (the §5 assumption) the recurrence is exactly the paper's.
 //!
-//! The table of ranges is filled lazily: a range `[p, q)` is solved only
-//! when `OPT(T_p)` plus a lower bound on its block energy (see
-//! [`Terms::lower_bounds_into`]) can still beat the best candidate found
-//! for `q`. The bound never exceeds the block energy, so the recurrence's
-//! minimum and its first argmin — and every output bit — are those of the
-//! exhaustive table; on chopped DAG cores about four ranges in five are
-//! never solved.
+//! Both tables are filled lazily, from `q = n` down ([`Dp::price`]):
+//!
+//! * **Prefix floors.** Every block costs at least its tasks' terms on
+//!   their full windows, so `floor[p] = (Σ_{k<p} E*_k(d_k − r_k))·(1 −
+//!   1e-9) ≤ OPT(T_p)` ([`Terms::prefix_floors_into`]), known before any
+//!   prefix is priced.
+//! * **Single-block certificate.** When every split `p ≥ 1` has
+//!   `floor[p] + LB(p, q) + α_m·ξ_m` at or above block `[0, q)`'s energy,
+//!   no split can beat that block and it is `OPT(T_q)`. The block is
+//!   solved only when those floors already reach `LB(0, q)`.
+//! * **Otherwise** the bottom-up recurrence runs at `q`: the hint (the
+//!   block last at `q − 1`, extended) first, then the ascending scan,
+//!   which solves `[p, q)` only while `OPT(T_p)` plus the range's lower
+//!   bound ([`Terms::push_lower_bounds`]) can still beat the best
+//!   candidate. `OPT(T_p)` is priced first, the prefix waiting on a
+//!   stack of open prefixes, only for a candidate its prefix floor did
+//!   not already prune.
+//!
+//! No floor exceeds its candidate, so the minimum and its first argmin at
+//! every priced prefix — and every output bit — are the exhaustive
+//! table's; each priced prefix solves a subset of the ranges the
+//! bottom-up loop solves there. A 2–4-task serve request whose optimum is
+//! one block costs one block solve instead of one per prefix, and a
+//! `dag-federated` request about half the solves.
 
 use sdem_power::Platform;
-use sdem_types::{CoreId, Joules, Placement, Schedule, Segment, Speed, TaskSet, Time, Workspace};
+use sdem_types::{
+    CoreId, Joules, Placement, Schedule, Segment, Speed, Task, TaskSet, Time, Workspace,
+};
 
 use super::block::{BlockSolution, Terms};
 use super::{algorithm1, lemma3, prepare_in, BlockTask, PowerParams};
@@ -51,6 +70,12 @@ pub enum BlockSolverKind {
 /// to Eq. 12–14 of the paper (§5.1); with core sleeping (`α ≠ 0`, §5.2) it
 /// is the best-response envelope whose flat region corresponds to the
 /// paper's *Type-I* tasks running at the critical speed `s₀`.
+///
+/// The DP prices prefixes from the whole set down and solves a block only
+/// when the answer needs it (see the module docs): a set whose optimum is
+/// one block, certified by the prefix floors, costs a single block solve.
+/// Its energy, memory sleep and placements are those of the exhaustive
+/// bottom-up table, bit for bit.
 ///
 /// The block terms, the flat `(s, e, energy)` range table, the DP scratch
 /// and the returned schedule's arenas all come from `ws`, so a warmed
@@ -137,8 +162,8 @@ pub fn schedule_strict_in(
     schedule_impl(tasks, platform, BlockSolverKind::BestResponse, true, ws)
 }
 
-/// The DP's state: the sorted tasks' memoized block terms and the table
-/// of block ranges `[p, q)` solved so far.
+/// The DP's state: the sorted tasks' memoized block terms, the table of
+/// block ranges `[p, q)` solved so far and the prefixes priced so far.
 struct Dp {
     solver: BlockSolverKind,
     pw: PowerParams,
@@ -152,6 +177,23 @@ struct Dp {
     interval: Vec<(f64, f64)>,
     energy: Vec<f64>,
     solved: Vec<bool>,
+    /// The memory round trip `α_m·ξ_m`, charged per inter-block gap.
+    transition: f64,
+    /// `OPT(T_q)` and its first argmin `p` (the last block starts at
+    /// task `p`) for each prefix whose `done` flag is set; the running
+    /// minimum and argmin for an open one.
+    opt: Vec<f64>,
+    cut_from: Vec<usize>,
+    done: Vec<bool>,
+    /// `floor[p] ≤ OPT(T_p)` ([`Terms::prefix_floors_into`]).
+    floor: Vec<f64>,
+    /// The prefixes being priced, deepest last, and for each the next
+    /// candidate its scan tries.
+    open: Vec<usize>,
+    next: Vec<usize>,
+    /// `LB(p, q)` for each open prefix `q`, stacked in `open`'s order:
+    /// the deepest one's `q` bounds are the last `q` entries.
+    bounds: Vec<f64>,
 }
 
 impl Dp {
@@ -181,6 +223,219 @@ impl Dp {
             _ => lemma3::solve_block(&self.bts[p..q], &self.pw),
         }
     }
+
+    /// The memory round trip owed by a last block starting at task `p`.
+    fn trans(&self, p: usize) -> f64 {
+        if p == 0 {
+            0.0
+        } else {
+            self.transition
+        }
+    }
+
+    /// The recurrence's candidate for `OPT(T_q)` whose last block is
+    /// `[p, q)`; `OPT(T_p)` must be priced.
+    fn candidate(&mut self, p: usize, q: usize) -> f64 {
+        debug_assert!(self.done[p], "prefix {p} not priced");
+        self.opt[p] + self.block(p, q).2 + self.trans(p)
+    }
+
+    /// The floor of [`Dp::candidate`] from the prefix floor, with the
+    /// open prefix's bounds at `bounds[base..]`: no `OPT(T_p)` needed.
+    fn prefix_floor(&self, base: usize, p: usize) -> f64 {
+        self.floor[p] + self.bounds[base + p] + self.trans(p)
+    }
+
+    /// Prices `OPT(T_n)` and its first argmin — the exhaustive table's
+    /// values, bit for bit — pricing only the smaller prefixes the answer
+    /// needs.
+    ///
+    /// Each prefix first tries a single-block certificate: when no split
+    /// `p ≥ 1` can go under `LB(0, q)`, block `[0, q)` is solved, and when
+    /// no split can go under its energy either, it is the answer (`p = 0`
+    /// is first in the ascending scan, so a tie keeps it). Otherwise the
+    /// bottom-up recurrence runs at `q`: the hint is the block that was
+    /// last at `q − 1`, extended by task `q − 1`, and its candidate
+    /// `upper` bounds `OPT(T_q)` from above; the ascending scan skips
+    /// `[p, q)` when a floor reaches the running minimum (the strict `<`
+    /// could not take it) or exceeds `upper` (it cannot be the minimum).
+    /// The prefix floor is tried before `OPT(T_p)` is priced, then the
+    /// floor with it.
+    ///
+    /// Both floors are sums, in the candidate's order, of terms no larger
+    /// than the candidate's (`floor[p] ≤ OPT(T_p)`, `LB ≤ E`), and
+    /// rounding is monotone, so no floor exceeds its candidate: the
+    /// minimum and its first argmin are the exhaustive table's. Each
+    /// prefix priced solves a subset of the ranges the bottom-up loop
+    /// solves at that prefix: the certificate is tried only when every
+    /// split floor, and so the hint's candidate, reaches `LB(0, q)`,
+    /// which is when the loop solves `[0, q)` too.
+    ///
+    /// A prefix that needs a smaller one waits on `open`, the stack of
+    /// prefixes being priced (up to `n` deep), and resumes where it
+    /// stopped once that one is priced.
+    fn price(&mut self, n: usize) {
+        let mut open = std::mem::take(&mut self.open);
+        self.enter(n, &mut open);
+        while let Some(&q) = open.last() {
+            match self.step(q) {
+                Some(p) => self.enter(p, &mut open),
+                None => {
+                    open.pop();
+                }
+            }
+        }
+        self.open = open;
+    }
+
+    /// Opens prefix `q`: stacks its bounds, then settles it by the
+    /// single-block certificate or leaves it on `open` for the bottom-up
+    /// step.
+    fn enter(&mut self, q: usize, open: &mut Vec<usize>) {
+        let base = self.bounds.len();
+        self.terms.push_lower_bounds(q, &mut self.bounds);
+        let split = (1..q)
+            .map(|p| self.prefix_floor(base, p))
+            .fold(f64::INFINITY, f64::min);
+        if split >= self.bounds[base] {
+            let single = self.candidate(0, q);
+            if split >= single {
+                self.opt[q] = single;
+                self.cut_from[q] = 0;
+                self.settle(q);
+                return;
+            }
+        }
+        open.push(q);
+    }
+
+    /// Runs the bottom-up step of the open prefix `q`, the deepest one,
+    /// from candidate `next[q]` on, keeping the running minimum and its
+    /// argmin in `opt[q]` and `cut_from[q]`. Returns the smaller prefix
+    /// it must wait for, or `None` once `q` is settled.
+    fn step(&mut self, q: usize) -> Option<usize> {
+        if !self.done[q - 1] {
+            return Some(q - 1);
+        }
+        let base = self.bounds.len() - q;
+        let hint = self.cut_from[q - 1];
+        let upper = self.candidate(hint, q);
+        for p in self.next[q]..q {
+            let cand = if p == hint {
+                upper
+            } else {
+                let floor = self.prefix_floor(base, p);
+                if floor >= self.opt[q] || floor > upper {
+                    continue;
+                }
+                if !self.done[p] {
+                    self.next[q] = p;
+                    return Some(p);
+                }
+                let floor = self.opt[p] + self.bounds[base + p] + self.trans(p);
+                if floor >= self.opt[q] || floor > upper {
+                    continue;
+                }
+                self.candidate(p, q)
+            };
+            if cand < self.opt[q] {
+                self.opt[q] = cand;
+                self.cut_from[q] = p;
+            }
+        }
+        self.settle(q);
+        None
+    }
+
+    /// Marks `OPT(T_q)` priced and pops its bounds, the last `q` stacked.
+    fn settle(&mut self, q: usize) {
+        self.done[q] = true;
+        self.bounds.truncate(self.bounds.len() - q);
+    }
+
+    /// The DP over the sorted tasks, with every table from `ws`.
+    fn take(
+        sorted: &[Task],
+        platform: &Platform,
+        solver: BlockSolverKind,
+        ws: &mut Workspace,
+    ) -> Self {
+        let pw = PowerParams::of(platform);
+        let n = sorted.len();
+        let mut terms = Terms::take(pw, ws);
+        for t in sorted {
+            terms.push(
+                t.release().as_secs(),
+                t.deadline().as_secs(),
+                t.work().value(),
+            );
+        }
+        let bts: Vec<BlockTask> = if solver == BlockSolverKind::BestResponse {
+            Vec::new()
+        } else {
+            sorted
+                .iter()
+                .enumerate()
+                .map(|(index, t)| BlockTask {
+                    index,
+                    r: t.release().as_secs(),
+                    d: t.deadline().as_secs(),
+                    w: t.work().value(),
+                })
+                .collect()
+        };
+        let cells = n * (n + 1);
+        let mut interval = ws.take_pairs();
+        interval.resize(cells, (0.0, 0.0));
+        let mut energy = ws.take_f64s();
+        energy.resize(cells, 0.0);
+        let mut solved = ws.take_bools();
+        solved.resize(cells, false);
+        let mut opt = ws.take_f64s();
+        opt.resize(n + 1, f64::INFINITY);
+        opt[0] = 0.0;
+        let mut cut_from = ws.take_usizes();
+        cut_from.resize(n + 1, 0);
+        let mut done = ws.take_bools();
+        done.resize(n + 1, false);
+        done[0] = true;
+        let mut floor = ws.take_f64s();
+        terms.prefix_floors_into(&mut floor);
+        let mut next = ws.take_usizes();
+        next.resize(n + 1, 0);
+        Self {
+            solver,
+            pw,
+            terms,
+            bts,
+            stride: n + 1,
+            interval,
+            energy,
+            solved,
+            transition: platform.memory().transition_energy().value(),
+            opt,
+            cut_from,
+            done,
+            floor,
+            open: ws.take_usizes(),
+            next,
+            bounds: ws.take_f64s(),
+        }
+    }
+
+    /// Returns every table to `ws`'s pools.
+    fn recycle(self, ws: &mut Workspace) {
+        self.terms.recycle(ws);
+        ws.recycle_pairs(self.interval);
+        for column in [self.energy, self.opt, self.floor, self.bounds] {
+            ws.recycle_f64s(column);
+        }
+        ws.recycle_bools(self.solved);
+        ws.recycle_bools(self.done);
+        for column in [self.cut_from, self.open, self.next] {
+            ws.recycle_usizes(column);
+        }
+    }
 }
 
 fn schedule_impl(
@@ -196,102 +451,31 @@ fn schedule_impl(
         ));
     }
     let sorted = prepare_in(tasks, platform, ws)?;
-    let pw = PowerParams::of(platform);
+    let mut dp = Dp::take(&sorted, platform, solver, ws);
+    dp.price(sorted.len());
+    let solution = assemble(&mut dp, &sorted, strict, ws);
+    dp.recycle(ws);
+    ws.recycle_tasks(sorted);
+    Ok(solution)
+}
+
+/// The solution of a priced DP: its partition (strictness-repaired when
+/// `strict`), one core per task, and the planned memory sleep.
+fn assemble(dp: &mut Dp, sorted: &[Task], strict: bool, ws: &mut Workspace) -> Solution {
     let n = sorted.len();
-    let mut terms = Terms::take(pw, ws);
-    for t in sorted.iter() {
-        terms.push(
-            t.release().as_secs(),
-            t.deadline().as_secs(),
-            t.work().value(),
-        );
-    }
-    let bts: Vec<BlockTask> = if solver == BlockSolverKind::BestResponse {
-        Vec::new()
-    } else {
-        sorted
-            .iter()
-            .enumerate()
-            .map(|(index, t)| BlockTask {
-                index,
-                r: t.release().as_secs(),
-                d: t.deadline().as_secs(),
-                w: t.work().value(),
-            })
-            .collect()
-    };
-    let cells = n * (n + 1);
-    let mut interval = ws.take_pairs();
-    interval.resize(cells, (0.0, 0.0));
-    let mut energy = ws.take_f64s();
-    energy.resize(cells, 0.0);
-    let mut solved = ws.take_bools();
-    solved.resize(cells, false);
-    let mut dp = Dp {
-        solver,
-        pw,
-        terms,
-        bts,
-        stride: n + 1,
-        interval,
-        energy,
-        solved,
-    };
-
-    // DP over prefixes. A memory round trip is charged per inter-block gap.
-    //
-    // A range is solved only while it can still win. The block that was
-    // last at `q − 1`, extended by task `q − 1`, is solved first: its
-    // candidate `upper` bounds `opt[q]` from above. The ascending scan
-    // then skips `[p, q)` when `opt[p] + LB(p, q) + transition` reaches
-    // the running minimum (the strict `<` could not take it) or exceeds
-    // `upper` (it cannot be the minimum). `LB` never exceeds the block
-    // energy and rounding is monotone, so a skipped candidate is at least
-    // that floor: `opt` and the first argmin — every output bit — are
-    // those of the exhaustive table.
-    let transition = platform.memory().transition_energy().value();
-    let mut opt = ws.take_f64s();
-    opt.resize(n + 1, f64::INFINITY);
-    let mut cut_from = ws.take_usizes();
-    cut_from.resize(n + 1, 0);
-    let mut bound = ws.take_f64s();
-    opt[0] = 0.0;
-    for q in 1..=n {
-        dp.terms.lower_bounds_into(q, &mut bound);
-        let hint = cut_from[q - 1];
-        let hint_trans = if hint == 0 { 0.0 } else { transition };
-        let upper = opt[hint] + dp.block(hint, q).2 + hint_trans;
-        for p in 0..q {
-            let trans = if p == 0 { 0.0 } else { transition };
-            let cand = if p == hint {
-                upper
-            } else {
-                let floor = opt[p] + bound[p] + trans;
-                if floor >= opt[q] || floor > upper {
-                    continue;
-                }
-                opt[p] + dp.block(p, q).2 + trans
-            };
-            if cand < opt[q] {
-                opt[q] = cand;
-                cut_from[q] = p;
-            }
-        }
-    }
-
     // Reconstruct the partition.
     let mut cuts = ws.take_usizes();
     cuts.push(n);
     while *cuts.last().expect("non-empty") > 0 {
         let q = *cuts.last().expect("non-empty");
-        cuts.push(cut_from[q]);
+        cuts.push(dp.cut_from[q]);
     }
     cuts.reverse();
 
     // Strictness repair: merge any consecutive blocks whose busy intervals
     // overlap, then recompute the total energy from the merged-block
     // solutions (solved here if the DP skipped them).
-    let mut total_energy = opt[n];
+    let mut total_energy = dp.opt[n];
     if strict {
         loop {
             let mut merged_any = false;
@@ -314,7 +498,7 @@ fn schedule_impl(
             .windows(2)
             .map(|pq| dp.block(pq[0], pq[1]).2)
             .sum::<f64>()
-            + transition * (cuts.len().saturating_sub(2)) as f64;
+            + dp.transition * (cuts.len().saturating_sub(2)) as f64;
     }
 
     // Assemble the schedule: one core per task (unbounded model). Runs
@@ -341,7 +525,7 @@ fn schedule_impl(
             }
             prev_end = Some(e.max(prev_end.unwrap_or(f64::NEG_INFINITY)));
         }
-        let paper = (solver != BlockSolverKind::BestResponse).then(|| dp.paper_block(p, q));
+        let paper = (dp.solver != BlockSolverKind::BestResponse).then(|| dp.paper_block(p, q));
         for (k, task) in sorted.iter().enumerate().take(q).skip(p) {
             let (start, len) = match &paper {
                 Some(b) => b.runs[k - p],
@@ -360,27 +544,12 @@ fn schedule_impl(
         }
     }
 
-    let Dp {
-        terms,
-        interval,
-        energy,
-        solved,
-        ..
-    } = dp;
-    terms.recycle(ws);
-    ws.recycle_pairs(interval);
-    ws.recycle_f64s(energy);
-    ws.recycle_bools(solved);
-    ws.recycle_f64s(bound);
-    ws.recycle_f64s(opt);
-    ws.recycle_usizes(cut_from);
     ws.recycle_usizes(cuts);
-    ws.recycle_tasks(sorted);
-    Ok(Solution::new(
+    Solution::new(
         Schedule::new(placements),
         Joules::new(total_energy),
         Time::from_secs(sleep_time),
-    ))
+    )
 }
 
 #[cfg(test)]
@@ -655,7 +824,8 @@ mod tests {
             let bts = block::seeded_tasks(&mut rng, n);
             let mut terms = Terms::of(&bts, &pw);
             for q in 1..=n {
-                terms.lower_bounds_into(q, &mut bound);
+                bound.clear();
+                terms.push_lower_bounds(q, &mut bound);
                 for p in 0..q {
                     let mut energies = vec![
                         terms.solve(p, q).2,
@@ -745,6 +915,317 @@ mod tests {
                 "case {case}: memory sleep"
             );
         }
+    }
+
+    /// The bottom-up table: every prefix priced in ascending order, the
+    /// loop [`Dp::price`] replaced, kept verbatim as its reference.
+    #[allow(clippy::needless_range_loop)]
+    fn price_bottom_up(dp: &mut Dp) {
+        let n = dp.stride - 1;
+        let transition = dp.transition;
+        let mut bound = Vec::new();
+        for q in 1..=n {
+            bound.clear();
+            dp.terms.push_lower_bounds(q, &mut bound);
+            let hint = dp.cut_from[q - 1];
+            let hint_trans = if hint == 0 { 0.0 } else { transition };
+            let upper = dp.opt[hint] + dp.block(hint, q).2 + hint_trans;
+            for p in 0..q {
+                let trans = if p == 0 { 0.0 } else { transition };
+                let cand = if p == hint {
+                    upper
+                } else {
+                    let floor = dp.opt[p] + bound[p] + trans;
+                    if floor >= dp.opt[q] || floor > upper {
+                        continue;
+                    }
+                    dp.opt[p] + dp.block(p, q).2 + trans
+                };
+                if cand < dp.opt[q] {
+                    dp.opt[q] = cand;
+                    dp.cut_from[q] = p;
+                }
+            }
+        }
+    }
+
+    /// One table of the DP, lazy or bottom-up, and its solutions.
+    struct Counted {
+        /// The plain and the strictness-repaired solution.
+        plain: Solution,
+        strict: Solution,
+        /// Ranges the table solved (strictness repairs excluded).
+        ranges: usize,
+        /// `OPT(T_q)` bits for every prefix the table priced.
+        opt: Vec<Option<u64>>,
+    }
+
+    fn solve_counted(
+        tasks: &TaskSet,
+        platform: &Platform,
+        solver: BlockSolverKind,
+        bottom_up: bool,
+    ) -> Counted {
+        let mut ws = Workspace::new();
+        let sorted = prepare_in(tasks, platform, &mut ws).unwrap();
+        let mut dp = Dp::take(&sorted, platform, solver, &mut ws);
+        if bottom_up {
+            price_bottom_up(&mut dp);
+            dp.done.fill(true);
+        } else {
+            dp.price(sorted.len());
+        }
+        let ranges = dp.solved.iter().filter(|&&s| s).count();
+        let opt = (dp.opt.iter().zip(&dp.done))
+            .map(|(o, &done)| done.then_some(o.to_bits()))
+            .collect();
+        Counted {
+            plain: assemble(&mut dp, &sorted, false, &mut ws),
+            strict: assemble(&mut dp, &sorted, true, &mut ws),
+            ranges,
+            opt,
+        }
+    }
+
+    /// Every output bit of a solution: energy, memory sleep, then each
+    /// placement's task, core and segments.
+    fn output_bits(sol: &Solution) -> Vec<u64> {
+        let mut bits = vec![
+            sol.predicted_energy().value().to_bits(),
+            sol.memory_sleep().as_secs().to_bits(),
+        ];
+        for p in sol.schedule().placements() {
+            bits.extend([p.task().0 as u64, p.core().0 as u64]);
+            for seg in p.segments() {
+                bits.extend([
+                    seg.start().as_secs().to_bits(),
+                    seg.end().as_secs().to_bits(),
+                    seg.speed().as_hz().to_bits(),
+                ]);
+            }
+        }
+        bits
+    }
+
+    fn ms_set(rows: &[(f64, f64, f64)]) -> TaskSet {
+        let ms = Time::from_millis;
+        TaskSet::new(
+            rows.iter()
+                .enumerate()
+                .map(|(i, &(r, d, w))| Task::new(i, ms(r), ms(d), Cycles::new(w)))
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    /// `count` sets of `1 + k % 9` seeded block tasks (the pools above).
+    fn seeded_sets(seed: u64, count: usize) -> Vec<TaskSet> {
+        use sdem_prng::{ChaCha8Rng, SeedableRng};
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..count)
+            .map(|k| {
+                let bts = block::seeded_tasks(&mut rng, 1 + k % 9);
+                TaskSet::new(
+                    bts.iter()
+                        .map(|t| Task::new(t.index, sec(t.r), sec(t.d), Cycles::new(t.w)))
+                        .collect(),
+                )
+                .unwrap()
+            })
+            .collect()
+    }
+
+    /// Split-heavy sets: `n` single tasks (20–40 ms windows) released
+    /// 60–80 ms apart, so every optimum has many blocks.
+    fn separated_sets(seed: u64, count: usize, n: usize) -> Vec<TaskSet> {
+        use sdem_prng::{ChaCha8Rng, Rng, SeedableRng};
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                let mut r = 0.0f64;
+                let rows: Vec<(f64, f64, f64)> = (0..n)
+                    .map(|_| {
+                        r += rng.gen_range(60.0f64..80.0);
+                        let d = r + rng.gen_range(20.0f64..40.0);
+                        (r, d, rng.gen_range(1.0e6f64..6.0e6))
+                    })
+                    .collect();
+                ms_set(&rows)
+            })
+            .collect()
+    }
+
+    /// Clusters of 3–5 overlapping tasks, 60–100 ms apart.
+    fn clustered_sets(seed: u64, count: usize) -> Vec<TaskSet> {
+        use sdem_prng::{ChaCha8Rng, Rng, SeedableRng};
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..count)
+            .map(|k| {
+                let (mut start, mut d) = (0.0f64, 0.0f64);
+                let mut rows = Vec::new();
+                for _ in 0..2 + k % 5 {
+                    start += rng.gen_range(60.0f64..100.0);
+                    let mut r = start;
+                    for _ in 0..3 + rng.next_u64() % 3 {
+                        r += rng.gen_range(0.0f64..6.0);
+                        d = d.max(r + rng.gen_range(15.0f64..30.0));
+                        rows.push((r, d, rng.gen_range(1.0e6f64..6.0e6)));
+                    }
+                }
+                ms_set(&rows)
+            })
+            .collect()
+    }
+
+    /// Serve-shaped sets: 2–4 tasks, each released 1–8 ms after the
+    /// previous one, 15–60 ms windows, 1–6 Mcycles.
+    fn serve_sets(seed: u64, count: usize) -> Vec<TaskSet> {
+        use sdem_prng::{ChaCha8Rng, Rng, SeedableRng};
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..count)
+            .map(|k| {
+                let (mut r, mut d) = (0.0f64, 0.0f64);
+                let rows: Vec<(f64, f64, f64)> = (0..2 + k % 3)
+                    .map(|i| {
+                        if i > 0 {
+                            r += rng.gen_range(1.0f64..8.0);
+                        }
+                        d = (d + rng.gen_range(1.0f64..8.0)).max(r + rng.gen_range(15.0f64..60.0));
+                        (r, d, rng.gen_range(1.0e6f64..6.0e6))
+                    })
+                    .collect();
+                ms_set(&rows)
+            })
+            .collect()
+    }
+
+    /// The lazy DP against the bottom-up reference on `sets` (each on
+    /// every seeded platform), under `Agreeable`, `AgreeableStrict` and
+    /// every block solver (the paper solvers on every `paper_stride`-th
+    /// set): every output bit and every priced `OPT(T_q)` equal, and
+    /// never more ranges solved. Returns `(lazy, bottom-up)` range totals.
+    fn differential(sets: &[TaskSet], paper_stride: usize) -> (usize, usize) {
+        let platforms = seeded_platforms();
+        let (mut lazy_total, mut reference_total) = (0, 0);
+        for (k, tasks) in sets.iter().enumerate() {
+            for platform in &platforms {
+                let mut solvers = vec![BlockSolverKind::BestResponse];
+                if k % paper_stride == 0 {
+                    solvers.push(BlockSolverKind::PaperIterative);
+                    if platform.core().is_alpha_zero() {
+                        solvers.push(BlockSolverKind::PaperClosedForm);
+                    }
+                }
+                for solver in solvers {
+                    let lazy = solve_counted(tasks, platform, solver, false);
+                    let reference = solve_counted(tasks, platform, solver, true);
+                    let case = format!("set {k} ({} tasks), {solver:?}", tasks.len());
+                    assert_eq!(
+                        output_bits(&lazy.plain),
+                        output_bits(&reference.plain),
+                        "{case}: outputs"
+                    );
+                    assert_eq!(
+                        output_bits(&lazy.strict),
+                        output_bits(&reference.strict),
+                        "{case}: strict outputs"
+                    );
+                    for (q, bits) in lazy.opt.iter().enumerate() {
+                        if bits.is_some() {
+                            assert_eq!(*bits, reference.opt[q], "{case}: OPT(T_{q})");
+                        }
+                    }
+                    assert!(
+                        lazy.ranges <= reference.ranges,
+                        "{case}: {} ranges solved, bottom-up {}",
+                        lazy.ranges,
+                        reference.ranges
+                    );
+                    lazy_total += lazy.ranges;
+                    reference_total += reference.ranges;
+                }
+            }
+        }
+        (lazy_total, reference_total)
+    }
+
+    #[test]
+    fn lazy_dp_equals_the_bottom_up_table_and_solves_no_more_ranges() {
+        let random = differential(&seeded_sets(0xD9_7AB1E, 300), 8);
+        assert!(random.0 < random.1, "random pool: {random:?} ranges");
+        // Split-heavy pools, where naive top-down orders solve far more
+        // ranges than the bottom-up loop: many single-task blocks, and
+        // clusters of overlapping tasks.
+        differential(&separated_sets(0x5E9A, 6, 12), 3);
+        differential(&separated_sets(0x005E_9A40, 2, 40), 2);
+        let clustered = differential(&clustered_sets(0xC1_057E, 24), 6);
+        assert!(
+            clustered.0 < clustered.1,
+            "clustered pool: {clustered:?} ranges"
+        );
+    }
+
+    #[test]
+    #[ignore = "20,000 cases; run in release"]
+    fn lazy_dp_equals_the_bottom_up_table_on_20k_sets() {
+        let random = differential(&seeded_sets(0x20_000, 16_000), 16);
+        let separated = differential(&separated_sets(0x20_5E9A, 1_000, 12), 16);
+        let long = differential(&separated_sets(0x205E_9A40, 200, 40), 16);
+        let clustered = differential(&clustered_sets(0x20_C105, 2_800), 16);
+        eprintln!("ranges (lazy, bottom-up): random {random:?}, separated {separated:?}, n = 40 {long:?}, clustered {clustered:?}");
+    }
+
+    #[test]
+    fn a_single_block_optimum_of_a_serve_shaped_set_solves_one_range() {
+        let platform = Platform::paper_defaults();
+        let mut single = 0;
+        for (k, tasks) in serve_sets(0x5E_2FE, 300).iter().enumerate() {
+            let reference = solve_counted(tasks, &platform, BlockSolverKind::BestResponse, true);
+            if reference.plain.schedule().memory_busy_intervals().len() > 1 {
+                continue;
+            }
+            single += 1;
+            let lazy = solve_counted(tasks, &platform, BlockSolverKind::BestResponse, false);
+            assert_eq!(
+                lazy.ranges, 1,
+                "set {k}: {} ranges for a single-block optimum (bottom-up {})",
+                lazy.ranges, reference.ranges
+            );
+        }
+        assert!(single >= 250, "{single} single-block optima");
+    }
+
+    #[test]
+    fn prefix_floors_never_exceed_the_prefix_optima() {
+        let platforms = seeded_platforms();
+        let mut sets = seeded_sets(0x9F_100D, 300);
+        sets.extend(clustered_sets(0x9F_C105, 12));
+        let mut checked = 0;
+        for (k, tasks) in sets.iter().enumerate() {
+            for platform in &platforms {
+                let mut solvers = vec![BlockSolverKind::BestResponse];
+                if k % 3 == 0 {
+                    solvers.push(BlockSolverKind::PaperIterative);
+                    if platform.core().is_alpha_zero() {
+                        solvers.push(BlockSolverKind::PaperClosedForm);
+                    }
+                }
+                for solver in solvers {
+                    let mut ws = Workspace::new();
+                    let sorted = prepare_in(tasks, platform, &mut ws).unwrap();
+                    let mut dp = Dp::take(&sorted, platform, solver, &mut ws);
+                    price_bottom_up(&mut dp);
+                    for (p, (&floor, &opt)) in dp.floor.iter().zip(&dp.opt).enumerate() {
+                        assert!(
+                            floor <= opt,
+                            "set {k}, {solver:?}: floor {floor} > OPT(T_{p}) {opt}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked >= 5_000, "{checked} prefixes");
     }
 
     #[test]

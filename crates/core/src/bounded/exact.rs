@@ -9,7 +9,7 @@
 use sdem_power::Platform;
 use sdem_types::{TaskSet, Time, Workspace};
 
-use super::{assemble_schedule, common_window, heaviest_task, partition_energy, EXACT_LIMIT};
+use super::{assemble_schedule, common_window, heaviest_task, partition_energy_of, EXACT_LIMIT};
 use crate::{SdemError, Solution};
 
 /// Exact bounded-core optimum by enumerating all canonical assignments of
@@ -17,9 +17,12 @@ use crate::{SdemError, Solution};
 /// and one deadline (the Theorem 1 model); core static power is taken as
 /// negligible (`α = 0` model — `platform.core().alpha()` is ignored).
 ///
-/// Enumeration scratch (the assignment vector, the per-leaf load
-/// accumulator, the incumbent best assignment) and the returned
-/// schedule's arenas come from `ws`.
+/// The walk keeps each opened core's load and `W_c^λ` as tasks are
+/// placed in index order, so a leaf sums the kept powers in core order —
+/// the bits of [`super::partition_energy`] on that leaf's loads — and pays
+/// only the interval's own `powf`s. Enumeration scratch (the assignment,
+/// the per-core loads and powers, the incumbent best assignment) and the
+/// returned schedule's arenas come from `ws`.
 ///
 /// # Errors
 ///
@@ -76,25 +79,35 @@ pub fn solve_exact_in(
     works.extend(list.iter().map(|t| t.work().value()));
 
     // Canonical enumeration: task 0 on core 0; task k may use cores
-    // 0..=min(max_used+1, cores−1).
-    let mut assign = ws.take_usizes();
-    assign.resize(n, 0);
-    let mut best_assign = ws.take_usizes();
-    let mut leaf_loads = ws.take_f64s();
-    let mut best: Option<(Time, f64)> = None;
-    enumerate(
-        &works,
+    // 0..=min(max_used+1, cores−1), so at most `n` cores ever open.
+    let mut walk = Walk {
+        works: &works,
         platform,
         deadline,
         cores,
-        1,
-        0,
-        &mut assign,
-        &mut leaf_loads,
-        &mut best_assign,
-        &mut best,
-    );
-    ws.recycle_f64s(leaf_loads);
+        lambda: platform.core().lambda(),
+        assign: ws.take_usizes(),
+        loads: ws.take_f64s(),
+        powers: ws.take_f64s(),
+        best_assign: ws.take_usizes(),
+        best: None,
+    };
+    walk.assign.resize(n, 0);
+    walk.loads.resize(n, 0.0);
+    walk.powers.resize(n, 0.0);
+    walk.loads[0] += works[0];
+    walk.powers[0] = walk.loads[0].powf(walk.lambda);
+    walk.place(1, 0);
+    let Walk {
+        assign,
+        loads,
+        powers,
+        best_assign,
+        best,
+        ..
+    } = walk;
+    ws.recycle_f64s(loads);
+    ws.recycle_f64s(powers);
     ws.recycle_usizes(assign);
     let Some((interval, energy)) = best else {
         ws.recycle_f64s(works);
@@ -122,49 +135,49 @@ pub fn solve_exact_in(
     ))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn enumerate(
-    works: &[f64],
-    platform: &Platform,
+/// The enumeration's state: the canonical assignment walked so far, each
+/// opened core's load and `W^λ`, and the incumbent.
+struct Walk<'a> {
+    works: &'a [f64],
+    platform: &'a Platform,
     deadline: Time,
     cores: usize,
-    k: usize,
-    max_used: usize,
-    assign: &mut Vec<usize>,
-    leaf_loads: &mut Vec<f64>,
-    best_assign: &mut Vec<usize>,
-    best: &mut Option<(Time, f64)>,
-) {
-    if k == works.len() {
-        leaf_loads.clear();
-        leaf_loads.resize(max_used + 1, 0.0);
-        for (i, &c) in assign.iter().enumerate() {
-            leaf_loads[c] += works[i];
-        }
-        if let Some((t, e)) = partition_energy(leaf_loads, platform, deadline) {
-            if best.as_ref().is_none_or(|b| e.value() < b.1) {
-                best_assign.clear();
-                best_assign.extend_from_slice(assign);
-                *best = Some((t, e.value()));
+    lambda: f64,
+    assign: Vec<usize>,
+    loads: Vec<f64>,
+    powers: Vec<f64>,
+    best_assign: Vec<usize>,
+    best: Option<(Time, f64)>,
+}
+
+impl Walk<'_> {
+    /// Places tasks `k..` with cores `0..=max_used` opened so far.
+    fn place(&mut self, k: usize, max_used: usize) {
+        if k == self.works.len() {
+            let used = max_used + 1;
+            let sum_wl: f64 = self.powers[..used].iter().copied().sum();
+            let w_max = self.loads[..used].iter().copied().fold(0.0f64, f64::max);
+            if let Some((t, e)) = partition_energy_of(sum_wl, w_max, self.platform, self.deadline) {
+                if self.best.as_ref().is_none_or(|b| e.value() < b.1) {
+                    self.best_assign.clear();
+                    self.best_assign.extend_from_slice(&self.assign);
+                    self.best = Some((t, e.value()));
+                }
             }
+            return;
         }
-        return;
+        let limit = (max_used + 1).min(self.cores - 1);
+        for c in 0..=limit {
+            // Restored from copies, not by subtraction, so every load
+            // is its tasks' index-order sum.
+            let (load, power) = (self.loads[c], self.powers[c]);
+            self.assign[k] = c;
+            self.loads[c] = load + self.works[k];
+            self.powers[c] = self.loads[c].powf(self.lambda);
+            self.place(k + 1, max_used.max(c));
+            self.loads[c] = load;
+            self.powers[c] = power;
+        }
+        self.assign[k] = 0;
     }
-    let limit = (max_used + 1).min(cores - 1);
-    for c in 0..=limit {
-        assign[k] = c;
-        enumerate(
-            works,
-            platform,
-            deadline,
-            cores,
-            k + 1,
-            max_used.max(c),
-            assign,
-            leaf_loads,
-            best_assign,
-            best,
-        );
-    }
-    assign[k] = 0;
 }

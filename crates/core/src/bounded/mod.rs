@@ -69,12 +69,24 @@ pub fn partition_energy(
     platform: &Platform,
     deadline: Time,
 ) -> Option<(Time, Joules)> {
+    let lambda = platform.core().lambda();
+    let sum_wl: f64 = loads.iter().map(|w| w.powf(lambda)).sum();
+    let w_max = loads.iter().cloned().fold(0.0f64, f64::max);
+    partition_energy_of(sum_wl, w_max, platform, deadline)
+}
+
+/// [`partition_energy`] from the assignment's `Σ_c W_c^λ` (summed in core
+/// order) and its largest load, for callers that keep both.
+pub(crate) fn partition_energy_of(
+    sum_wl: f64,
+    w_max: f64,
+    platform: &Platform,
+    deadline: Time,
+) -> Option<(Time, Joules)> {
     let core = platform.core();
     let (beta, lambda) = (core.beta(), core.lambda());
     let alpha_m = platform.memory().alpha_m().value();
     let d = deadline.as_secs();
-    let sum_wl: f64 = loads.iter().map(|w| w.powf(lambda)).sum();
-    let w_max = loads.iter().cloned().fold(0.0f64, f64::max);
     let lo = w_max / core.max_speed().as_hz();
     if lo > d * (1.0 + 1e-12) {
         return None;

@@ -3,10 +3,13 @@
 //! The §5 DP (`OPT(T_q) = min_p OPT(T_p) + E_min(T_{p+1..q})`) is the
 //! per-core solver of every federated DAG cell and of the
 //! `agreeable-overhead` and `dag-federated` serve schemes. Its block
-//! objective is memoized and its range table is pruned by a lower bound;
-//! neither may move a single output bit. This suite folds every output
-//! bit of those schemes over seeded pools into FNV-1a digests and checks
-//! them against values recorded before either optimization existed:
+//! objective is memoized, its range table is pruned by a lower bound, and
+//! its prefixes are priced lazily from the whole set down, a prefix whose
+//! optimum is one block being settled by a single-block certificate from
+//! prefix floors; none of these may move a single output bit. This suite
+//! folds every output bit of those schemes over seeded pools into FNV-1a
+//! digests and checks them against values recorded before any of these
+//! optimizations existed:
 //!
 //! * serve-shaped agreeable sets of 2–4 tasks (staggered releases, long
 //!   overlapping windows, times in milliseconds);
