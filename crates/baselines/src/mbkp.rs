@@ -167,6 +167,9 @@ fn schedule_with_in(
     if cores == 0 {
         return Err(BaselineError::NoCores);
     }
+    // Arrival-order assignment never uses more cores than tasks, so a
+    // larger budget changes no output, only the per-core scratch.
+    let cores = cores.min(tasks.len());
     let mut arrivals = ws.take_usizes();
     let mut core_of = ws.take_usizes();
     assign_into(tasks, cores, policy, ws, &mut arrivals, &mut core_of);

@@ -1,7 +1,8 @@
-//! The paper's figure sweeps (Fig. 6a/6b, Fig. 7a, Fig. 7b), fanned
-//! across worker threads by [`SweepRunner`] at *trial* granularity.
-//! Per-trial deterministic seeding makes every sweep's output identical
-//! for any thread count.
+//! The paper's figure sweeps (Fig. 6a/6b, Fig. 7a, Fig. 7b) and the DAG
+//! energy-vs-cores table, fanned across worker threads by [`SweepRunner`]
+//! at *trial* granularity, and the renderers that turn their rows into
+//! the committed `results/` artifacts. Per-trial deterministic seeding
+//! makes every sweep's output identical for any thread count.
 
 use sdem_core::dag::{recycle_dag_report, solve_dags_in};
 use sdem_core::{OracleOptions, SdemError};
@@ -21,6 +22,14 @@ use crate::experiment::{
     decode_trial_result, encode_trial_result, mean, run_trial_quarantined_in, FaultInjection,
     OracleCheck, TrialResult,
 };
+use crate::plot::{line_chart, ChartOptions, Series};
+
+/// Replicates per grid point in the paper configuration.
+pub const TRIALS: usize = paper::TRIALS_PER_POINT;
+/// Tasks per Fig. 7 trial in the paper configuration.
+pub const TASKS: usize = 60;
+/// Benchmark instances per Fig. 6 stream in the paper configuration.
+pub const INSTANCES: usize = 30;
 
 /// Grid seed of the Fig. 6 sweep.
 pub const FIG6_GRID_SEED: u64 = 0xF16_6000;
@@ -152,7 +161,7 @@ pub struct RobustFigure<Row> {
 
 impl<Row> RobustFigure<Row> {
     /// The rows and statistics of a sweep that must run clean, as the
-    /// figure binaries and goldens require.
+    /// goldens require.
     ///
     /// # Panics
     ///
@@ -552,7 +561,7 @@ pub fn fig7_to_csv(cells: &[Fig7Cell], param_name: &str) -> String {
 }
 
 /// Formats a Fig. 7 sweep as an aligned table (`param` rows × `x` columns).
-pub fn format_fig7(cells: &[Fig7Cell], param_name: &str) -> String {
+fn format_fig7(cells: &[Fig7Cell], param_name: &str) -> String {
     let mut params: Vec<f64> = cells.iter().map(|c| c.param).collect();
     params.dedup();
     let mut xs: Vec<f64> = cells.iter().map(|c| c.x_ms).collect();
@@ -583,6 +592,213 @@ pub fn format_fig7(cells: &[Fig7Cell], param_name: &str) -> String {
         "average SDEM-ON improvement over MBKPS: {:.2}%\n",
         avg * 100.0
     ));
+    out
+}
+
+/// A figure sweep's output, rendered from its rows: the text `sdem-cli
+/// sweep` prints, the CSV it writes with `--csv`, and the charts it
+/// writes with `--svg PREFIX`.
+#[derive(Debug, Clone)]
+pub struct Artifacts {
+    /// Header, table and averages.
+    pub text: String,
+    /// The rows as CSV.
+    pub csv: String,
+    /// `(suffix, svg)` per chart, written to `PREFIX<suffix>.svg`. A
+    /// chart with no finite point (every replicate quarantined) is left
+    /// out.
+    pub svgs: Vec<(&'static str, String)>,
+}
+
+/// A line chart, or `None` when no point is finite.
+fn chart(series: &[Series], options: &ChartOptions) -> Option<String> {
+    let mut points = series.iter().flat_map(|s| &s.points);
+    points
+        .any(|(x, y)| x.is_finite() && y.is_finite())
+        .then(|| line_chart(series, options))
+}
+
+/// Fig. 6's artifacts: both panels as tables with their average gap
+/// over MBKPS and the paper's, and one chart per panel (`a`, `b`).
+pub fn fig6_artifacts(rows: &[Fig6Row], instances: usize, trials: usize) -> Artifacts {
+    let n = rows.len() as f64;
+    let memory_gap = rows
+        .iter()
+        .map(|r| r.sdem_memory_saving - r.mbkps_memory_saving)
+        .sum::<f64>()
+        / n;
+    let system_gap = rows
+        .iter()
+        .map(|r| 1.0 - (1.0 - r.sdem_system_saving) / (1.0 - r.mbkps_system_saving))
+        .sum::<f64>()
+        / n;
+    let mut out = Artifacts {
+        text: format!(
+            "Fig. 6 — DSPstone FFT-1024 + MatMul, {instances} instances/stream, \
+             {trials} trials/point\n\
+             platform: Cortex-A57 ×{}, α_m = {} W, ξ_m = {} ms (Table 4 defaults)\n\n",
+            paper::NUM_CORES,
+            paper::DEFAULT_ALPHA_M_W,
+            paper::DEFAULT_XI_M_MS
+        ),
+        csv: fig6_to_csv(rows),
+        svgs: Vec::new(),
+    };
+    fig6_panel(&mut out, rows, "a", "memory static-energy saving", |r| {
+        (r.sdem_memory_saving, r.mbkps_memory_saving)
+    });
+    out.text.push_str(&format!(
+        "average memory-saving improvement of SDEM-ON over MBKPS: {:.2}%  (paper: 10.02%)\n\n",
+        memory_gap * 100.0
+    ));
+    fig6_panel(&mut out, rows, "b", "system-wide energy saving", |r| {
+        (r.sdem_system_saving, r.mbkps_system_saving)
+    });
+    out.text.push_str(&format!(
+        "average system-energy saving of SDEM-ON over MBKPS: {:.2}%  (paper: 23.45%)\n",
+        system_gap * 100.0
+    ));
+    out
+}
+
+/// Appends one Fig. 6 panel: its table of the `(SDEM-ON, MBKPS)` savings
+/// `saving` reads from each row, and its chart.
+fn fig6_panel(
+    out: &mut Artifacts,
+    rows: &[Fig6Row],
+    panel: &'static str,
+    what: &str,
+    saving: impl Fn(&Fig6Row) -> (f64, f64),
+) {
+    let title = format!("Fig. 6{panel} — {what}");
+    out.text.push_str(&format!(
+        "{title} vs MBKP\n{:>4} {:>12} {:>12}\n",
+        "U", "SDEM-ON", "MBKPS"
+    ));
+    let (sdem, mbkps): (Vec<_>, Vec<_>) = rows
+        .iter()
+        .map(|r| {
+            let (sdem, mbkps) = saving(r);
+            ((r.u, sdem), (r.u, mbkps))
+        })
+        .unzip();
+    for (&(u, sdem), &(_, mbkps)) in sdem.iter().zip(&mbkps) {
+        out.text.push_str(&format!(
+            "{u:>4} {:>11.2}% {:>11.2}%\n",
+            sdem * 100.0,
+            mbkps * 100.0
+        ));
+    }
+    let series = [
+        Series {
+            label: "SDEM-ON".into(),
+            points: sdem,
+        },
+        Series {
+            label: "MBKPS".into(),
+            points: mbkps,
+        },
+    ];
+    let options = ChartOptions {
+        title,
+        x_label: "U (larger = lower utilization)".into(),
+        y_label: "energy saving vs MBKP".into(),
+        ..Default::default()
+    };
+    out.svgs
+        .extend(chart(&series, &options).map(|svg| (panel, svg)));
+}
+
+/// Fig. 7a's artifacts: the `α_m × x` table under a header naming the
+/// configuration and the paper's average, and one chart.
+pub fn fig7a_artifacts(cells: &[Fig7Cell], tasks: usize, trials: usize) -> Artifacts {
+    let title = format!(
+        "Fig. 7a — SDEM-ON improvement over MBKPS, α_m sweep (ξ_m = {} ms)",
+        paper::DEFAULT_XI_M_MS
+    );
+    let names = ["alpha_m[W]", "alpha_m_w", "alpha_m [W]"];
+    fig7_artifacts(cells, &title, tasks, trials, "9.74%", names)
+}
+
+/// Fig. 7b's artifacts: the `ξ_m × x` table, as [`fig7a_artifacts`].
+pub fn fig7b_artifacts(cells: &[Fig7Cell], tasks: usize, trials: usize) -> Artifacts {
+    let title = format!(
+        "Fig. 7b — SDEM-ON improvement over MBKPS, ξ_m sweep (α_m = {} W)",
+        paper::DEFAULT_ALPHA_M_W
+    );
+    let names = ["xi_m[ms]", "xi_m_ms", "xi_m [ms]"];
+    fig7_artifacts(cells, &title, tasks, trials, "10.52%", names)
+}
+
+/// A Fig. 7 panel's artifacts; `axis`, `column` and `legend` name the
+/// swept parameter in the table, the CSV and the chart.
+fn fig7_artifacts(
+    cells: &[Fig7Cell],
+    title: &str,
+    tasks: usize,
+    trials: usize,
+    paper_average: &str,
+    [axis, column, legend]: [&str; 3],
+) -> Artifacts {
+    let text = format!(
+        "{title}, {tasks} tasks, {trials} trials/point  (paper average: {paper_average})\n\n{}",
+        format_fig7(cells, axis)
+    );
+    let mut params: Vec<f64> = cells.iter().map(|c| c.param).collect();
+    params.dedup();
+    let series: Vec<Series> = params
+        .iter()
+        .map(|&p| Series {
+            label: format!("{legend} = {p}"),
+            points: cells
+                .iter()
+                .filter(|c| c.param == p)
+                .map(|c| (c.x_ms, c.improvement))
+                .collect(),
+        })
+        .collect();
+    let options = ChartOptions {
+        title: "SDEM-ON improvement over MBKPS".into(),
+        x_label: "max inter-arrival x [ms]".into(),
+        y_label: "improvement".into(),
+        width: 760,
+        height: 480,
+    };
+    Artifacts {
+        text,
+        csv: fig7_to_csv(cells, column),
+        svgs: chart(&series, &options)
+            .map(|svg| ("", svg))
+            .into_iter()
+            .collect(),
+    }
+}
+
+/// The DAG sweep's text: a header naming the grid, then one line per
+/// `(suite, cores)` cell.
+pub fn dag_energy_text(config: &DagSweepConfig, rows: &[DagEnergyRow]) -> String {
+    let mut out = format!(
+        "DAG federated sweep — {} suites × {} DAGs × {} nodes, {:.0} ms frame, cores {:?}\n\
+         {:>5} {:>5} {:>9} {:>12} {:>10} {:>8} {:>10}\n",
+        config.suites,
+        config.dags_per_suite,
+        config.nodes,
+        config.frame.as_millis(),
+        config.cores,
+        "suite",
+        "cores",
+        "feasible",
+        "energy_j",
+        "sleep_ms",
+        "clusters",
+        "cores_used"
+    );
+    for r in rows {
+        out.push_str(&format!(
+            "{:>5} {:>5} {:>9} {:>12.6} {:>10.3} {:>8} {:>10}\n",
+            r.suite, r.cores, r.feasible, r.energy_j, r.memory_sleep_ms, r.clusters, r.cores_used
+        ));
+    }
     out
 }
 

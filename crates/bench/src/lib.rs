@@ -3,20 +3,20 @@
 //! (`α_m × x` sweep) and Fig. 7b (`ξ_m × x` sweep), plus the Table 4
 //! parameter grid the sweeps read from `sdem-workload::paper`.
 //!
-//! Binaries:
-//!
-//! * `cargo run -p sdem-bench --release --bin fig6` — both panels of Fig. 6;
-//! * `cargo run -p sdem-bench --release --bin fig7a`;
-//! * `cargo run -p sdem-bench --release --bin fig7b`.
-//!
-//! Every binary fans its trials across worker threads through
-//! [`sdem_exec::SweepRunner`]; set `SDEM_THREADS` to bound the worker
-//! count (the output is bit-identical for any value).
+//! [`figures`] runs each sweep and renders its rows into the committed
+//! `results/` artifacts (text, CSV, SVG); `sdem-cli sweep --figure
+//! fig6|fig7a|fig7b` and `sdem-cli dag sweep` are their front end, and
+//! `results/README.md` gives the command per file. Every sweep fans its
+//! trials across worker threads through [`sdem_exec::SweepRunner`]; the
+//! output is bit-identical for any thread count.
 //!
 //! Every figure sweep runs its replicates through
 //! [`experiment::run_trial_quarantined_in`], so a failed trial becomes a
-//! quarantine record instead of aborting the figure; the binaries and
-//! goldens require an empty one ([`figures::RobustFigure::expect_clean`]).
+//! quarantine record instead of aborting the figure; the goldens require
+//! an empty one ([`figures::RobustFigure::expect_clean`]).
+//!
+//! Three study binaries have no CLI twin: `competitive`, `single_core`
+//! and `ablation_baselines` (`SDEM_THREADS` bounds their worker count).
 //!
 //! Plain benches (`cargo bench -p sdem-bench`) time the algorithms and
 //! the harness via [`microbench`]; the ablation benches compare design

@@ -1,4 +1,4 @@
-//! Minimal dependency-free SVG line charts for the figure binaries.
+//! Minimal dependency-free SVG line charts for the figure renderers.
 //!
 //! Just enough of a plotting layer to regenerate the paper's figures as
 //! images: numeric axes with ticks, one polyline + markers per series, and

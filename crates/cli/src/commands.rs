@@ -42,11 +42,13 @@ USAGE:
                     power-over-time CSV (time_s,cores_w,memory_w,total_w)
   sdem-cli sweep    [--figure fig6|fig7a|fig7b] [--trials N] [--tasks N]
                     [--instances N] [--threads N] [--csv FILE]
-                    [--metrics FILE] [--trace FILE]
+                    [--svg PREFIX] [--metrics FILE] [--trace FILE]
                     [--oracle] [--oracle-tol REL] [--oracle-keep-going]
                     [--quarantine FILE] [--inject panics=N,nans=N]
                     [--checkpoint FILE | --resume FILE] [--halt-after N]
-                    parallel figure sweep; prints trials/sec statistics
+                    regenerate a paper figure (defaults: the paper's 10
+                    trials/point, 60 tasks, 30 instances/stream); --svg
+                    writes its charts to PREFIX[a|b].svg
   sdem-cli stats    --input FILE [--check]
                     summarize a --metrics JSON or --trace JSONL file
   sdem-cli repro    --seed S [--kind synthetic|dspstone|fig6] [--tasks N]
@@ -78,6 +80,7 @@ USAGE:
                     [--csv FILE]
                     energy vs core budget over seeded DAG suites, every
                     cell oracle-verified; identical at any --threads
+                    (defaults: the committed 3 suites x 4 nine-node DAGs)
   sdem-cli help
 
 Sweeps and experiments fan trials across worker threads; results are
@@ -574,16 +577,7 @@ fn dag_sweep(args: &Args) -> Result<(), CliError> {
     let runner = runner_from(args)?;
     let (rows, stats) = figures::dag_energy_with(&config, &runner);
     eprintln!("sweep: {stats}");
-    println!(
-        "{:>5} {:>5} {:>9} {:>12} {:>10} {:>8} {:>10}",
-        "suite", "cores", "feasible", "energy_j", "sleep_ms", "clusters", "cores_used"
-    );
-    for r in &rows {
-        println!(
-            "{:>5} {:>5} {:>9} {:>12.6} {:>10.3} {:>8} {:>10}",
-            r.suite, r.cores, r.feasible, r.energy_j, r.memory_sleep_ms, r.clusters, r.cores_used
-        );
-    }
+    print!("{}", figures::dag_energy_text(&config, &rows));
     if let Some(path) = args.get("csv") {
         fs::write(path, figures::dag_energy_to_csv(&rows))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
@@ -623,21 +617,6 @@ fn oracle_from(args: &Args) -> Result<OracleCheck, CliError> {
     } else {
         OracleCheck::FailFast(tol)
     })
-}
-
-fn fig6_table(rows: &[figures::Fig6Row]) -> String {
-    rows.iter()
-        .map(|r| {
-            format!(
-                "U={:<3} memory: SDEM {:6.2}% MBKPS {:6.2}%   system: SDEM {:6.2}% MBKPS {:6.2}%\n",
-                r.u,
-                r.sdem_memory_saving * 100.0,
-                r.mbkps_memory_saving * 100.0,
-                r.sdem_system_saving * 100.0,
-                r.mbkps_system_saving * 100.0,
-            )
-        })
-        .collect()
 }
 
 /// Entry point for `sweep`: arms the metrics registry and/or trace sink
@@ -688,7 +667,7 @@ fn sweep(args: &Args) -> Result<(), CliError> {
 /// which is sorted by trial index).
 fn sweep_dispatch(args: &Args) -> Result<(), CliError> {
     let figure = args.get_or("figure", "fig7a");
-    let trials = trials_from(args, 5)?;
+    let trials = trials_from(args, figures::TRIALS)?;
     let mut runner = runner_from(args)?;
     let halt_after = args.get_usize("halt-after", 0)?;
     if halt_after > 0 {
@@ -727,44 +706,55 @@ fn sweep_dispatch(args: &Args) -> Result<(), CliError> {
         }
     }
 
-    let fig7 = |cells: &[figures::Fig7Cell], axis, column| {
-        let table = figures::format_fig7(cells, axis);
-        (table, figures::fig7_to_csv(cells, column))
-    };
-    let (rendered, quarantine, stats, completed) = match figure {
+    // A halted sweep has no rows, so it renders (and prints) nothing.
+    let (artifacts, quarantine, stats, completed) = match figure {
         "fig6" => {
-            let instances = args.get_usize("instances", 15)?;
+            let instances = args.get_usize("instances", figures::INSTANCES)?;
             let f = figures::fig6(instances, trials, &runner, options, journal.as_mut())?;
-            let rendered = f
+            let artifacts = f
                 .rows
                 .as_deref()
-                .map(|rows| (fig6_table(rows), figures::fig6_to_csv(rows)));
-            (rendered, f.quarantine, f.stats, f.completed)
+                .map(|rows| figures::fig6_artifacts(rows, instances, trials));
+            (artifacts, f.quarantine, f.stats, f.completed)
         }
         "fig7a" => {
-            let tasks = args.get_usize("tasks", 40)?;
+            let tasks = args.get_usize("tasks", figures::TASKS)?;
             let f = figures::fig7a(tasks, trials, &runner, options, journal.as_mut())?;
-            let rendered = f
+            let artifacts = f
                 .rows
                 .as_deref()
-                .map(|c| fig7(c, "alpha_m[W]", "alpha_m_w"));
-            (rendered, f.quarantine, f.stats, f.completed)
+                .map(|cells| figures::fig7a_artifacts(cells, tasks, trials));
+            (artifacts, f.quarantine, f.stats, f.completed)
         }
         "fig7b" => {
-            let tasks = args.get_usize("tasks", 40)?;
+            let tasks = args.get_usize("tasks", figures::TASKS)?;
             let f = figures::fig7b(tasks, trials, &runner, options, journal.as_mut())?;
-            let rendered = f.rows.as_deref().map(|c| fig7(c, "xi_m[ms]", "xi_m_ms"));
-            (rendered, f.quarantine, f.stats, f.completed)
+            let artifacts = f
+                .rows
+                .as_deref()
+                .map(|cells| figures::fig7b_artifacts(cells, tasks, trials));
+            (artifacts, f.quarantine, f.stats, f.completed)
         }
         other => return Err(format!("unknown figure `{other}`").into()),
     };
 
-    match rendered {
-        Some((table, csv)) => {
-            print!("{table}");
+    match artifacts {
+        Some(artifacts) => {
+            print!("{}", artifacts.text);
             if let Some(path) = args.get("csv") {
-                fs::write(path, &csv).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+                fs::write(path, &artifacts.csv)
+                    .map_err(|e| format!("cannot write `{path}`: {e}"))?;
                 eprintln!("wrote CSV to {path}");
+            }
+            if let Some(prefix) = args.get("svg") {
+                for (suffix, svg) in &artifacts.svgs {
+                    let path = format!("{prefix}{suffix}.svg");
+                    fs::write(&path, svg).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+                    eprintln!("wrote {path}");
+                }
+                if artifacts.svgs.is_empty() {
+                    eprintln!("svg: every trial was quarantined; no chart to write");
+                }
             }
         }
         None => eprintln!(
@@ -1118,21 +1108,10 @@ fn experiment(args: &Args) -> Result<(), CliError> {
             record.seed, record.config
         );
     }
-    let results = &outcome.per_point[0];
-    if results.is_empty() {
-        // Every trial was quarantined: exit with the first record's kind.
-        if let Some(first) = outcome.quarantine.first() {
-            return Err(CliError::new(
-                ErrorKind::from_code(&first.kind).unwrap_or(ErrorKind::Internal),
-                format!(
-                    "all {} trials quarantined (first: {})",
-                    outcome.quarantine.len(),
-                    first.kind
-                ),
-            ));
-        }
-        return Err("no feasible seeds for this configuration".into());
+    if let Some((kind, detail)) = sdem_bench::empty_study(&outcome) {
+        return Err(CliError::new(kind, detail));
     }
+    let results = &outcome.per_point[0];
     println!(
         "experiment: kind={kind} trials={} cores={cores} (seed {seed:#x})",
         results.len()
@@ -1233,7 +1212,7 @@ mod tests {
             usage_keys("dag solve"),
             ["input", "cores", "alpha-m", "xi-m", "oracle", "oracle-tol"]
         );
-        assert_eq!(usage_keys("sweep").len(), 16);
+        assert_eq!(usage_keys("sweep").len(), 17);
         assert!(usage_keys("help").is_empty());
         assert!(!usage_keys("repro").contains(&"oracle-keep-going"));
     }

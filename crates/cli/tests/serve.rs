@@ -248,6 +248,66 @@ fn replay_chaos_counters_export_and_validate() {
 }
 
 #[test]
+fn a_core_budget_above_the_task_count_changes_no_output() {
+    use sdem_baselines::mbkp::{schedule_online, Assignment};
+    use sdem_core::{solve, Scheme, SCHEMES};
+    use sdem_power::Platform;
+    use sdem_types::{Cycles, Task, TaskSet, Time};
+
+    const HUGE: usize = 1_000_000_000_000_000;
+    let ms = Time::from_millis;
+    let tasks = TaskSet::new(vec![
+        Task::new(0, ms(0.0), ms(80.0), Cycles::new(8e6)),
+        Task::new(1, ms(0.0), ms(80.0), Cycles::new(1.2e7)),
+        Task::new(2, ms(0.0), ms(80.0), Cycles::new(3e6)),
+    ])
+    .unwrap();
+    let (platform, n) = (Platform::paper_defaults(), tasks.len());
+    // `Debug` prints every float in full, so equal text is equal bits.
+    let budgeted = SCHEMES
+        .iter()
+        .filter_map(|entry| entry.wire)
+        .filter(|name| Scheme::from_wire_name(name, 1) != Scheme::from_wire_name(name, 2));
+    let mut checked = 0;
+    for name in budgeted {
+        let at = |cores| {
+            format!(
+                "{:?}",
+                solve(
+                    &tasks,
+                    &platform,
+                    Scheme::from_wire_name(name, cores).unwrap()
+                )
+            )
+        };
+        assert_eq!(at(HUGE), at(n), "{name}");
+        checked += 1;
+    }
+    assert_eq!(
+        checked, 7,
+        "sdem-on and the six bounded and federated schemes"
+    );
+    for policy in [Assignment::RoundRobin, Assignment::LeastLoaded] {
+        let at = |cores| format!("{:?}", schedule_online(&tasks, &platform, cores, policy));
+        assert_eq!(at(HUGE), at(n), "mbkp {policy:?}");
+    }
+
+    // The daemon answers the line and the one after it, the same way.
+    let line = |id, cores| {
+        format!(
+            "{{\"v\":1,\"id\":{id},\"scheme\":\"bounded-lpt\",\"cores\":{cores},\
+             \"tasks\":[[0,0,80,8e6],[1,0,80,1.2e7]]}}\n"
+        )
+    };
+    let (out, code) = run_daemon(&["serve", "--workers", "1"], &(line(0, HUGE) + &line(1, 2)));
+    assert_eq!(code, 0, "{out}");
+    let answers: Vec<&str> = out.lines().collect();
+    assert_eq!(answers.len(), 2, "{out}");
+    assert!(answers[0].contains("\"ok\":true"), "{out}");
+    assert_eq!(answers[0].replacen("\"id\":0", "\"id\":1", 1), answers[1]);
+}
+
+#[test]
 fn exit_codes_follow_the_error_taxonomy() {
     // Usage mistakes exit 2.
     let status = Command::new(BIN)

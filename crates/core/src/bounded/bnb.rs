@@ -65,6 +65,7 @@ pub fn solve_bnb_in(
     if cores == 0 {
         return Err(SdemError::NoCores);
     }
+    let cores = cores.min(tasks.len());
     let n = tasks.len();
     if n > BNB_LIMIT {
         return Err(SdemError::TooLarge {

@@ -66,6 +66,7 @@ pub fn solve_exact_in(
     if cores == 0 {
         return Err(SdemError::NoCores);
     }
+    let cores = cores.min(tasks.len());
     let n = tasks.len();
     if n > EXACT_LIMIT {
         return Err(SdemError::TooLarge {

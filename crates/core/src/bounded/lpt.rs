@@ -40,6 +40,7 @@ pub fn solve_lpt_in(
     if cores == 0 {
         return Err(SdemError::NoCores);
     }
+    let cores = cores.min(tasks.len());
     let list = tasks.tasks();
     let (r0, deadline) = common_window(tasks)?;
 
@@ -70,8 +71,9 @@ pub fn solve_lpt_in(
 /// The LPT greedy over a [`Partition`]: walk `order` and place each task
 /// on the currently least-loaded core (first minimum, so the placement is
 /// deterministic). Loads accumulate in placement order. Shared by the
-/// LPT tier itself, the B&B incumbent seed and the refine tier's start.
-pub(super) fn lpt_assign(works: &[f64], order: &[usize], cores: usize, part: &mut Partition) {
+/// LPT tier itself, the B&B incumbent seed, the refine tier's start and
+/// the federated DAG packing.
+pub(crate) fn lpt_assign(works: &[f64], order: &[usize], cores: usize, part: &mut Partition) {
     part.reset(works.len(), cores);
     for &k in order {
         let c = part.lightest_core();

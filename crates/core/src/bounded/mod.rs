@@ -25,6 +25,9 @@
 //!
 //! [`Scheme::BoundedAuto`](crate::Scheme::BoundedAuto) routes an instance
 //! to the strongest tier its size admits: exact → B&B → LPT + refine.
+//! No assignment opens more cores than there are tasks, so every tier
+//! clamps its core budget to the task count: a larger budget changes no
+//! output, and per-core scratch stays the instance's size.
 
 use sdem_power::Platform;
 use sdem_types::{
@@ -40,6 +43,7 @@ mod refine;
 
 pub use bnb::solve_bnb_in;
 pub use exact::solve_exact_in;
+pub(crate) use lpt::lpt_assign;
 pub use lpt::solve_lpt_in;
 pub use refine::solve_refined_in;
 

@@ -56,6 +56,7 @@ pub fn solve_refined_in(
     if cores == 0 {
         return Err(SdemError::NoCores);
     }
+    let cores = cores.min(tasks.len());
     let list = tasks.tasks();
     let (r0, deadline) = common_window(tasks)?;
 

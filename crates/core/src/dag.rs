@@ -39,7 +39,7 @@ use sdem_types::{
 };
 use sdem_workload::dag::Dag;
 
-use crate::bounded::{common_window, lpt_order_into};
+use crate::bounded::{common_window, lpt_assign, lpt_order_into};
 use crate::oracle::{OracleError, OracleOptions};
 use crate::{solve_in, Scheme, SdemError, Solution};
 
@@ -135,34 +135,6 @@ fn chop_boundary(start: Time, end: Time, span: Time, cum: f64, total: f64) -> Ti
         end
     } else {
         start + span * (cum / total)
-    }
-}
-
-/// Greedy LPT packing: items in (work descending, index ascending) order,
-/// each onto the least-loaded core, lowest core index on ties. Shared by
-/// the light-DAG allocator and the lean task-set path so the two agree
-/// bit for bit.
-fn pack_lpt(
-    works: &[f64],
-    cores: usize,
-    order: &mut Vec<usize>,
-    loads: &mut Vec<f64>,
-    assignment: &mut Vec<usize>,
-) {
-    lpt_order_into(works, order);
-    loads.clear();
-    loads.resize(cores, 0.0);
-    assignment.clear();
-    assignment.resize(works.len(), 0);
-    for &i in order.iter() {
-        let mut best = 0;
-        for c in 1..cores {
-            if loads[c] < loads[best] {
-                best = c;
-            }
-        }
-        assignment[i] = best;
-        loads[best] += works[i];
     }
 }
 
@@ -363,9 +335,10 @@ pub fn solve_dags_in(
     // Pass 2 — pack light DAGs onto the shared cores.
     let shared_first = next_core;
     let shared_cores = cores - next_core;
+    // The bounded tiers' LPT packing, so the light-DAG allocator and the
+    // lean task-set path agree with them bit for bit.
     let mut order = ws.take_usizes();
-    let mut loads = ws.take_f64s();
-    let mut light_assignment = ws.take_usizes();
+    let mut packed = ws.take_partition();
     if !light.is_empty() {
         if shared_cores == 0 {
             return Err(SdemError::NoCores);
@@ -378,16 +351,11 @@ pub fn solve_dags_in(
         {
             return Err(SdemError::NotCommonRelease);
         }
-        pack_lpt(
-            &light_works,
-            shared_cores,
-            &mut order,
-            &mut loads,
-            &mut light_assignment,
-        );
+        lpt_order_into(&light_works, &mut order);
+        lpt_assign(&light_works, &order, shared_cores, &mut packed);
         for (k, &i) in light.iter().enumerate() {
             assignments[i] = DagAssignment::Shared {
-                core: shared_first + light_assignment[k],
+                core: shared_first + packed.core_of(k),
             };
         }
     }
@@ -424,7 +392,7 @@ pub fn solve_dags_in(
         // chopped proportional to each DAG's total work.
         let mut core_total = 0.0;
         for &k in order.iter() {
-            if light_assignment[k] == c {
+            if packed.core_of(k) == c {
                 core_total += light_works[k];
             }
         }
@@ -437,7 +405,7 @@ pub fn solve_dags_in(
         let mut cum = 0.0;
         let mut window_start = r0;
         for &k in order.iter() {
-            if light_assignment[k] != c {
+            if packed.core_of(k) != c {
                 continue;
             }
             cum += light_works[k];
@@ -464,8 +432,7 @@ pub fn solve_dags_in(
     ws.recycle_usizes(light);
     ws.recycle_f64s(light_works);
     ws.recycle_usizes(order);
-    ws.recycle_f64s(loads);
-    ws.recycle_usizes(light_assignment);
+    ws.recycle_partition(packed);
 
     // Pass 4 — solve each busy core with the Auto router, re-map its
     // placements onto the physical core, price the per-core view, and
@@ -543,6 +510,7 @@ pub fn solve_federated_in(
     if cores == 0 {
         return Err(SdemError::NoCores);
     }
+    let cores = cores.min(tasks.len());
     let (r0, span) = common_window(tasks)?;
     let list = tasks.tasks();
     let end = list[0].deadline();
@@ -551,15 +519,15 @@ pub fn solve_federated_in(
     let mut works = ws.take_f64s();
     works.extend(list.iter().map(|t| t.work().value()));
     let mut order = ws.take_usizes();
-    let mut loads = ws.take_f64s();
-    let mut assignment = ws.take_usizes();
-    pack_lpt(&works, cores, &mut order, &mut loads, &mut assignment);
+    lpt_order_into(&works, &mut order);
+    let mut packed = ws.take_partition();
+    lpt_assign(&works, &order, cores, &mut packed);
 
     let mut merged = ws.take_placements();
     for c in 0..cores {
         let mut core_total = 0.0;
         for &i in order.iter() {
-            if assignment[i] == c {
+            if packed.core_of(i) == c {
                 core_total += works[i];
             }
         }
@@ -568,7 +536,7 @@ pub fn solve_federated_in(
             let mut cum = 0.0;
             let mut window_start = r0;
             for &i in order.iter() {
-                if assignment[i] != c || works[i] == 0.0 {
+                if packed.core_of(i) != c || works[i] == 0.0 {
                     continue;
                 }
                 cum += works[i];
@@ -599,15 +567,14 @@ pub fn solve_federated_in(
         // Zero-work tasks contribute no demand: an empty placement on
         // their packed core keeps the schedule's task coverage complete.
         for &i in order.iter() {
-            if assignment[i] == c && works[i] == 0.0 {
+            if packed.core_of(i) == c && works[i] == 0.0 {
                 merged.push(Placement::new(list[i].id(), CoreId(c), ws.take_segments()));
             }
         }
     }
     ws.recycle_f64s(works);
     ws.recycle_usizes(order);
-    ws.recycle_f64s(loads);
-    ws.recycle_usizes(assignment);
+    ws.recycle_partition(packed);
     Ok(Solution::from_schedule_in(
         Schedule::new(merged),
         platform,
