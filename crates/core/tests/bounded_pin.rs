@@ -12,7 +12,15 @@
 //! * `paper`: 3–9 tasks at the paper's magnitudes (Mcycles, a 60–100 ms
 //!   window) on the paper platform, the `serve-cold` `bounded-auto` shape
 //!   (all four tiers);
-//! * `large`: 15–60 tasks on 2–8 cores (LPT and refined only).
+//! * `large`: 15–60 tasks on 2–8 cores (LPT and refined only);
+//! * `beyond`: past the enumerator at paper magnitudes — 2 cores at 15–24
+//!   tasks (Theorem 1's PARTITION case, and `serve-cold`'s `bounded-bnb`
+//!   shape at 15) and 3–4 cores at 15–18 — every search finishing within
+//!   the node budget (branch-and-bound only).
+//!
+//! An ignored `budget` pool holds 3-core sets at 20–24 tasks whose search
+//! trips the node budget, so its answer is the best incumbent found
+//! within it: a pruning change may lower its energy, never raise it.
 //!
 //! A digest folds the result kind, energy, memory-sleep, task, core and
 //! segment start/end/speed bits of each solution, or the error. Do not
@@ -123,6 +131,41 @@ fn paper_pool() -> Vec<Case> {
         .collect()
 }
 
+/// Paper magnitudes: `n` tasks of 1–6 Mcycles in a 60–100 ms common
+/// window.
+fn paper_set(n: usize, rng: &mut SplitMix64) -> TaskSet {
+    let deadline = Time::from_millis(rng.gen_range(60.0..100.0));
+    let works: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0e6..6.0e6)).collect();
+    common_window(&works, deadline)
+}
+
+/// Past the enumerator: one paper-magnitude set per shape, 2 cores at
+/// 15–24 tasks, then 3 and 4 cores at 15–18.
+fn beyond_pool() -> Vec<Case> {
+    let mut rng = SplitMix64::seed_from_u64(0xB0_BE70D);
+    let shapes = (15..=24)
+        .map(|n| (n, 2))
+        .chain((15..=18).flat_map(|n| [(n, 3), (n, 4)]));
+    shapes
+        .map(|(n, cores)| (paper_set(n, &mut rng), Platform::paper_defaults(), cores))
+        .collect()
+}
+
+/// 3 cores at 20–24 paper-magnitude tasks: every search trips the node
+/// budget.
+fn budget_pool() -> Vec<Case> {
+    let mut rng = SplitMix64::seed_from_u64(0xB0_B4D6E7);
+    (0..8usize)
+        .map(|i| {
+            (
+                paper_set(20 + i % 5, &mut rng),
+                Platform::paper_defaults(),
+                3,
+            )
+        })
+        .collect()
+}
+
 /// Past the exact tiers: 15–60 tasks on 2–8 cores.
 fn large_pool() -> Vec<Case> {
     let mut rng = SplitMix64::seed_from_u64(0xB0_1A26E);
@@ -170,11 +213,13 @@ fn all_digests() -> Vec<(String, u64)> {
     digest("small", &small_pool(), &EXACT_TIERS, &mut out);
     digest("paper", &paper_pool(), &EXACT_TIERS, &mut out);
     digest("large", &large_pool(), &EXACT_TIERS[2..], &mut out);
+    digest("beyond", &beyond_pool(), &EXACT_TIERS[1..2], &mut out);
     out
 }
 
 /// Digests recorded before the exact tier kept each core's `W^λ` across
-/// its enumeration.
+/// its enumeration; `beyond/bnb` before the exact tiers compared
+/// candidates on `Σ W^λ`.
 const PINNED: &[(&str, u64)] = &[
     ("small/exact", 0x273005bdbbcca964),
     ("small/bnb", 0x273005bdbbcca964),
@@ -186,6 +231,20 @@ const PINNED: &[(&str, u64)] = &[
     ("paper/refined", 0xcc0f0d0ac6002d52),
     ("large/lpt", 0xa1c25ee617e03db8),
     ("large/refined", 0x048ea312999b0539),
+    ("beyond/bnb", 0x253d90c056b5dc9b),
+];
+
+/// The budget pool's energies before the exact tiers compared candidates
+/// on `Σ W^λ`, when every search expanded its 2,000,000 nodes.
+const BUDGET_PINNED: [u64; 8] = [
+    0x3fbc91384decbcc0,
+    0x3fbc50938d6327b0,
+    0x3fbdfdfd070a6e6e,
+    0x3fbf63360334dbfe,
+    0x3fc0fe07f81f7b12,
+    0x3fb9cb9845faa2fc,
+    0x3fc02fdb869acc08,
+    0x3fbcefc984e98bf0,
 ];
 
 #[test]
@@ -208,6 +267,33 @@ fn bounded_outputs_match_the_pinned_digests() {
         }
     }
     assert!(moved.is_empty(), "outputs moved:\n{moved}");
+}
+
+/// A budget-tripped search returns its best incumbent, so a pruning
+/// change may move the answer, but only to a lower energy. A moved row is
+/// printed; a row that rises fails.
+#[test]
+#[ignore = "eight budget-tripping searches; run with --release -- --ignored"]
+fn budget_tripped_searches_never_rise_in_energy() {
+    let mut ws = Workspace::new();
+    let mut risen = String::new();
+    for (i, ((tasks, platform, cores), pinned)) in
+        budget_pool().iter().zip(BUDGET_PINNED).enumerate()
+    {
+        let sol = solve_bnb_in(tasks, platform, *cores, &mut ws).expect("feasible");
+        sol.schedule().validate(tasks).expect("valid schedule");
+        let (got, was) = (sol.predicted_energy().value(), f64::from_bits(pinned));
+        if got.to_bits() != pinned {
+            println!(
+                "budget row {i} (n = {}): {was:e} J -> {got:e} J",
+                tasks.len()
+            );
+        }
+        if got > was {
+            risen += &format!("row {i}: {got:e} J above the pinned {was:e} J\n");
+        }
+    }
+    assert!(risen.is_empty(), "budget-pool energies rose:\n{risen}");
 }
 
 #[test]
