@@ -1,18 +1,35 @@
 //! The branch-and-bound tier: exact results past the enumeration ceiling.
 //!
 //! A best-first depth-first search over the same assignment space as the
-//! exact enumerator, with three additions that preserve its semantics
+//! exact enumerator, with four additions that preserve its semantics
 //! bit-for-bit while visiting a fraction of the tree:
 //!
 //! * **LPT incumbent** — the greedy LPT assignment, evaluated through the
 //!   same canonical leaf path as every search leaf, seeds the cutoff, so
 //!   pruning is effective from the first node;
-//! * **water-filling bound** — for a partial assignment the remaining
-//!   work is spread continuously to equalize the smallest loads (the
-//!   convex relaxation of Σ W_c^λ), and the deadline-aware Eq. 3 energy
-//!   of that relaxed vector is an admissible lower bound: no subtree
-//!   containing an optimal leaf is ever pruned, because the prune test
-//!   keeps a `1e-9` relative slack above the cutoff;
+//! * **a threshold in `Σ W^λ`** — a node is bounded by a lower bound on
+//!   the `Σ_c W_c^λ` of every leaf below it, never priced in joules: once
+//!   per incumbent, [`WlCeiling`] turns the incumbent's energy into the
+//!   largest `Σ W^λ` whose deadline-aware Eq. 3 / clamped Eq. 2 price
+//!   stays within the `1e-9` relative slack, loosened by `1 − 1e-9` for
+//!   rounding. A node past it is pruned; children are expanded in
+//!   ascending bound order (best-first), falling back to core index on
+//!   ties. The bound is admissible, so no subtree containing an optimal
+//!   leaf is ever pruned;
+//! * **water-filling bound** — the remaining work is spread continuously
+//!   to equalize the smallest loads, the convex minimizer of `Σ W^λ`. Once
+//!   the level covers every core the bound is the per-solve constant
+//!   `m · (W/m)^λ` (`W` the total work, `m` the cores);
+//! * **two-core subset-sum bound** — on two cores (Theorem 1's PARTITION
+//!   case) the fluid relaxation cannot see that the best final imbalance
+//!   is a few hundred cycles among Mcycle tasks. Once per solve, the
+//!   sorted subset sums of the [`TAIL`] smallest tasks (and of each
+//!   suffix of them) are built by merging, not sorting. A node's final
+//!   imbalance is then at least twice the distance from the amount that
+//!   balances the two cores to the nearest sum reachable with the
+//!   unassigned tail tasks placed whole and every other unassigned task
+//!   as fluid. That imbalance, less `1e-10 · W` for the rounding of the
+//!   table's sums, prices the node;
 //! * **canonical leaf evaluation** — a leaf's loads are re-accumulated in
 //!   original task-index order under first-use core relabeling, i.e. the
 //!   exact float operation sequence of the enumerator's leaf, and ties on
@@ -24,16 +41,22 @@
 //!
 //! Tasks branch in the shared LPT total order (largest first), which both
 //! tightens the bound early and reuses the one deterministic order the
-//! LPT tier sorts by. Children of a node are expanded in ascending
-//! lower-bound order (best-first), falling back to core index on ties.
+//! LPT tier sorts by; the tail tasks are therefore the last ones placed.
+//!
+//! **Budget contract.** Past [`EXACT_LIMIT`] the search stops after
+//! [`BNB_NODE_BUDGET`] nodes and returns its incumbent. An instance whose
+//! search finishes within the budget gets the enumerator's answer, the
+//! same bits under any admissible bound. One that trips it gets the best
+//! leaf its first nodes reached, which any change to the bound or to the
+//! child order may move.
 
 use sdem_power::Platform;
 use sdem_types::{Joules, TaskSet, Time, Workspace};
 
 use super::lpt::lpt_assign;
 use super::{
-    assemble_schedule, common_window, heaviest_task, lpt_order_into, partition_energy, BNB_LIMIT,
-    EXACT_LIMIT,
+    assemble_schedule, common_window, heaviest_task, lpt_order_into, partition_energy, WlCeiling,
+    BNB_LIMIT, EXACT_LIMIT,
 };
 use crate::{SdemError, Solution};
 
@@ -43,6 +66,12 @@ use crate::{SdemError, Solution};
 /// Within the enumerator's own range the budget is unlimited so the
 /// bit-identity guarantee is unconditional.
 const BNB_NODE_BUDGET: u64 = 2_000_000;
+
+/// How many of the smallest tasks the two-core bound places whole: its
+/// tables hold `2^(TAIL+1) − 1` subset sums. Of 6, 8, 10 and 12, 8 was
+/// the fastest per solve on 300 paper-magnitude 15-task sets on 2 cores
+/// (49, 24, 29 and 80 µs; 257, 114, 62 and 35 nodes).
+const TAIL: usize = 8;
 
 /// Branch-and-bound bounded-core optimum (see the module docs). Accepts
 /// up to [`BNB_LIMIT`] tasks; on `n ≤` [`EXACT_LIMIT`] the result is
@@ -111,10 +140,14 @@ pub fn solve_bnb_in(
     for j in (0..n).rev() {
         rem[j] = rem[j + 1] + soa.works[order[j]];
     }
+    let mut sums = ws.take_f64s();
+    if cores == 2 {
+        tail_sums_into(&soa.works, &order, &mut sums);
+    }
 
     let core = platform.core();
-    let (beta, lambda) = (core.beta(), core.lambda());
-    let alpha_m = platform.memory().alpha_m().value();
+    let lambda = core.lambda();
+    let ceiling = WlCeiling::new(platform, deadline);
     let mut assignment = ws.take_usizes();
     assignment.resize(n, 0);
     let mut loads = ws.take_f64s();
@@ -123,17 +156,14 @@ pub fn solve_bnb_in(
         works: &soa.works,
         order: &order,
         rem: &rem,
+        sums: &sums,
         platform,
         deadline,
         d_secs: deadline.as_secs(),
         s_up: core.max_speed().as_hz(),
-        beta,
         lambda,
-        alpha_m,
-        eq3_const: alpha_m.powf((lambda - 1.0) / lambda)
-            * beta.powf(1.0 / lambda)
-            * lambda
-            * (lambda - 1.0).powf((1.0 - lambda) / lambda),
+        ceiling,
+        balanced: cores as f64 * (rem[0] / cores as f64).powf(lambda),
         cores,
         budget: if n <= EXACT_LIMIT {
             u64::MAX
@@ -150,7 +180,7 @@ pub fn solve_bnb_in(
         leaf_loads,
         best_rgs,
         best,
-        cutoff: best.map_or(f64::INFINITY, |(_, e)| e),
+        threshold: ceiling.of(best.map_or(f64::INFINITY, |(_, e)| e)),
     };
     search.dfs(0, 0);
 
@@ -179,6 +209,7 @@ pub fn solve_bnb_in(
     ws.recycle_f64s(leaf_loads);
     ws.recycle_usizes(order);
     ws.recycle_f64s(rem);
+    ws.recycle_f64s(sums);
     ws.recycle_partition(part);
 
     let Some((interval, energy)) = best else {
@@ -203,6 +234,34 @@ pub fn solve_bnb_in(
         Joules::new(energy),
         deadline - interval,
     ))
+}
+
+/// The two-core bound's tables: for `k = 0..=min(TAIL, n)`, the sorted
+/// subset sums of the `k` last tasks in branch order (the smallest), at
+/// offset `2^k − 1`, each merged from the one before it and its shift by
+/// the next task's work.
+fn tail_sums_into(works: &[f64], order: &[usize], sums: &mut Vec<f64>) {
+    sums.clear();
+    sums.push(0.0);
+    for k in 0..TAIL.min(order.len()) {
+        let w = works[order[order.len() - 1 - k]];
+        let (from, len) = ((1 << k) - 1, 1 << k);
+        let (mut a, mut b) = (0, 0);
+        while a < len || b < len {
+            let shifted = if b < len {
+                sums[from + b] + w
+            } else {
+                f64::INFINITY
+            };
+            if a < len && sums[from + a] <= shifted {
+                sums.push(sums[from + a]);
+                a += 1;
+            } else {
+                sums.push(shifted);
+                b += 1;
+            }
+        }
+    }
 }
 
 /// Evaluates a complete assignment exactly as the enumerator evaluates a
@@ -244,14 +303,17 @@ struct Search<'a> {
     works: &'a [f64],
     order: &'a [usize],
     rem: &'a [f64],
+    /// The two-core tail tables ([`tail_sums_into`]); empty otherwise.
+    sums: &'a [f64],
     platform: &'a Platform,
     deadline: Time,
     d_secs: f64,
     s_up: f64,
-    beta: f64,
     lambda: f64,
-    alpha_m: f64,
-    eq3_const: f64,
+    ceiling: WlCeiling,
+    /// `m · (W/m)^λ`: the water-fill bound once the level covers every
+    /// core.
+    balanced: f64,
     cores: usize,
     budget: u64,
     nodes: u64,
@@ -264,7 +326,8 @@ struct Search<'a> {
     leaf_loads: Vec<f64>,
     best_rgs: Vec<usize>,
     best: Option<(Time, f64)>,
-    cutoff: f64,
+    /// The incumbent's [`WlCeiling`]: nodes bounded past it are pruned.
+    threshold: f64,
 }
 
 impl Search<'_> {
@@ -278,7 +341,6 @@ impl Search<'_> {
         }
         let i = self.order[depth];
         let w = self.works[i];
-        let after = self.rem[depth + 1];
         let limit = used.min(self.cores - 1);
 
         // Bound every admissible child, then expand best-first. The
@@ -295,9 +357,9 @@ impl Search<'_> {
             }
             let saved = self.loads[c];
             self.loads[c] = saved + w;
-            let lb = self.partial_bound(after);
+            let lb = self.bound(depth + 1);
             self.loads[c] = saved;
-            if lb > self.cutoff * (1.0 + 1e-9) {
+            if lb > self.threshold {
                 self.pruned += 1;
                 continue;
             }
@@ -307,8 +369,8 @@ impl Search<'_> {
         children[..count].sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         for &(lb, c) in &children[..count] {
-            // The cutoff may have tightened while earlier siblings ran.
-            if lb > self.cutoff * (1.0 + 1e-9) {
+            // The threshold may have tightened while earlier siblings ran.
+            if lb > self.threshold {
                 self.pruned += 1;
                 continue;
             }
@@ -346,15 +408,24 @@ impl Search<'_> {
             self.best_rgs.clear();
             self.best_rgs.extend_from_slice(&self.rgs);
             self.best = Some((t, e));
-            self.cutoff = e;
+            self.threshold = self.ceiling.of(e);
         }
     }
 
-    /// Admissible lower bound for the current partial loads plus
-    /// `remaining` unassigned work: water-fill the remainder over the
-    /// smallest loads (the continuous minimizer of Σ W_c^λ), then price
-    /// the relaxed vector with the deadline-aware Eq. 3.
-    fn partial_bound(&mut self, remaining: f64) -> f64 {
+    /// Admissible lower bound on the `Σ W_c^λ` of every leaf below the
+    /// current partial loads, with the tasks from `depth` on in branch
+    /// order unassigned.
+    fn bound(&mut self, depth: usize) -> f64 {
+        if self.cores == 2 {
+            self.two_core_bound(depth)
+        } else {
+            self.water_fill_bound(self.rem[depth])
+        }
+    }
+
+    /// Water-fill `remaining` work over the smallest loads (the
+    /// continuous minimizer of `Σ W_c^λ`).
+    fn water_fill_bound(&mut self, remaining: f64) -> f64 {
         self.sort_scratch.clear();
         self.sort_scratch.extend_from_slice(&self.loads);
         self.sort_scratch.sort_unstable_by(f64::total_cmp);
@@ -363,39 +434,48 @@ impl Search<'_> {
         let mut k = 1usize;
         let mut fill = remaining;
         while fill > 0.0 {
-            let next = if k < self.cores { s[k] } else { f64::INFINITY };
-            let need = (next - level) * k as f64;
+            if k == self.cores {
+                return self.balanced;
+            }
+            let need = (s[k] - level) * k as f64;
             if need >= fill {
                 level += fill / k as f64;
                 break;
             }
             fill -= need;
-            level = next;
+            level = s[k];
             k += 1;
         }
         let mut sum_wl = k as f64 * level.powf(self.lambda);
         for &v in &s[k..] {
             sum_wl += v.powf(self.lambda);
         }
-        self.bound_energy(sum_wl)
+        sum_wl
     }
 
-    /// `min over t ∈ (0, deadline] of β·Σ·t^{1−λ} + α_m·t` — Eq. 3 when
-    /// the interior optimum fits the window, the deadline-clamped Eq. 2
-    /// energy otherwise (that branch also covers `α_m = 0`).
-    fn bound_energy(&self, sum_wl: f64) -> f64 {
-        if sum_wl <= 0.0 {
-            return 0.0;
-        }
-        let interior = if self.alpha_m > 0.0 {
-            (self.beta * (self.lambda - 1.0) * sum_wl / self.alpha_m).powf(1.0 / self.lambda)
-        } else {
-            f64::INFINITY
+    /// The two-core bound (module docs): the tail tasks still unassigned
+    /// are placed whole, the rest are fluid, and the final loads are
+    /// `(W ± D) / 2` for the smallest imbalance `D` they can reach.
+    fn two_core_bound(&self, depth: usize) -> f64 {
+        let n = self.order.len();
+        let tail = n - n.saturating_sub(TAIL).max(depth);
+        let table = &self.sums[(1 << tail) - 1..(1 << (tail + 1)) - 1];
+        let fluid = self.rem[depth] - self.rem[n - tail];
+        let total = self.rem[0];
+        // Balancing amount: the work core 0 must still receive for the
+        // two loads to meet.
+        let target = (self.loads[1] + self.rem[depth] - self.loads[0]) / 2.0;
+        // Reachable amounts are `[z, z + fluid]` for each table sum `z`.
+        let above = table.partition_point(|&z| z <= target);
+        let dist = match (above.checked_sub(1).map(|k| table[k]), table.get(above)) {
+            (Some(lo), _) if target <= lo + fluid => 0.0,
+            (Some(lo), Some(&hi)) => (target - lo - fluid).min(hi - target),
+            (Some(lo), None) => target - lo - fluid,
+            (None, Some(&hi)) => hi - target,
+            (None, None) => unreachable!("every table holds the empty sum"),
         };
-        if interior <= self.d_secs {
-            self.eq3_const * sum_wl.powf(1.0 / self.lambda)
-        } else {
-            self.beta * sum_wl * self.d_secs.powf(1.0 - self.lambda) + self.alpha_m * self.d_secs
-        }
+        let imbalance = (2.0 * dist - 1e-10 * total).clamp(0.0, total);
+        ((total + imbalance) / 2.0).powf(self.lambda)
+            + ((total - imbalance) / 2.0).powf(self.lambda)
     }
 }

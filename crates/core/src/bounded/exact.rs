@@ -5,11 +5,22 @@
 //! visited exactly once and the lexicographically-smallest canonical
 //! string among energy-optimal assignments wins. This is the reference
 //! semantics the branch-and-bound tier reproduces bit-for-bit.
+//!
+//! A leaf is priced only if it can win: once per incumbent, [`WlCeiling`]
+//! turns the incumbent's energy into the largest `Σ W_c^λ` whose
+//! deadline-aware Eq. 3 / clamped Eq. 2 price stays within a `1e-9`
+//! relative slack of it (loosened by `1 − 1e-9` for rounding), and a leaf
+//! whose kept-power sum is past that threshold is dropped before its two
+//! interval `powf`s. Such a leaf prices above the incumbent, so the strict
+//! `<` would have kept the incumbent anyway: the walk order, the strict
+//! comparison and so the lex-first winner are unchanged.
 
 use sdem_power::Platform;
 use sdem_types::{TaskSet, Time, Workspace};
 
-use super::{assemble_schedule, common_window, heaviest_task, partition_energy_of, EXACT_LIMIT};
+use super::{
+    assemble_schedule, common_window, heaviest_task, partition_energy_of, WlCeiling, EXACT_LIMIT,
+};
 use crate::{SdemError, Solution};
 
 /// Exact bounded-core optimum by enumerating all canonical assignments of
@@ -87,6 +98,8 @@ pub fn solve_exact_in(
         deadline,
         cores,
         lambda: platform.core().lambda(),
+        ceiling: WlCeiling::new(platform, deadline),
+        threshold: f64::INFINITY,
         assign: ws.take_usizes(),
         loads: ws.take_f64s(),
         powers: ws.take_f64s(),
@@ -137,13 +150,16 @@ pub fn solve_exact_in(
 }
 
 /// The enumeration's state: the canonical assignment walked so far, each
-/// opened core's load and `W^λ`, and the incumbent.
+/// opened core's load and `W^λ`, and the incumbent with its threshold.
 struct Walk<'a> {
     works: &'a [f64],
     platform: &'a Platform,
     deadline: Time,
     cores: usize,
     lambda: f64,
+    ceiling: WlCeiling,
+    /// The incumbent's [`WlCeiling`]: leaves past it are not priced.
+    threshold: f64,
     assign: Vec<usize>,
     loads: Vec<f64>,
     powers: Vec<f64>,
@@ -157,12 +173,16 @@ impl Walk<'_> {
         if k == self.works.len() {
             let used = max_used + 1;
             let sum_wl: f64 = self.powers[..used].iter().copied().sum();
+            if sum_wl > self.threshold {
+                return;
+            }
             let w_max = self.loads[..used].iter().copied().fold(0.0f64, f64::max);
             if let Some((t, e)) = partition_energy_of(sum_wl, w_max, self.platform, self.deadline) {
                 if self.best.as_ref().is_none_or(|b| e.value() < b.1) {
                     self.best_assign.clear();
                     self.best_assign.extend_from_slice(&self.assign);
                     self.best = Some((t, e.value()));
+                    self.threshold = self.ceiling.of(e.value());
                 }
             }
             return;
