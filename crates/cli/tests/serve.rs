@@ -250,9 +250,11 @@ fn replay_chaos_counters_export_and_validate() {
 #[test]
 fn a_core_budget_above_the_task_count_changes_no_output() {
     use sdem_baselines::mbkp::{schedule_online, Assignment};
+    use sdem_core::dag::solve_dags;
     use sdem_core::{solve, Scheme, SCHEMES};
     use sdem_power::Platform;
     use sdem_types::{Cycles, Task, TaskSet, Time};
+    use sdem_workload::dag::DagConfig;
 
     const HUGE: usize = 1_000_000_000_000_000;
     let ms = Time::from_millis;
@@ -291,6 +293,13 @@ fn a_core_budget_above_the_task_count_changes_no_output() {
         let at = |cores| format!("{:?}", schedule_online(&tasks, &platform, cores, policy));
         assert_eq!(at(HUGE), at(n), "mbkp {policy:?}");
     }
+    // The DAG pipeline takes per-core scratch for the cores its suite can
+    // fill, not for the budget.
+    let dags = sdem_workload::dag::suite(&DagConfig::paper(9, ms(120.0)), 4, 42);
+    let nodes: usize = dags.iter().map(|dag| dag.node_count()).sum();
+    let at = |cores| format!("{:?}", solve_dags(&dags, &platform, cores));
+    assert!(at(nodes).starts_with("Ok("), "{}", at(nodes));
+    assert_eq!(at(HUGE), at(nodes), "solve_dags");
 
     // The daemon answers the line and the one after it, the same way.
     let line = |id, cores| {
@@ -391,6 +400,20 @@ fn exit_codes_follow_the_error_taxonomy() {
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2 (usage)");
         assert!(out.stdout.is_empty(), "{args:?} printed before failing");
     }
+    // A core budget far past the suite's node count solves as usual and
+    // is printed as requested.
+    let out = Command::new(BIN)
+        .args(["dag", "solve", "--input", sp, "--cores", "1000000000000"])
+        .stderr(Stdio::null())
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "a huge DAG core budget must exit 0"
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("of 1000000000000 core(s) busy"), "{text}");
     std::fs::remove_file(&suite).ok();
 
     // An option the command does not take (misspelt, or another
@@ -408,6 +431,36 @@ fn exit_codes_follow_the_error_taxonomy() {
         &["dag", "sweep", "--oracle-tol", "-1"],
         &["serve", "--worker", "2"],
         &["sweep", "--figure", "fig7a", "--trials", "0"],
+        // Each figure takes one sizing option, not the other figure's.
+        &[
+            "sweep",
+            "--figure",
+            "fig6",
+            "--instances",
+            "2",
+            "--trials",
+            "1",
+            "--tasks",
+            "999",
+        ],
+        &[
+            "sweep",
+            "--figure",
+            "fig7a",
+            "--trials",
+            "1",
+            "--instances",
+            "2",
+        ],
+        &[
+            "sweep",
+            "--figure",
+            "fig7b",
+            "--trials",
+            "1",
+            "--instances",
+            "2",
+        ],
         &["experiment", "--trials", "0"],
         // A halted sweep without a checkpoint could never be finished.
         &[

@@ -310,7 +310,9 @@ pub fn solve_dags_in(
                     break;
                 }
                 m += 1;
-                if m > budget {
+                // Past its node count a cluster's layered schedule stops
+                // changing, so no wider cluster within the budget fits.
+                if m > budget || m > dag.node_count() {
                     sdem_obs::registry::incr(Counter::DagInfeasible);
                     return Err(SdemError::InfeasibleTask(TaskId(
                         bases[i] + witness_node(dag),
@@ -332,9 +334,12 @@ pub fn solve_dags_in(
     }
     sdem_obs::registry::add(Counter::DagClusters, clusters as u64);
 
-    // Pass 2 — pack light DAGs onto the shared cores.
+    // Pass 2 — pack light DAGs onto the shared cores. LPT opens at most
+    // one core per light DAG, always the lowest-indexed idle one, so a
+    // budget past the light-DAG count changes no packing: clamp it there,
+    // and per-core scratch stays the suite's size.
     let shared_first = next_core;
-    let shared_cores = cores - next_core;
+    let shared_cores = (cores - next_core).min(light.len());
     // The bounded tiers' LPT packing, so the light-DAG allocator and the
     // lean task-set path agree with them bit for bit.
     let mut order = ws.take_usizes();
@@ -363,7 +368,7 @@ pub fn solve_dags_in(
     // Pass 3 — chop every DAG's window into per-core sequential task
     // windows.
     let mut arenas = ws.take_task_list();
-    for _ in 0..cores {
+    for _ in 0..shared_first + shared_cores {
         let arena = ws.take_tasks();
         arenas.push(arena);
     }
